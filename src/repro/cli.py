@@ -562,6 +562,7 @@ def _finish_audit(result, args) -> int:
 _DOCTOR_PIPELINE_KEYS = frozenset((
     "app_threads", "validation_cores", "seed", "sampler_targets",
     "canary", "slos", "fault_tolerance", "quarantine", "audit",
+    "dynamic_scaling",
 ))
 _DOCTOR_FLEET_KEYS = frozenset((
     "hosts", "shards", "cores_per_host", "validators_per_shard",
@@ -582,7 +583,7 @@ def _pipeline_from_spec(spec: dict) -> PipelineConfig:
         )
     kwargs = {
         key: spec[key]
-        for key in ("app_threads", "validation_cores", "seed")
+        for key in ("app_threads", "validation_cores", "seed", "dynamic_scaling")
         if key in spec
     }
     if "sampler_targets" in spec:

@@ -1,18 +1,19 @@
-"""Chaos driver: the Orthrus deployment under validation-plane faults.
+"""The fault-tolerant validation plane: Orthrus under validator faults.
 
-:func:`run_chaos_server` is the fault-tolerant sibling of
-:func:`repro.harness.pipeline.run_orthrus_server`.  Where the plain driver
-models the validation plane as a reliable shared store drained by
-immortal validator processes, this driver models what production actually
-has — per-core *bounded* queues with work stealing, validator cores that
-crash / hang / slow down / lose verdicts (chaos-injected via
-:mod:`repro.faultinject.validator_faults`), a
+:func:`run_chaos_server` runs the same
+:class:`~repro.harness.pipeline.DriverSession` as the plain plane in
+:mod:`repro.harness.pipeline` — same set-up, application threads,
+observers, validator-side stages and finalisation — and supplies the plane
+production actually has: per-core *bounded* queues with work stealing,
+validator cores that crash / hang / slow down / lose verdicts
+(chaos-injected via :mod:`repro.faultinject.validator_faults`), a
 :class:`~repro.validation.watchdog.ValidationWatchdog` that re-dispatches
 stranded logs, and a
 :class:`~repro.runtime.degradation.DegradationController` that walks the
 explicit degradation ladder instead of letting coverage rot silently.
+With no faults armed it is functionally the plain plane.
 
-The driver's contract is *conservation*: every closure log produced by
+The plane's contract is *conservation*: every closure log produced by
 the application reaches exactly one terminal state — validated, skipped
 by the sampler, dropped with a reason counter, or degraded to a CRC
 checksum fallback — no matter which validator faults fire.  The
@@ -28,7 +29,6 @@ always released.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.detection import DetectionEvent
 from repro.errors import ConfigurationError
@@ -37,37 +37,21 @@ from repro.faultinject.validator_faults import (
     ValidatorFaultKind,
 )
 from repro.harness.pipeline import (
+    DriverSession,
     PipelineConfig,
     RunResult,
-    _audit_setup,
-    _exposure_staleness,
-    _finish_profile,
-    _orthrus_overhead_cycles,
     _with_profiler,
 )
 from repro.memory.checksum import checksum_of
-from repro.obs.canary import CanaryScheduler, LivenessMonitor, is_canary_log
-from repro.obs.profiling import active as profiling_active
-from repro.obs.slo import SloMonitor, default_objectives
-from repro.obs.timeseries import (
-    TimeSeriesRecorder,
-    install_audit_probes,
-    install_canary_probes,
-    install_default_probes,
-    install_span_probes,
-)
-from repro.response.coordinator import ResponseCoordinator
+from repro.obs.audit import DynamicScalingHonoured
 from repro.response.quarantine import QuarantineManager
 from repro.runtime.degradation import (
     DegradationController,
     DegradationLevel,
     FaultToleranceConfig,
 )
-from repro.runtime.orthrus import OrthrusRuntime
-from repro.runtime.safemode import SafeModePolicy
-from repro.runtime.sampling import COVERAGE_REASONS, sampler_decision
-from repro.sim.events import Environment, SimClock, Store
-from repro.sim.metrics import RunMetrics
+from repro.runtime.sampling import COVERAGE_REASONS
+from repro.sim.events import Store
 from repro.validation.queues import QueueSet
 from repro.validation.watchdog import ValidationLedger, ValidationWatchdog
 
@@ -124,6 +108,10 @@ def run_chaos_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     """Run the Orthrus deployment with a fault-tolerant validation plane."""
     if config.validation_cores < 1:
         raise ConfigurationError("Orthrus needs at least one validation core")
+    for finding in DynamicScalingHonoured().check(config):
+        # This plane spawns every validator up front; fail closed rather
+        # than silently ignore the request (doctor reports the same rule).
+        raise ConfigurationError(finding.message)
     return _with_profiler(
         config, "driver.chaos", lambda: _run_chaos_impl(scenario, n_ops, config)
     )
@@ -135,42 +123,14 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
         if config.fault_tolerance is not None
         else FaultToleranceConfig()
     )
-    prof = profiling_active()
-    env = Environment()
-    if prof.enabled:
-        env.profiler = prof
-    machine = config.build_machine()
-    app_cores = list(range(config.app_threads))
-    val_cores = [config.app_threads + i for i in range(config.validation_cores)]
-    runtime = OrthrusRuntime(
-        machine=machine,
-        app_cores=app_cores,
-        validation_cores=val_cores,
-        clock=SimClock(env),
-        mode="external",
-        checksums=True,
-        reclaim_batch=config.reclaim_batch,
-        obs=config.obs,
-    )
-    sampler = config.make_sampler()
-    obs = runtime.obs
-    responder = None
-    if config.response is not None:
-        responder = ResponseCoordinator(runtime, config.response)
-    server = scenario.build(runtime)
-    runtime._hold_versions = False  # setup closures are not validated
-    try:
-        scenario.setup(server)
-    except Exception as exc:
-        return RunResult(
-            metrics=RunMetrics(),
-            runtime=runtime,
-            crashed=True,
-            crash_reason=f"setup: {type(exc).__name__}: {exc}",
-        )
-    runtime._hold_versions = True
-    for core_id, fault in config.deferred_faults:
-        machine.arm(core_id, fault)
+    session = DriverSession.open(scenario, n_ops, config)
+    if session.result.crashed:
+        return session.result
+    env, runtime, obs = session.env, session.runtime, session.obs
+    machine, metrics, costs = runtime.machine, session.metrics, config.costs
+    responder, val_cores = runtime.responder, session.val_cores
+    pending_bytes, deadline = session.pending_bytes, session.deadline
+    release, on_step = session.release, session.track_memory
 
     # ------------------------------------------------------------------
     # validation-plane machinery
@@ -183,10 +143,6 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     )
     queue_index_by_core = {core_id: i for i, core_id in enumerate(val_cores)}
     ledger = ValidationLedger()
-    safe_policy = SafeModePolicy(
-        enabled=config.safe_mode,
-        externalizing=frozenset(scenario.externalizing),
-    )
     controller = None
     if ft.degradation is not None:
         controller = DegradationController(
@@ -194,7 +150,7 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
             obs=obs,
             # A user-requested safe mode always holds; only let the ladder
             # drive the policy when it is not statically on.
-            safe_mode=None if config.safe_mode else safe_policy,
+            safe_mode=None if config.safe_mode else session.safe_policy,
         )
     quarantine = (
         responder.quarantine
@@ -232,82 +188,22 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
                 enqueue(orphan, when)
 
     watchdog = ValidationWatchdog(ft.watchdog, obs=obs, on_offender=on_offender)
-
-    ops = scenario.make_ops(n_ops, config.seed)
-    metrics = RunMetrics()
-    result = RunResult(metrics=metrics, runtime=runtime)
-    responses_by_index: dict[int, Any] = {}
-    pending_bytes = [0]
-    request_logs: list[Any] = []
-    runtime._on_log = request_logs.append
-    done_events: dict[int, Any] = {}
-    deadline = [float("inf")]
     redispatch_pending = [0]
-    apps_done = [False]
     stop = [False]
-
-    drift, exposure = _audit_setup(config, sampler, metrics, obs)
+    session.attach_observers()
+    drift, exposure = session.drift, session.exposure
     if drift is not None:
         # The conservation ledger is the residual-drift signal: work
         # outstanding while nothing settles means the plane is wedged.
         drift.attach_ledger(ledger)
-    stale_s = _exposure_staleness(sampler)
-
-    recorder = None
-    slo_monitor = None
-    if config.timeseries is not None and obs.enabled:
-        recorder = TimeSeriesRecorder(obs.registry, config.timeseries)
-        install_default_probes(recorder)
-        if obs.spans.enabled:
-            install_span_probes(recorder)
-        if config.canary is not None:
-            install_canary_probes(recorder)
-        if drift is not None:
-            install_audit_probes(recorder)
-        slo_monitor = SloMonitor(
-            recorder,
-            objectives=(
-                config.slos if config.slos is not None else default_objectives()
-            ),
-            tracer=obs.tracer,
-            report=runtime.report,
-        )
-
-    def track_memory() -> None:
-        extra = (
-            server.resident_bytes_extra()
-            if hasattr(server, "resident_bytes_extra")
-            else 0
-        )
-        metrics.peak_live_bytes = max(
-            metrics.peak_live_bytes, runtime.heap.live_bytes + extra
-        )
-        metrics.peak_versioned_bytes = max(
-            metrics.peak_versioned_bytes,
-            runtime.heap.versioned_bytes + pending_bytes[0] + extra,
-        )
-
-    def memory_in_use() -> float:
-        return runtime.heap.versioned_bytes + pending_bytes[0]
 
     # ------------------------------------------------------------------
     # terminal-state settlement (the conservation contract)
     # ------------------------------------------------------------------
-    def release(log) -> None:
-        event = done_events.pop(log.seq, None)
-        if event is not None:
-            event.succeed()
-
     def settle_drop(log, reason: str, now: float) -> None:
         """Account a dropped log: window closed, waiter released."""
         ledger.dropped(log.seq, reason)
-        runtime.validator.drop(log, reason)
-        if exposure is not None:
-            # A drop exposes the key for the queue time already burned
-            # plus the span until its next validation opportunity.
-            waited = max(0.0, now - log.enqueue_time) if log.enqueue_time else 0.0
-            exposure.record(log.closure_name, reason, waited + stale_s)
-        release(log)
+        session.settle_unvalidated(log, reason, now, runtime.validator.drop)
 
     def checksum_fallback(log, now: float) -> None:
         """Degraded validation: verify the §3.4 CRC boundary checksums of
@@ -335,7 +231,7 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
         if exposure is not None:
             # CRC checks catch bit-flips but not mercurial compute errors:
             # partial coverage, honestly accounted as exposure.
-            exposure.record(log.closure_name, "checksum-only", stale_s)
+            exposure.record(log.closure_name, "checksum-only", session.stale_s)
         if obs.enabled:
             obs.registry.counter(
                 "orthrus_checksum_fallbacks_total",
@@ -360,11 +256,11 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
 
     wake = Store(env)
 
-    # ------------------------------------------------------------------
-    # application threads
-    # ------------------------------------------------------------------
     def submit(log):
-        """Enqueue one log, honoring block-producer backpressure."""
+        """The plane's enqueue for application threads and canaries alike
+        (QueueSet stamps ``enqueue_time`` and emits the push telemetry at
+        accept), honoring block-producer backpressure."""
+        ledger.enqueue(log.seq)
         while True:
             outcome = enqueue(log, env.now)
             if not outcome.would_block:
@@ -375,66 +271,19 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
                 return
             yield env.timeout(ft.block_poll)
 
-    def app_thread(thread_id: int):
-        core = machine.core(thread_id)
-        for index in range(thread_id, len(ops), config.app_threads):
-            began = env.now
-            before = core.total_cycles
-            with runtime.bind_core(thread_id):
-                try:
-                    responses_by_index[index] = server.handle(ops[index])
-                except Exception as exc:
-                    result.crashed = True
-                    result.crash_reason = f"{type(exc).__name__}: {exc}"
-                    return
-            logs = list(request_logs)
-            request_logs.clear()
-            cycles = core.total_cycles - before + config.costs.control_path_cycles
-            cycles += sum(_orthrus_overhead_cycles(log, config.costs) for log in logs)
-            yield env.timeout(config.costs.seconds(cycles))
-            hold: list[Any] = []
-            for log in logs:
-                ledger.enqueue(log.seq)
-                event = env.event()
-                done_events[log.seq] = event
-                if safe_policy.must_hold(log.closure_name):
-                    hold.append(event)
-                yield from submit(log)
-                if obs.enabled:
-                    # Execution plus control path plus any producer
-                    # backpressure stall; queue.wait starts exactly where
-                    # this ends (queues.push stamps enqueue_time at accept).
-                    obs.spans.record(
-                        "closure.run",
-                        log.seq,
-                        log.start_time,
-                        env.now,
-                        closure=log.closure_name,
-                        core=thread_id,
-                    )
-            if hold:
-                # Safe mode (static or SAFE_HOLD-engaged): withhold
-                # externalizing results until their logs settle.
-                yield env.all_of(hold)
-            metrics.request_latency.add(env.now - began)
-            metrics.operations += 1
-            if obs.enabled:
-                obs.registry.counter(
-                    "orthrus_requests_total", help="completed application requests"
-                ).inc()
-                obs.registry.histogram(
-                    "orthrus_request_latency_seconds",
-                    help="request begin to response (incl. safe-mode holds)",
-                ).record(env.now - began)
-            track_memory()
-
     # ------------------------------------------------------------------
     # validator processes (chaos-faultable)
     # ------------------------------------------------------------------
     def validator_process(core):
         core_id = core.core_id
         queue_index = queue_index_by_core[core_id]
-        dispatch_s = config.costs.seconds(config.costs.validation_dispatch_cycles)
+        skip_s = costs.seconds(costs.skip_cycles)
+        decide, reexecute, record_verdict = (
+            session.decide, session.reexecute, session.record_verdict
+        )
+        compare_cycles, validation_cycles = (
+            session.compare_cycles, session.validation_cycles
+        )
         while True:
             token = yield wake.get()
             if not runtime.scheduler.in_service(core_id):
@@ -459,75 +308,34 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
                 # stolen); nothing to do.
                 continue
             pending_bytes[0] -= log.approx_bytes()
-            if obs.enabled:
-                obs.spans.record(
-                    "queue.wait",
-                    log.seq,
-                    log.enqueue_time,
-                    now,
-                    closure=log.closure_name,
-                )
             if now > deadline[0]:
                 # Past the timely-detection window (drain grace).
-                if obs.enabled:
-                    obs.registry.counter(
-                        "orthrus_deadline_drops_total",
-                        help="logs dropped past the timely-detection window",
-                    ).inc()
-                    obs.spans.record(
-                        "drop", log.seq, now, now,
-                        closure=log.closure_name, reason="deadline",
-                    )
-                metrics.skipped += 1
-                settle_drop(log, "deadline", now)
+                ledger.dropped(log.seq, "deadline")
+                session.drop_past_deadline(log, now, runtime.validator.drop)
                 continue
             if kind is ValidatorFaultKind.HANG:
                 # Block forever holding the dispatched log.
                 alive.discard(core_id)
+                if obs.enabled:
+                    obs.spans.record(
+                        "queue.wait", log.seq, log.enqueue_time, now,
+                        closure=log.closure_name,
+                    )
                 watchdog.dispatched(log, core_id, now)
                 yield env.event()
                 return  # pragma: no cover — the event never fires
-            is_canary = is_canary_log(log)
-            if is_canary:
-                # Canary probes bypass the sampler and its coverage
-                # accounting: a skipped canary would prove nothing about
-                # plane liveness.  They still ride the watchdog dispatch
-                # path so a hung or crashed validator strands them — that
-                # stranding is precisely the signal the LivenessMonitor
-                # turns into ``canary.missed``.
-                decision = None
-            else:
-                t0 = prof.now() if prof.enabled else 0
-                if config.memory_budget_bytes is not None:
-                    sampler.observe_memory(
-                        memory_in_use(), config.memory_budget_bytes
-                    )
-                else:
-                    sampler.observe_delay(now - log.enqueue_time)
-                decision = sampler_decision(sampler, log, now)
-                if prof.enabled:
-                    prof.lap("sampler.decide", t0)
-            if obs.enabled:
-                obs.registry.histogram(
-                    "orthrus_queue_delay_seconds",
-                    help="log age (enqueue to dequeue) at each validator dispatch",
-                ).record(now - log.enqueue_time)
-                if decision is not None:
-                    obs.registry.counter(
-                        "orthrus_sampler_decisions_total",
-                        {
-                            "decision": "validate" if decision.validate else "skip",
-                            "reason": decision.reason,
-                        },
-                        help="sampler verdicts by outcome and reason",
-                    ).inc()
+            # None for a canary: probes bypass the sampler but still ride
+            # the watchdog dispatch path, so a hung or crashed validator
+            # strands them — precisely the signal the LivenessMonitor
+            # turns into ``canary.missed``.
+            decision = decide(log, now)
             if controller is not None and controller.checksum_only:
                 # CHECKSUM_ONLY rung: CRC boundary checks, no re-execution.
                 busy = sum(
-                    config.costs.checksum_cycles(64)
+                    costs.checksum_cycles(64)
                     for _ in range(max(1, len(log.output_versions)))
                 )
-                yield env.timeout(config.costs.seconds(busy))
+                yield env.timeout(costs.seconds(busy))
                 checksum_fallback(log, env.now)
                 on_step()
                 continue
@@ -538,47 +346,24 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
                 and decision.reason not in COVERAGE_REASONS
             )
             if decision is not None and (not decision.validate or shed_for_coverage):
-                runtime.validator.skip(log)
                 ledger.skipped(log.seq)
                 metrics.skipped += 1
-                if exposure is not None:
-                    exposure.record(
-                        log.closure_name,
-                        "coverage-shed" if shed_for_coverage else "sampled-out",
-                        stale_s,
-                    )
-                if obs.enabled:
-                    obs.spans.record(
-                        "skip", log.seq, now, now,
-                        closure=log.closure_name,
-                        reason="coverage-shed" if shed_for_coverage
-                        else decision.reason,
-                    )
-                yield env.timeout(config.costs.seconds(config.costs.skip_cycles))
+                if shed_for_coverage:
+                    session.skip(log, now, "coverage-shed", "coverage-shed")
+                else:
+                    session.skip(log, now, decision.reason)
+                yield env.timeout(skip_s)
                 release(log)
                 on_step()
                 continue
             # -- dispatch under the watchdog's deadline ------------------
             watchdog.dispatched(log, core_id, now)
-            output_bytes = log.approx_bytes()
-            for vid in log.output_versions:
-                try:
-                    output_bytes += runtime.heap.version(vid).size
-                except Exception:
-                    pass
             # The re-execution costs about what the APP run cost; the
             # functional replay happens at completion time below.
-            busy = config.costs.validation_dispatch_cycles + log.app_cycles
-            busy += config.costs.compare_cycles_per_byte * output_bytes
-            if log.core_id >= 0:
-                # Canary probes carry a synthetic app core (-1): no NUMA
-                # placement applies to them.
-                app_core = machine.core(log.core_id)
-                if app_core.numa_node != core.numa_node:
-                    busy += config.costs.cross_numa_penalty_cycles
+            busy = validation_cycles(log, core, log.app_cycles, compare_cycles(log))
             if kind is ValidatorFaultKind.SLOWDOWN:
                 busy *= fault.slowdown_factor
-            yield env.timeout(config.costs.seconds(busy))
+            yield env.timeout(costs.seconds(busy))
             if kind is ValidatorFaultKind.VERDICT_LOSS:
                 # The work happened; the verdict evaporated.  Leave the
                 # dispatch in flight for the watchdog to expire.
@@ -589,40 +374,13 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
                 # log to another core: this verdict is a duplicate.
                 on_step()
                 continue
-            outcome = runtime.validator.validate(log, core)
-            if drift is not None:
-                drift.verdict(core_id)
-            if responder is not None:
-                responder.on_outcome(outcome)
-            if not is_canary:
-                # Canaries stay out of the sampler's feedback loop, the
-                # latency-driven scaling stats, and the coverage metrics.
-                sampler.on_validated(log, env.now)
-                latency = env.now - log.enqueue_time
-                metrics.validation_latency.add(latency)
-                runtime.latency.record(log.closure_name, latency)
-                metrics.validated += 1
+            outcome = reexecute(log, core)
             ledger.validated(log.seq)
-            if obs.enabled:
-                level = (
-                    controller.level.label if controller is not None else "normal"
-                )
-                obs.spans.record(
-                    "dispatch", log.seq, now, now + dispatch_s,
-                    closure=log.closure_name, core=core_id,
-                )
-                obs.spans.record(
-                    "validate", log.seq, now + dispatch_s, env.now,
-                    closure=log.closure_name, core=core_id, level=level,
-                )
-                obs.spans.record(
-                    "verdict", log.seq, env.now, env.now,
-                    closure=log.closure_name, passed=outcome.passed,
-                )
-            release(log)
+            record_verdict(
+                log, outcome, core_id, now,
+                level=controller.level.label if controller is not None else "normal",
+            )
             on_step()
-
-    on_step = track_memory
 
     # ------------------------------------------------------------------
     # watchdog / degradation tick
@@ -706,73 +464,14 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
                 prev_timeouts, prev_dispatches = timeouts, dispatches
 
     # ------------------------------------------------------------------
-    threads = [env.process(app_thread(i)) for i in range(config.app_threads)]
+    session.start_apps(submit)
     for core_id in val_cores:
         env.process(validator_process(machine.core(core_id)))
     env.process(ticker())
-
-    if recorder is not None:
-        def telemetry_process():
-            while True:
-                recorder.sample(env.now)
-                yield env.timeout(recorder.cadence)
-
-        env.process(telemetry_process())
-
-    canary_monitor = None
-    if config.canary is not None:
-        canary_sched = CanaryScheduler(config.canary, seed=config.seed)
-        canary_monitor = LivenessMonitor(config.canary, runtime.report, obs=obs)
-
-        def canary_issuer():
-            # Probes ride the same bounded queues and watchdog dispatch as
-            # organic traffic: whatever strands real logs strands them too.
-            while True:
-                yield env.timeout(config.canary.period)
-                if apps_done[0] or stop[0]:
-                    return
-                runtime._seq += 1
-                log = canary_sched.next_log(runtime._seq, env.now)
-                canary_monitor.issue(log, env.now)
-                ledger.enqueue(log.seq)
-                done_events[log.seq] = env.event()
-                yield from submit(log)
-                if obs.enabled:
-                    obs.spans.record(
-                        "closure.run",
-                        log.seq,
-                        log.start_time,
-                        env.now,
-                        closure=log.closure_name,
-                    )
-
-        def canary_poller():
-            step = config.canary.deadline / 4
-            while not stop[0]:
-                yield env.timeout(step)
-                canary_monitor.poll(env.now)
-
-        env.process(canary_issuer())
-        env.process(canary_poller())
-        if drift is not None:
-            drift.attach_canary(canary_monitor)
-
-    if drift is not None:
-        # Drift probes ride their own virtual-time cadence so
-        # declared-vs-observed contradictions surface even while the app
-        # threads are blocked on backpressure or safe-mode holds.
-        def audit_probe_process():
-            while not stop[0]:
-                yield env.timeout(drift.config.cadence)
-                drift.probe(env.now)
-
-        env.process(audit_probe_process())
+    session.start_observers(submit, lambda: stop[0])
 
     def coordinator():
-        yield env.all_of(threads)
-        apps_done[0] = True
-        metrics.duration = env.now
-        deadline[0] = env.now * (1 + config.drain_grace_fraction)
+        yield from session.wait_for_apps()
         hard_stop = deadline[0] + 64 * ft.check_interval
         while env.now < hard_stop:
             settled = ledger.outstanding == 0 and redispatch_pending[0] == 0
@@ -795,23 +494,7 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
             checksum_fallback(dispatch.log, env.now)
 
     env.run(until=env.process(coordinator()))
-    metrics.detections = runtime.detections
-    result.responses = [responses_by_index.get(i) for i in range(len(ops))]
-    if canary_monitor is not None:
-        # Settle overdue canaries before the final telemetry flush so the
-        # last timeline sample sees every miss.
-        canary_monitor.finalize(env.now)
-        result.canary = canary_monitor.summary()
-    if drift is not None:
-        # One terminal probe (so the last timeline sample sees every
-        # violation counter), then freeze the audit payload.
-        result.audit = drift.finalize(env.now)
-    if recorder is not None:
-        recorder.sample(env.now, force=True)
-        result.timeline = recorder
-        result.slo = slo_monitor.finalize(env.now)
-    if responder is not None and not result.crashed:
-        result.incident = responder.finalize()
+    result = session.finish()
 
     faulted: dict[str, list[int]] = {}
     for fault in box.faults:
@@ -838,7 +521,4 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
         chaos_digest=chaos.digest() if chaos is not None else None,
         queue_drops=queues.drops,
     )
-    result.digest = server.state_digest() if not result.crashed else None
-    if prof.enabled:
-        _finish_profile(prof, env, [machine])
     return result

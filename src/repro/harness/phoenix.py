@@ -25,6 +25,7 @@ from repro.runtime.orthrus import OrthrusRuntime
 from repro.sim.events import Environment, SimClock, Store
 from repro.sim.metrics import RunMetrics
 from repro.harness.pipeline import (
+    DriverSession,
     PipelineConfig,
     RunResult,
     _orthrus_overhead_cycles,
@@ -118,27 +119,14 @@ def run_phoenix(
     runtime._on_log = captured_logs.append
 
     log_store = Store(env)
-    pending_bytes = [0]
-    done_events: dict[int, Any] = {}
-    sampler = config.make_sampler()
+    session = DriverSession(env, runtime, config, result, config.make_sampler())
+    pending_bytes, deadline = session.pending_bytes, session.deadline
     validators = []
-    deadline = [float("inf")]
     if orthrus:
         validators = [
             env.process(
                 validator_process(
-                    env=env,
-                    core=machine.core(config.app_threads + i),
-                    runtime=runtime,
-                    sampler=sampler,
-                    log_store=log_store,
-                    pending_bytes=pending_bytes,
-                    done_events=done_events,
-                    metrics=metrics,
-                    config=config,
-                    memory_in_use=lambda: runtime.heap.versioned_bytes
-                    + pending_bytes[0],
-                    deadline=deadline,
+                    session, machine.core(config.app_threads + i), log_store
                 )
             )
             for i in range(config.validation_cores)
@@ -260,7 +248,7 @@ def run_phoenix(
         if config.safe_mode and orthrus:
             # Phoenix reveals results only at the end: safe mode means the
             # merge waits for every outstanding validation (§3.5).
-            holds = [event for event in done_events.values()]
+            holds = list(session.done_events.values())
             if holds:
                 yield env.all_of(holds)
         phx.reduce_outputs = [

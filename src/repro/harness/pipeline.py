@@ -1,14 +1,23 @@
-"""Virtual-time drivers: vanilla, Orthrus, and RBV deployments of a scenario.
+"""Virtual-time drivers: one driver session, two Orthrus validation planes.
 
-Each driver wires a scenario into the discrete-event engine:
+Every deployment of a scenario runs through one :class:`DriverSession`,
+which wires the scenario into the discrete-event engine:
 
 * **application threads** are closed-loop clients pinned to distinct app
   cores; a request's service time is the cycles its control+data path
   actually executed on the simulated machine, plus the deployment's
   bookkeeping costs (:mod:`repro.sim.costs`);
-* **Orthrus validator cores** consume closure logs from a shared store
-  (work-conserving, equivalent to per-core queues with stealing), applying
-  the sampler under queueing-delay or memory-budget feedback;
+* **observer processes** (telemetry, liveness canaries, audit probes) and
+  finalisation are the session's too, as are the validator-side stages —
+  sampler decision, validation cost, verdict accounting, settlement — so
+  each exists exactly once (DESIGN.md §10.5 has the stage table);
+* **a validation plane** supplies only how a log is submitted, its
+  validator loop and its drain.  The *plain* plane here is a shared store
+  (work-conserving, equivalent to per-core queues with stealing) drained
+  by immortal validator cores, applying the sampler under queueing-delay
+  or memory-budget feedback; the *fault-tolerant* plane lives in
+  :mod:`repro.harness.chaos`.  The vanilla deployment is the session with
+  no plane at all;
 * **the RBV replica** replays full requests *in submission order* on a
   separate healthy server, paying serialization + network transfer per
   batch and stalling the primary when the replication lag bound is hit.
@@ -43,7 +52,8 @@ from repro.obs.timeseries import (
 )
 from repro.response.coordinator import ResponseCoordinator
 from repro.runtime.orthrus import OrthrusRuntime
-from repro.runtime.sampling import AdaptiveSampler, SamplerConfig, sampler_decision
+from repro.runtime.safemode import SafeModePolicy
+from repro.runtime.sampling import AdaptiveSampler, SamplerConfig, observe_and_decide
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.events import Environment, SimClock, Store
 from repro.sim.metrics import RunMetrics
@@ -252,220 +262,536 @@ def _exposure_staleness(sampler) -> float:
     )
 
 
-def _audit_setup(config: PipelineConfig, sampler, metrics, obs):
-    """Build the (drift monitor, exposure ledger) pair when auditing is on.
 
-    Shared with the chaos driver.  The declared coverage floor defaults
-    to the sampler's configured minimum rate — the contract the drift
-    probe holds observed organic coverage against.
+# ----------------------------------------------------------------------
+# The driver session
+# ----------------------------------------------------------------------
+class DriverSession:
+    """One deployment of a scenario in virtual time: everything the
+    vanilla, plain-Orthrus and fault-tolerant drivers do identically.
+
+    The session owns set-up (:meth:`open`), the application threads, the
+    observer processes (telemetry, canaries, audit probes), the
+    validator-side stages both validation planes run — sampler decision,
+    validation cost, re-execution, verdict accounting, unvalidated
+    settlement — and finalisation.  A *plane* supplies only what truly
+    differs: how a log is submitted, its validator loop and its drain.
+    Per-event code binds what it needs to locals before its loop; nothing
+    here is reached through the session on a per-instruction path.
     """
-    if config.audit is None:
-        return None, None
-    audit_cfg = AuditConfig() if config.audit is True else config.audit
-    exposure = ExposureLedger(registry=obs.registry if obs.enabled else None)
-    drift = DriftMonitor(
-        audit_cfg,
-        declared_pool=config.validation_cores,
-        coverage_floor=float(
-            getattr(getattr(sampler, "config", None), "min_rate", 0.0)
-        ),
-        metrics=metrics,
-        obs=obs,
-        exposure=exposure,
-    )
-    return drift, exposure
+
+    def __init__(self, env: Environment, runtime: OrthrusRuntime,
+                 config: PipelineConfig, result: RunResult, sampler):
+        self.env = env
+        self.runtime = runtime
+        self.config = config
+        self.result = result
+        self.metrics = result.metrics
+        self.sampler = sampler
+        self.obs = runtime.obs
+        #: bytes of closure logs waiting in the plane (with the versioned
+        #: heap, the Fig-10 memory signal)
+        self.pending_bytes = [0]
+        #: seq -> event fired when the log settles; safe-mode holds wait here
+        self.done_events: dict[int, Any] = {}
+        #: end of the timely-detection window, known once the apps finish
+        self.deadline = [float("inf")]
+        self.apps_done = False
+        self.server: Any = None
+        self.ops: list[Any] = []
+        self.safe_policy = SafeModePolicy.off()
+        #: the declared validator pool (quarantine may shrink the scheduler's)
+        self.val_cores = [c.core_id for c in runtime.scheduler.validation_cores]
+        self.drift = self.exposure = None
+        self.recorder = self.slo_monitor = self.canary_monitor = None
+        self._threads: list[Any] = []
+        self._request_logs: list[ClosureLog] = []
+        self._responses: dict[int, Any] = {}
+        self.stale_s = _exposure_staleness(sampler)
+        self._dispatch_s = config.costs.seconds(
+            config.costs.validation_dispatch_cycles
+        )
+
+    # -- set-up ----------------------------------------------------------
+    @classmethod
+    def open(cls, scenario, n_ops: int, config: PipelineConfig,
+             orthrus: bool = True) -> "DriverSession":
+        """Build machine, runtime and server, preload, arm deferred faults
+        and generate the op stream.  A set-up crash comes back as
+        ``session.result.crashed`` with a ``setup:`` reason.
+
+        ``orthrus=False`` is the unmodified application: no checksums, no
+        held versions, no sampler, observers or response layer.
+        """
+        prof = active()
+        env = Environment()
+        if prof.enabled:
+            env.profiler = prof
+        machine = config.build_machine()
+        n_val = config.validation_cores if orthrus else 1
+        # The unmodified application has no Orthrus knobs to honour.
+        knobs = (
+            dict(reclaim_batch=config.reclaim_batch, obs=config.obs) if orthrus else {}
+        )
+        runtime = OrthrusRuntime(
+            machine=machine,
+            app_cores=list(range(config.app_threads)),
+            validation_cores=[config.app_threads + i for i in range(n_val)],
+            clock=SimClock(env),
+            mode="external",
+            checksums=orthrus,
+            hold_versions=orthrus,
+            **knobs,
+        )
+        session = cls(
+            env, runtime, config,
+            RunResult(metrics=RunMetrics(), runtime=runtime),
+            config.make_sampler() if orthrus else None,
+        )
+        if orthrus and config.response is not None:
+            ResponseCoordinator(runtime, config.response)  # attaches runtime.responder
+        server = scenario.build(runtime)
+        runtime._hold_versions = False  # setup closures are not validated
+        try:
+            scenario.setup(server)
+        except Exception as exc:
+            session.result.crashed = True
+            session.result.crash_reason = f"setup: {type(exc).__name__}: {exc}"
+            return session
+        runtime._hold_versions = orthrus
+        for core_id, fault in config.deferred_faults:
+            machine.arm(core_id, fault)
+        session.server = server
+        session.ops = scenario.make_ops(n_ops, config.seed)
+        session.safe_policy = SafeModePolicy(
+            enabled=config.safe_mode,
+            externalizing=frozenset(scenario.externalizing),
+        )
+        if orthrus:
+            runtime._on_log = session._request_logs.append
+        return session
+
+    def attach_observers(self) -> None:
+        """Audit (drift monitor + exposure ledger) and the time-series
+        recorder with its probes and SLO monitor.  Called by a plane once
+        its own gauges are registered, so registry order is the plane's."""
+        config, obs = self.config, self.obs
+        if config.audit is not None:
+            audit_cfg = AuditConfig() if config.audit is True else config.audit
+            self.exposure = ExposureLedger(
+                registry=obs.registry if obs.enabled else None
+            )
+            # The declared coverage floor defaults to the sampler's
+            # configured minimum rate — the contract the drift probe holds
+            # observed organic coverage against.
+            self.drift = DriftMonitor(
+                audit_cfg,
+                declared_pool=config.validation_cores,
+                coverage_floor=float(
+                    getattr(getattr(self.sampler, "config", None), "min_rate", 0.0)
+                ),
+                metrics=self.metrics,
+                obs=obs,
+                exposure=self.exposure,
+            )
+        if config.timeseries is not None and obs.enabled:
+            recorder = self.recorder = TimeSeriesRecorder(
+                obs.registry, config.timeseries
+            )
+            install_default_probes(recorder)
+            if obs.spans.enabled:
+                install_span_probes(recorder)
+            if config.canary is not None:
+                install_canary_probes(recorder)
+            if self.drift is not None:
+                install_audit_probes(recorder)
+            self.slo_monitor = SloMonitor(
+                recorder,
+                objectives=(
+                    config.slos if config.slos is not None else default_objectives()
+                ),
+                tracer=obs.tracer,
+                report=self.runtime.report,
+            )
+
+    # -- memory ----------------------------------------------------------
+    def track_memory(self) -> None:
+        metrics, heap, server = self.metrics, self.runtime.heap, self.server
+        extra = (
+            server.resident_bytes_extra()
+            if hasattr(server, "resident_bytes_extra")
+            else 0
+        )
+        metrics.peak_live_bytes = max(metrics.peak_live_bytes, heap.live_bytes + extra)
+        metrics.peak_versioned_bytes = max(
+            metrics.peak_versioned_bytes,
+            heap.versioned_bytes + self.pending_bytes[0] + extra,
+        )
+
+    def memory_in_use(self) -> float:
+        return self.runtime.heap.versioned_bytes + self.pending_bytes[0]
+
+    # -- application side --------------------------------------------------
+    def start_apps(self, submit=None) -> list[Any]:
+        """Spawn the closed-loop application threads.
+
+        ``submit(log)`` is the plane's enqueue; it returns the events the
+        producer must wait out before the log counts as enqueued (none for
+        an unbounded store, poll timeouts under block-producer
+        backpressure).  The vanilla deployment produces no logs and passes
+        nothing.
+        """
+        self._threads = [
+            self.env.process(self.app_thread(i, submit))
+            for i in range(self.config.app_threads)
+        ]
+        return self._threads
+
+    def app_thread(self, thread_id: int, submit):
+        env, runtime, obs = self.env, self.runtime, self.obs
+        metrics, result, costs = self.metrics, self.result, self.config.costs
+        server, ops, responses = self.server, self.ops, self._responses
+        request_logs, done_events = self._request_logs, self.done_events
+        must_hold, track_memory = self.safe_policy.must_hold, self.track_memory
+        core = runtime.machine.core(thread_id)
+        for index in range(thread_id, len(ops), self.config.app_threads):
+            began = env.now
+            before = core.total_cycles
+            with runtime.bind_core(thread_id):
+                try:
+                    responses[index] = server.handle(ops[index])
+                except Exception as exc:
+                    result.crashed = True
+                    result.crash_reason = f"{type(exc).__name__}: {exc}"
+                    return
+            logs = list(request_logs)
+            request_logs.clear()
+            cycles = core.total_cycles - before + costs.control_path_cycles
+            cycles += sum(_orthrus_overhead_cycles(log, costs) for log in logs)
+            yield env.timeout(costs.seconds(cycles))
+            hold: list[Any] = []
+            for log in logs:
+                event = env.event()
+                done_events[log.seq] = event
+                if must_hold(log.closure_name):
+                    hold.append(event)
+                yield from submit(log)
+                if obs.enabled:
+                    # Closure execution plus the control path plus any
+                    # producer stall, up to the simulated enqueue — so
+                    # queue.wait tiles against it exactly.
+                    obs.spans.record(
+                        "closure.run", log.seq, log.start_time, env.now,
+                        closure=log.closure_name, core=thread_id,
+                    )
+            if hold:
+                # Safe mode (static, or engaged by the degradation ladder):
+                # withhold externalizing results until their logs settle
+                # (§3.5).
+                yield env.all_of(hold)
+            metrics.request_latency.add(env.now - began)
+            metrics.operations += 1
+            if obs.enabled:
+                obs.registry.counter(
+                    "orthrus_requests_total", help="completed application requests"
+                ).inc()
+                obs.registry.histogram(
+                    "orthrus_request_latency_seconds",
+                    help="request begin to response (incl. safe-mode holds)",
+                ).record(env.now - began)
+            track_memory()
+
+    def wait_for_apps(self):
+        """Coordinator prologue: block until every application thread is
+        done, then stamp the run's duration and open the drain window."""
+        env = self.env
+        yield env.all_of(self._threads)
+        self.apps_done = True
+        self.metrics.duration = env.now
+        self.deadline[0] = env.now * (1 + self.config.drain_grace_fraction)
+
+    # -- observer processes ------------------------------------------------
+    def start_observers(self, submit_canary, quiesced) -> None:
+        """Spawn the telemetry, canary and audit-probe processes.
+
+        Each rides its own virtual-time cadence so it ticks even while
+        every app thread is blocked (safe-mode holds, backpressure) — that
+        is exactly when queue depth, lag and drift are interesting.
+        ``submit_canary`` is the plane's enqueue for probes (same contract
+        as :meth:`start_apps`); ``quiesced()`` turns true once the plane
+        has nothing further to watch, which ends the canary poller and the
+        audit probe — the plain plane passes "apps done", the
+        fault-tolerant plane its coordinator's stop flag.  Whatever is
+        still pending when the coordinator fires dies with the environment.
+        """
+        env, config, obs, runtime = self.env, self.config, self.obs, self.runtime
+        recorder, drift, done_events = self.recorder, self.drift, self.done_events
+        if recorder is not None:
+            def telemetry_process():
+                while True:
+                    recorder.sample(env.now)
+                    yield env.timeout(recorder.cadence)
+
+            env.process(telemetry_process())
+
+        if config.canary is not None:
+            sched = CanaryScheduler(config.canary, seed=config.seed)
+            monitor = LivenessMonitor(config.canary, runtime.report, obs=obs)
+            self.canary_monitor = monitor
+            if drift is not None:
+                drift.attach_canary(monitor)
+
+            def canary_issuer():
+                # Probes ride the same store/queues (and watchdog) as
+                # organic traffic: liveness of the whole validation plane,
+                # not of one component, is what the canary measures.
+                while True:
+                    yield env.timeout(config.canary.period)
+                    if self.apps_done:
+                        return
+                    runtime._seq += 1
+                    log = sched.next_log(runtime._seq, env.now)
+                    monitor.issue(log, env.now)
+                    done_events[log.seq] = env.event()
+                    yield from submit_canary(log)
+                    if obs.enabled:
+                        obs.spans.record(
+                            "closure.run", log.seq, log.start_time, env.now,
+                            closure=log.closure_name,
+                        )
+
+            def canary_poller():
+                step = config.canary.deadline / 4
+                while True:
+                    yield env.timeout(step)
+                    monitor.poll(env.now)
+                    if quiesced() and monitor.outstanding == 0:
+                        return
+
+            env.process(canary_issuer())
+            env.process(canary_poller())
+
+        if drift is not None:
+            def audit_probe_process():
+                while True:
+                    yield env.timeout(drift.config.cadence)
+                    drift.probe(env.now)
+                    if quiesced():
+                        return
+
+            env.process(audit_probe_process())
+
+    # -- validator-side stages ---------------------------------------------
+    def decide(self, log: ClosureLog, now: float):
+        """Sampler stage for one dequeued log; None for a canary.
+
+        Canary probes bypass the sampler — a skipped canary proves nothing
+        about plane liveness — and stay out of its load signal.
+        """
+        if is_canary_log(log):
+            if self.obs.enabled:
+                self.obs.spans.record(
+                    "queue.wait", log.seq, log.enqueue_time, now,
+                    closure=log.closure_name,
+                )
+            return None
+        budget = self.config.memory_budget_bytes
+        return observe_and_decide(
+            self.sampler, log, now, now - log.enqueue_time, self.obs,
+            memory=None if budget is None else (self.memory_in_use(), budget),
+        )
+
+    def compare_cycles(self, log: ClosureLog) -> float:
+        """Cost of the bitwise comparison over the log's actual output
+        payloads — significant for Phoenix's container-sized outputs,
+        negligible for KV items.  Measured at dispatch: once the log
+        settles its versions may be reclaimed."""
+        heap = self.runtime.heap
+        output_bytes = log.approx_bytes()
+        for vid in log.output_versions:
+            try:
+                output_bytes += heap.version(vid).size
+            except Exception:
+                pass
+        return self.config.costs.compare_cycles_per_byte * output_bytes
+
+    def validation_cycles(self, log: ClosureLog, core, exec_cycles: float,
+                          compare_cycles: float) -> float:
+        """What validating ``log`` on ``core`` costs: dispatch, the
+        re-execution itself, the comparison, and NUMA distance."""
+        costs = self.config.costs
+        busy = costs.validation_dispatch_cycles + exec_cycles
+        busy += compare_cycles
+        # Canary probes carry a synthetic app core (-1): no NUMA placement.
+        if log.core_id >= 0 and (
+            self.runtime.machine.core(log.core_id).numa_node != core.numa_node
+        ):
+            # Cross-socket validation: the log and its versions are cold
+            # in this core's L3 (§3.5 prefers same-node placement).
+            busy += costs.cross_numa_penalty_cycles
+        return busy
+
+    def reexecute(self, log: ClosureLog, core):
+        """Functional replay of ``log`` on ``core`` and who hears about it."""
+        outcome = self.runtime.validator.validate(log, core)
+        if self.drift is not None:
+            self.drift.verdict(core.core_id)
+        if self.runtime.responder is not None:
+            self.runtime.responder.on_outcome(outcome)
+        return outcome
+
+    def record_verdict(self, log: ClosureLog, outcome, core_id: int,
+                       dispatched_at: float, **validate_args) -> None:
+        """A verdict landed now: account it, close the span chain, release
+        the waiter.  Canaries stay out of the sampler's feedback loop, the
+        latency-driven scaling stats and the coverage metrics."""
+        now = self.env.now
+        log.validated_time = now
+        if not is_canary_log(log):
+            self.sampler.on_validated(log, now)
+            latency = now - log.enqueue_time
+            self.metrics.validation_latency.add(latency)
+            self.runtime.latency.record(log.closure_name, latency)
+            self.metrics.validated += 1
+        if self.obs.enabled:
+            # The causal chain tiles: dispatch covers the fixed dispatch
+            # cost, validate the re-execution + comparison (+ any
+            # cross-NUMA penalty) up to the verdict instant.
+            validate_from = dispatched_at + self._dispatch_s
+            self.obs.spans.record(
+                "dispatch", log.seq, dispatched_at, validate_from,
+                closure=log.closure_name, core=core_id,
+            )
+            self.runtime.record_verdict_spans(
+                log, outcome, validate_from, core=core_id, **validate_args
+            )
+        self.release(log)
+
+    def skip(self, log: ClosureLog, now: float, reason: str,
+             exposure_reason: str = "sampled-out") -> None:
+        """The sampler (or the ladder's coverage-only rung) passed on
+        ``log``: close its window and meter the exposure it opens."""
+        self.runtime.validator.skip(log)
+        if self.exposure is not None:
+            self.exposure.record(log.closure_name, exposure_reason, self.stale_s)
+        if self.obs.enabled:
+            self.obs.spans.record(
+                "skip", log.seq, now, now, closure=log.closure_name, reason=reason
+            )
+
+    def settle_unvalidated(self, log: ClosureLog, reason: str, now: float,
+                           close) -> None:
+        """``log`` leaves the plane without a verdict: ``close(log,
+        reason)`` closes its version window, the exposure ledger meters the
+        queue time already burned plus the span until the key's next
+        validation opportunity, and the waiter is released.  A canary only
+        releases its waiter: it is not user data, so it is neither coverage
+        lost nor exposure (DESIGN §11.3)."""
+        if not is_canary_log(log):
+            close(log, reason)
+            if self.exposure is not None:
+                waited = max(0.0, now - log.enqueue_time) if log.enqueue_time else 0.0
+                self.exposure.record(log.closure_name, reason, waited + self.stale_s)
+        self.release(log)
+
+    def drop_past_deadline(self, log: ClosureLog, now: float, close) -> None:
+        """``log`` was dequeued after the timely-detection window closed:
+        drop it unvalidated, as a terminating production instance would."""
+        obs = self.obs
+        if obs.enabled:
+            obs.registry.counter(
+                "orthrus_deadline_drops_total",
+                help="logs dropped past the timely-detection window",
+            ).inc()
+            obs.spans.record(
+                "queue.wait", log.seq, log.enqueue_time, now, closure=log.closure_name
+            )
+            obs.spans.record(
+                "drop", log.seq, now, now, closure=log.closure_name, reason="deadline"
+            )
+        if not is_canary_log(log):
+            self.metrics.skipped += 1
+        self.settle_unvalidated(log, "deadline", now, close)
+
+    def release(self, log: ClosureLog) -> None:
+        event = self.done_events.pop(log.seq, None)
+        if event is not None:
+            event.succeed()
+
+    # -- finalisation ------------------------------------------------------
+    def finish(self) -> RunResult:
+        env, result, runtime = self.env, self.result, self.runtime
+        self.metrics.detections = runtime.detections
+        result.responses = [self._responses.get(i) for i in range(len(self.ops))]
+        if self.canary_monitor is not None:
+            # Settle overdue canaries before the final telemetry flush so
+            # the last timeline sample sees every miss.
+            self.canary_monitor.finalize(env.now)
+            result.canary = self.canary_monitor.summary()
+        if self.drift is not None:
+            # One terminal probe (so the last timeline sample sees every
+            # violation counter), then freeze the audit payload.
+            result.audit = self.drift.finalize(env.now)
+        if self.recorder is not None:
+            # Final flush: one forced sample so the tail of the run (the
+            # drain phase) is in the series, then freeze the SLO verdicts.
+            self.recorder.sample(env.now, force=True)
+            result.timeline = self.recorder
+            result.slo = self.slo_monitor.finalize(env.now)
+        if runtime.responder is not None and not result.crashed:
+            result.incident = runtime.responder.finalize()
+        result.digest = self.server.state_digest() if not result.crashed else None
+        prof = active()
+        if prof.enabled:
+            _finish_profile(prof, env, [runtime.machine])
+        return result
 
 
-def validator_process(
-    env: Environment,
-    core,
-    runtime: OrthrusRuntime,
-    sampler,
-    log_store: Store,
-    pending_bytes: list[int],
-    done_events: dict[int, Any],
-    metrics: RunMetrics,
-    config: PipelineConfig,
-    memory_in_use: Callable[[], float],
-    on_step: Callable[[], None] = lambda: None,
-    deadline: list[float] | None = None,
-    drift=None,
-    exposure=None,
-):
-    """One Orthrus validation core: dequeue → sample → re-execute (§3.3).
+def validator_process(session: DriverSession, core, log_store: Store,
+                      on_step: Callable[[], None] = lambda: None):
+    """One validation core of the plain plane: dequeue → sample →
+    re-execute (§3.3) over the reliable shared store.
 
     Shared between the server and Phoenix drivers.  Ends when it dequeues
-    the shutdown sentinel.  Logs dequeued past ``deadline`` (the end of
-    the timely-detection window) are dropped unvalidated.
+    the shutdown sentinel.  Logs dequeued past the session's deadline (the
+    end of the timely-detection window) are dropped unvalidated.
     """
-    obs = runtime.obs
-    prof = active()
-    decide = getattr(sampler, "decide", None)
-    dispatch_s = config.costs.seconds(config.costs.validation_dispatch_cycles)
-    stale_s = _exposure_staleness(sampler)
+    env, metrics, costs = session.env, session.metrics, session.config.costs
+    pending_bytes, deadline = session.pending_bytes, session.deadline
+    decide, reexecute, record_verdict = (
+        session.decide, session.reexecute, session.record_verdict
+    )
+    compare_cycles, validation_cycles = (
+        session.compare_cycles, session.validation_cycles
+    )
+    skip_s = costs.seconds(costs.skip_cycles)
+
+    def close(log, _reason):
+        session.runtime.validator.skip(log)
+
     while True:
         log = yield log_store.get()
         if log is _SENTINEL:
             return
         pending_bytes[0] -= log.approx_bytes()
         now = env.now
-        if deadline is not None and now > deadline[0]:
-            if obs.enabled:
-                obs.registry.counter(
-                    "orthrus_deadline_drops_total",
-                    help="logs dropped past the timely-detection window",
-                ).inc()
-                obs.spans.record(
-                    "queue.wait", log.seq, log.enqueue_time, now,
-                    closure=log.closure_name,
-                )
-                obs.spans.record(
-                    "drop", log.seq, now, now,
-                    closure=log.closure_name, reason="deadline",
-                )
-            runtime.validator.skip(log)
-            metrics.skipped += 1
-            if exposure is not None:
-                exposure.record(
-                    log.closure_name,
-                    "deadline",
-                    (now - log.enqueue_time) + stale_s,
-                )
-            event = done_events.pop(log.seq, None)
-            if event is not None:
-                event.succeed()
+        if now > deadline[0]:
+            session.drop_past_deadline(log, now, close)
             continue
-        if is_canary_log(log):
-            # Canary probes bypass the sampler — a skipped canary proves
-            # nothing — and stay out of the run's coverage metrics.  Their
-            # app core is synthetic (-1), so no NUMA placement applies.
-            outcome = runtime.validator.validate(log, core)
-            if drift is not None:
-                drift.verdict(core.core_id)
-            busy = config.costs.validation_dispatch_cycles + outcome.val_cycles
-            busy += config.costs.compare_cycles_per_byte * log.approx_bytes()
-            yield env.timeout(config.costs.seconds(busy))
-            log.validated_time = env.now
-            if obs.enabled:
-                obs.spans.record(
-                    "queue.wait", log.seq, log.enqueue_time, now,
-                    closure=log.closure_name,
-                )
-                obs.spans.record(
-                    "dispatch", log.seq, now, now + dispatch_s,
-                    closure=log.closure_name, core=core.core_id,
-                )
-                obs.spans.record(
-                    "validate", log.seq, now + dispatch_s, env.now,
-                    closure=log.closure_name, core=core.core_id,
-                )
-                obs.spans.record(
-                    "verdict", log.seq, env.now, env.now,
-                    closure=log.closure_name, passed=outcome.passed,
-                )
-            event = done_events.pop(log.seq, None)
-            if event is not None:
-                event.succeed()
-            on_step()
-            continue
-        t0 = prof.now() if prof.enabled else 0
-        if config.memory_budget_bytes is not None:
-            sampler.observe_memory(memory_in_use(), config.memory_budget_bytes)
+        decision = decide(log, now)
+        if decision is None or decision.validate:
+            # The functional replay happens at dispatch; the engine then
+            # advances by what it cost.
+            compare = compare_cycles(log)
+            outcome = reexecute(log, core)
+            busy = validation_cycles(log, core, outcome.val_cycles, compare)
+            yield env.timeout(costs.seconds(busy))
+            record_verdict(log, outcome, core.core_id, now)
         else:
-            sampler.observe_delay(now - log.enqueue_time)
-        decision = (
-            decide(log, now)
-            if decide is not None
-            else sampler_decision(sampler, log, now)
-        )
-        if prof.enabled:
-            prof.lap("sampler.decide", t0)
-        if obs.enabled:
-            obs.registry.histogram(
-                "orthrus_queue_delay_seconds",
-                help="log age (enqueue to dequeue) at each validator dispatch",
-            ).record(now - log.enqueue_time)
-            obs.registry.counter(
-                "orthrus_sampler_decisions_total",
-                {
-                    "decision": "validate" if decision.validate else "skip",
-                    "reason": decision.reason,
-                },
-                help="sampler verdicts by outcome and reason",
-            ).inc()
-            obs.tracer.emit(
-                "sampler.decision",
-                ts=now,
-                closure=log.closure_name,
-                caller=log.caller,
-                seq=log.seq,
-                validate=decision.validate,
-                reason=decision.reason,
-                rate=getattr(sampler, "rate", 1.0),
-            )
-            obs.spans.record(
-                "queue.wait", log.seq, log.enqueue_time, now,
-                closure=log.closure_name,
-            )
-        if decision.validate:
-            # Comparison cost covers the actual output payloads (bitwise
-            # memcmp over the created versions) — significant for Phoenix's
-            # container-sized outputs, negligible for KV items.
-            output_bytes = log.approx_bytes()
-            for vid in log.output_versions:
-                try:
-                    output_bytes += runtime.heap.version(vid).size
-                except Exception:
-                    pass
-            outcome = runtime.validator.validate(log, core)
-            if drift is not None:
-                drift.verdict(core.core_id)
-            if runtime.responder is not None:
-                runtime.responder.on_outcome(outcome)
-            busy = config.costs.validation_dispatch_cycles + outcome.val_cycles
-            busy += config.costs.compare_cycles_per_byte * output_bytes
-            app_core = runtime.machine.core(log.core_id)
-            if app_core.numa_node != core.numa_node:
-                # Cross-socket validation: the log and its versions are
-                # cold in this core's L3 (§3.5 prefers same-node placement).
-                busy += config.costs.cross_numa_penalty_cycles
-            yield env.timeout(config.costs.seconds(busy))
-            log.validated_time = env.now
-            sampler.on_validated(log, env.now)
-            latency = env.now - log.enqueue_time
-            metrics.validation_latency.add(latency)
-            runtime.latency.record(log.closure_name, latency)
-            metrics.validated += 1
-            if obs.enabled:
-                # The causal chain tiles: dispatch covers the fixed
-                # dispatch cost, validate the re-execution + comparison
-                # (+ any cross-NUMA penalty) up to the verdict instant.
-                obs.spans.record(
-                    "dispatch", log.seq, now, now + dispatch_s,
-                    closure=log.closure_name, core=core.core_id,
-                )
-                obs.spans.record(
-                    "validate", log.seq, now + dispatch_s, env.now,
-                    closure=log.closure_name, core=core.core_id,
-                )
-                obs.spans.record(
-                    "verdict", log.seq, env.now, env.now,
-                    closure=log.closure_name, passed=outcome.passed,
-                )
-        else:
-            runtime.validator.skip(log)
-            if exposure is not None:
-                exposure.record(log.closure_name, "sampled-out", stale_s)
-            if obs.enabled:
-                obs.spans.record(
-                    "skip", log.seq, now, now,
-                    closure=log.closure_name, reason=decision.reason,
-                )
-            yield env.timeout(config.costs.seconds(config.costs.skip_cycles))
+            session.skip(log, now, decision.reason)
+            yield env.timeout(skip_s)
             metrics.skipped += 1
-        event = done_events.pop(log.seq, None)
-        if event is not None:
-            event.succeed()
+            session.release(log)
         on_step()
 
 
@@ -480,85 +806,23 @@ def run_vanilla_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
 
 
 def _run_vanilla_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    prof = active()
-    env = Environment()
-    if prof.enabled:
-        env.profiler = prof
-    machine = config.build_machine()
-    app_cores = list(range(config.app_threads))
-    runtime = OrthrusRuntime(
-        machine=machine,
-        app_cores=app_cores,
-        validation_cores=[config.app_threads],
-        clock=SimClock(env),
-        mode="external",
-        checksums=False,
-        hold_versions=False,
-    )
-    server = scenario.build(runtime)
-    try:
-        scenario.setup(server)
-    except Exception as exc:
-        metrics = RunMetrics()
-        return RunResult(
-            metrics=metrics,
-            runtime=runtime,
-            crashed=True,
-            crash_reason=f"setup: {type(exc).__name__}: {exc}",
-        )
-    for core_id, fault in config.deferred_faults:
-        machine.arm(core_id, fault)
-    ops = scenario.make_ops(n_ops, config.seed)
-    metrics = RunMetrics()
-    result = RunResult(metrics=metrics, runtime=runtime)
-    responses_by_index: dict[int, Any] = {}
-
-    def app_thread(thread_id: int):
-        core = machine.core(thread_id)
-        for index in range(thread_id, len(ops), config.app_threads):
-            began = env.now
-            before = core.total_cycles
-            with runtime.bind_core(thread_id):
-                try:
-                    responses_by_index[index] = server.handle(ops[index])
-                except Exception as exc:
-                    result.crashed = True
-                    result.crash_reason = f"{type(exc).__name__}: {exc}"
-                    return
-            cycles = core.total_cycles - before + config.costs.control_path_cycles
-            yield env.timeout(config.costs.seconds(cycles))
-            metrics.request_latency.add(env.now - began)
-            metrics.operations += 1
-            extra = (
-                server.resident_bytes_extra()
-                if hasattr(server, "resident_bytes_extra")
-                else 0
-            )
-            metrics.peak_live_bytes = max(
-                metrics.peak_live_bytes, runtime.heap.live_bytes + extra
-            )
-            metrics.peak_versioned_bytes = max(
-                metrics.peak_versioned_bytes, runtime.heap.versioned_bytes + extra
-            )
-
-    threads = [env.process(app_thread(i)) for i in range(config.app_threads)]
-    env.run(until=env.all_of(threads))
-    metrics.duration = env.now
-    result.responses = [responses_by_index.get(i) for i in range(len(ops))]
-    result.digest = server.state_digest() if not result.crashed else None
-    if prof.enabled:
-        _finish_profile(prof, env, [machine])
-    return result
+    session = DriverSession.open(scenario, n_ops, config, orthrus=False)
+    if session.result.crashed:
+        return session.result
+    env = session.env
+    env.run(until=env.all_of(session.start_apps()))
+    session.metrics.duration = env.now
+    return session.finish()
 
 
 # ----------------------------------------------------------------------
-# Orthrus
+# Orthrus — the plain plane
 # ----------------------------------------------------------------------
 def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     """The Orthrus deployment: logging + asynchronous sampled validation."""
     if config.fault_tolerance is not None or config.validator_faults is not None:
-        # The fault-tolerant validation plane (bounded queues + watchdog +
-        # degradation ladder) lives in its own driver.
+        # The fault-tolerant plane (bounded queues + watchdog +
+        # degradation ladder) runs the same session over its own loop.
         from repro.harness.chaos import run_chaos_server
 
         return run_chaos_server(scenario, n_ops, config)
@@ -570,52 +834,14 @@ def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
 
 
 def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    prof = active()
-    env = Environment()
-    if prof.enabled:
-        env.profiler = prof
-    machine = config.build_machine()
-    app_cores = list(range(config.app_threads))
-    val_cores = [config.app_threads + i for i in range(config.validation_cores)]
-    runtime = OrthrusRuntime(
-        machine=machine,
-        app_cores=app_cores,
-        validation_cores=val_cores,
-        clock=SimClock(env),
-        mode="external",
-        checksums=True,
-        reclaim_batch=config.reclaim_batch,
-        obs=config.obs,
-    )
-    sampler = config.make_sampler()
-    obs = runtime.obs
-    responder = None
-    if config.response is not None:
-        responder = ResponseCoordinator(runtime, config.response)
-    server = scenario.build(runtime)
-    runtime._hold_versions = False  # setup closures are not validated
-    try:
-        scenario.setup(server)
-    except Exception as exc:
-        return RunResult(
-            metrics=RunMetrics(),
-            runtime=runtime,
-            crashed=True,
-            crash_reason=f"setup: {type(exc).__name__}: {exc}",
-        )
-    runtime._hold_versions = True
-    for core_id, fault in config.deferred_faults:
-        machine.arm(core_id, fault)
-    ops = scenario.make_ops(n_ops, config.seed)
-    metrics = RunMetrics()
-    result = RunResult(metrics=metrics, runtime=runtime)
-    responses_by_index: dict[int, Any] = {}
-
+    """The plain plane: a reliable, unbounded, work-conserving shared
+    store drained by immortal validator cores."""
+    session = DriverSession.open(scenario, n_ops, config)
+    if session.result.crashed:
+        return session.result
+    env, runtime, obs = session.env, session.runtime, session.obs
+    pending_bytes = session.pending_bytes
     log_store = Store(env)
-    pending_bytes = [0]
-    request_logs: list[ClosureLog] = []
-    runtime._on_log = request_logs.append
-    done_events: dict[int, Any] = {}
     if obs.enabled:
         # The shared log store is the pipeline's (work-conserving) analogue
         # of the per-core queues; expose its depth the same way.
@@ -623,258 +849,66 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
             "orthrus_log_store_depth",
             help="pending closure logs in the shared validation store",
         ).set_function(lambda: float(len(log_store)))
-    drift, exposure = _audit_setup(config, sampler, metrics, obs)
-    recorder = None
-    slo_monitor = None
-    if config.timeseries is not None and obs.enabled:
-        recorder = TimeSeriesRecorder(obs.registry, config.timeseries)
-        install_default_probes(recorder)
-        if obs.spans.enabled:
-            install_span_probes(recorder)
-        if config.canary is not None:
-            install_canary_probes(recorder)
-        if drift is not None:
-            install_audit_probes(recorder)
-        slo_monitor = SloMonitor(
-            recorder,
-            objectives=(
-                config.slos if config.slos is not None else default_objectives()
-            ),
-            tracer=obs.tracer,
-            report=runtime.report,
-        )
+    session.attach_observers()
 
-    def track_memory() -> None:
-        extra = (
-            server.resident_bytes_extra()
-            if hasattr(server, "resident_bytes_extra")
-            else 0
-        )
-        metrics.peak_live_bytes = max(
-            metrics.peak_live_bytes, runtime.heap.live_bytes + extra
-        )
-        metrics.peak_versioned_bytes = max(
-            metrics.peak_versioned_bytes,
-            runtime.heap.versioned_bytes + pending_bytes[0] + extra,
-        )
+    def enqueue(log):
+        log.enqueue_time = env.now
+        pending_bytes[0] += log.approx_bytes()
+        log_store.put(log)
+        return ()  # the store is unbounded: nothing for the producer to wait out
 
-    def memory_in_use() -> float:
-        return runtime.heap.versioned_bytes + pending_bytes[0]
+    def submit(log):
+        waits = enqueue(log)
+        if obs.enabled:
+            # QueueSet emits these on the bounded plane; the bare Store
+            # cannot, so the driver does — for organic logs only.
+            obs.registry.counter(
+                "orthrus_queue_pushes_total", {"queue": "store"},
+                help="closure logs enqueued for validation",
+            ).inc()
+            obs.tracer.emit(
+                "queue.push", ts=env.now, queue="store", seq=log.seq,
+                closure=log.closure_name, depth=len(log_store),
+            )
+        return waits
 
-    def app_thread(thread_id: int):
-        core = machine.core(thread_id)
-        for index in range(thread_id, len(ops), config.app_threads):
-            began = env.now
-            before = core.total_cycles
-            with runtime.bind_core(thread_id):
-                try:
-                    responses_by_index[index] = server.handle(ops[index])
-                except Exception as exc:
-                    result.crashed = True
-                    result.crash_reason = f"{type(exc).__name__}: {exc}"
-                    return
-            logs = list(request_logs)
-            request_logs.clear()
-            cycles = core.total_cycles - before + config.costs.control_path_cycles
-            cycles += sum(_orthrus_overhead_cycles(log, config.costs) for log in logs)
-            yield env.timeout(config.costs.seconds(cycles))
-            hold: list[Any] = []
-            for log in logs:
-                log.enqueue_time = env.now
-                pending_bytes[0] += log.approx_bytes()
-                event = env.event()
-                done_events[log.seq] = event
-                if config.safe_mode and log.closure_name in scenario.externalizing:
-                    hold.append(event)
-                log_store.put(log)
-                if obs.enabled:
-                    # Driver-side span: closure execution plus the control
-                    # path up to the simulated enqueue, so queue.wait tiles
-                    # against it exactly.
-                    obs.spans.record(
-                        "closure.run",
-                        log.seq,
-                        log.start_time,
-                        env.now,
-                        closure=log.closure_name,
-                        core=thread_id,
-                    )
-                    obs.registry.counter(
-                        "orthrus_queue_pushes_total", {"queue": "store"},
-                        help="closure logs enqueued for validation",
-                    ).inc()
-                    obs.tracer.emit(
-                        "queue.push",
-                        ts=env.now,
-                        queue="store",
-                        seq=log.seq,
-                        closure=log.closure_name,
-                        depth=len(log_store),
-                    )
-            if hold:
-                # Strict safe mode: withhold externalizing results until
-                # their closures validate (§3.5).
-                yield env.all_of(hold)
-            metrics.request_latency.add(env.now - began)
-            metrics.operations += 1
-            if obs.enabled:
-                obs.registry.counter(
-                    "orthrus_requests_total", help="completed application requests"
-                ).inc()
-                obs.registry.histogram(
-                    "orthrus_request_latency_seconds",
-                    help="request begin to response (incl. safe-mode holds)",
-                ).record(env.now - began)
-            track_memory()
-
-    threads = [env.process(app_thread(i)) for i in range(config.app_threads)]
-    deadline = [float("inf")]
+    session.start_apps(submit)
+    val_cores = session.val_cores
     validators: list[Any] = []
 
     def spawn_validator(core_id: int) -> None:
-        validators.append(
-            env.process(
-                validator_process(
-                    env=env,
-                    core=machine.core(core_id),
-                    runtime=runtime,
-                    sampler=sampler,
-                    log_store=log_store,
-                    pending_bytes=pending_bytes,
-                    done_events=done_events,
-                    metrics=metrics,
-                    config=config,
-                    memory_in_use=memory_in_use,
-                    on_step=track_memory,
-                    deadline=deadline,
-                    drift=drift,
-                    exposure=exposure,
-                )
-            )
-        )
+        validators.append(env.process(validator_process(
+            session, runtime.machine.core(core_id), log_store, session.track_memory
+        )))
 
-    apps_done = [False]
     if config.dynamic_scaling:
         # §3.5 dynamic scaling: one validation thread to start; the
         # scheduler launches another whenever some closure's recent
         # validation latency runs 50% above the global average, up to the
         # configured core budget.
         spawn_validator(val_cores[0])
-        reserve = list(val_cores[1:])
+        reserve = val_cores[1:]
 
         def scaling_monitor():
-            while reserve and not apps_done[0]:
+            while reserve and not session.apps_done:
                 yield env.timeout(5e-6)
                 if runtime.latency.closures_needing_help():
                     spawn_validator(reserve.pop(0))
 
         env.process(scaling_monitor())
     else:
-        for cid in val_cores:
-            spawn_validator(cid)
-
-    if recorder is not None:
-        # A dedicated virtual-time sampling process: telemetry must tick
-        # even while every app thread is blocked (safe-mode holds, RBV-ish
-        # stalls) — that is exactly when queue depth and lag are
-        # interesting.  The loop is simply abandoned when the coordinator
-        # fires; its one pending timeout dies with the environment.
-        def telemetry_process():
-            while True:
-                recorder.sample(env.now)
-                yield env.timeout(recorder.cadence)
-
-        env.process(telemetry_process())
-
-    canary_monitor = None
-    if config.canary is not None:
-        canary_sched = CanaryScheduler(config.canary, seed=config.seed)
-        canary_monitor = LivenessMonitor(config.canary, runtime.report, obs=obs)
-        if drift is not None:
-            drift.attach_canary(canary_monitor)
-
-        def canary_issuer():
-            # Mint known-corrupt probes through the same store the organic
-            # traffic uses; liveness of the whole validation plane — not
-            # just of one component — is what the canary measures.
-            while True:
-                yield env.timeout(config.canary.period)
-                if apps_done[0]:
-                    return
-                runtime._seq += 1
-                log = canary_sched.next_log(runtime._seq, env.now)
-                canary_monitor.issue(log, env.now)
-                log.enqueue_time = env.now
-                pending_bytes[0] += log.approx_bytes()
-                done_events[log.seq] = env.event()
-                if obs.enabled:
-                    obs.spans.record(
-                        "closure.run",
-                        log.seq,
-                        log.start_time,
-                        env.now,
-                        closure=log.closure_name,
-                    )
-                log_store.put(log)
-
-        def canary_poller():
-            step = config.canary.deadline / 4
-            while True:
-                yield env.timeout(step)
-                canary_monitor.poll(env.now)
-                if apps_done[0] and canary_monitor.outstanding == 0:
-                    return
-
-        env.process(canary_issuer())
-        env.process(canary_poller())
-
-    if drift is not None:
-        # Drift probes ride their own virtual-time cadence, like
-        # telemetry: declared-vs-observed contradictions must surface even
-        # while the app threads are blocked.  Abandoned at teardown.
-        def audit_probe_process():
-            while True:
-                yield env.timeout(drift.config.cadence)
-                drift.probe(env.now)
-                if apps_done[0]:
-                    return
-
-        env.process(audit_probe_process())
+        for core_id in val_cores:
+            spawn_validator(core_id)
+    session.start_observers(enqueue, lambda: session.apps_done)
 
     def coordinator():
-        yield env.all_of(threads)
-        apps_done[0] = True
-        metrics.duration = env.now
-        deadline[0] = env.now * (1 + config.drain_grace_fraction)
+        yield from session.wait_for_apps()
         for _ in validators:
             log_store.put(_SENTINEL)
         yield env.all_of(validators)
 
     env.run(until=env.process(coordinator()))
-    metrics.detections = runtime.detections
-    result.responses = [responses_by_index.get(i) for i in range(len(ops))]
-    if canary_monitor is not None:
-        # Settle overdue canaries before the final telemetry flush so the
-        # last timeline sample sees every miss.
-        canary_monitor.finalize(env.now)
-        result.canary = canary_monitor.summary()
-    if drift is not None:
-        # One terminal probe (so the last timeline sample sees every
-        # violation counter), then freeze the audit payload.
-        result.audit = drift.finalize(env.now)
-    if recorder is not None:
-        # Final flush: one forced sample so the tail of the run (the drain
-        # phase) is in the series, then freeze the SLO verdicts.
-        recorder.sample(env.now, force=True)
-        result.timeline = recorder
-        result.slo = slo_monitor.finalize(env.now)
-    if responder is not None and not result.crashed:
-        result.incident = responder.finalize()
-    result.digest = server.state_digest() if not result.crashed else None
-    if prof.enabled:
-        _finish_profile(prof, env, [machine])
-    return result
-
+    return session.finish()
 
 # ----------------------------------------------------------------------
 # RBV

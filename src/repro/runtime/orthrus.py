@@ -42,7 +42,7 @@ from repro.memory.pointer import OrthrusPtr
 from repro.memory.reclaim import ReclamationManager
 from repro.obs.observability import NULL_OBS
 from repro.obs.profiling import active as profiling_active
-from repro.runtime.sampling import AlwaysSampler, sampler_decision
+from repro.runtime.sampling import AlwaysSampler, observe_and_decide
 from repro.runtime.scheduler import LatencyTracker, Scheduler
 from repro.validation.queues import OVERFLOW_REJECT, QueueSet
 from repro.validation.validator import ValidationOutcome, Validator
@@ -316,7 +316,7 @@ class OrthrusRuntime:
             self.sampler.on_validated(log, self.clock.now())
             self.latency.record(log.closure_name, outcome.latency)
             self.outcomes.append(outcome)
-            self._record_verdict_spans(log, outcome, validate_from=log.end_time)
+            self.record_verdict_spans(log, outcome, validate_from=log.end_time)
             if self.responder is not None:
                 self.responder.on_outcome(outcome)
         elif self.mode == "queued":
@@ -330,7 +330,7 @@ class OrthrusRuntime:
                 self.sampler.on_validated(log, self.clock.now())
                 self.latency.record(log.closure_name, outcome.latency)
                 self.outcomes.append(outcome)
-                self._record_verdict_spans(
+                self.record_verdict_spans(
                     log, outcome, validate_from=log.end_time
                 )
                 if self.responder is not None:
@@ -346,11 +346,17 @@ class OrthrusRuntime:
         # the log via the _on_log hook; nothing is queued here.
         return retval
 
-    def _record_verdict_spans(
-        self, log: ClosureLog, outcome: ValidationOutcome, validate_from: float
+    def record_verdict_spans(
+        self,
+        log: ClosureLog,
+        outcome: ValidationOutcome,
+        validate_from: float,
+        **validate_args: Any,
     ) -> None:
         """Close a log's causal chain: a ``validate`` interval ending at
-        the verdict plus the zero-length ``verdict`` marker."""
+        the verdict plus the zero-length ``verdict`` marker.  The DES
+        drivers pass the validating core (and degradation level) as
+        ``validate_args``."""
         obs = self.obs
         if not obs.enabled:
             return
@@ -361,6 +367,7 @@ class OrthrusRuntime:
             validate_from,
             now,
             closure=log.closure_name,
+            **validate_args,
         )
         obs.spans.record(
             "verdict",
@@ -388,43 +395,9 @@ class OrthrusRuntime:
                 break
             processed += 1
             now = self.clock.now()
-            delay = self.queues.queue_delay(now)
-            prof = profiling_active()
-            t0 = prof.now() if prof.enabled else 0
-            self.sampler.observe_delay(delay)
-            decision = sampler_decision(self.sampler, log, now)
-            if prof.enabled:
-                prof.lap("sampler.decide", t0)
-            if obs.enabled:
-                obs.registry.histogram(
-                    "orthrus_queue_delay_seconds",
-                    help="age of the oldest pending log at each dequeue",
-                ).record(delay)
-                obs.registry.counter(
-                    "orthrus_sampler_decisions_total",
-                    {
-                        "decision": "validate" if decision.validate else "skip",
-                        "reason": decision.reason,
-                    },
-                    help="sampler verdicts by outcome and reason",
-                ).inc()
-                obs.tracer.emit(
-                    "sampler.decision",
-                    ts=now,
-                    closure=log.closure_name,
-                    caller=log.caller,
-                    seq=log.seq,
-                    validate=decision.validate,
-                    reason=decision.reason,
-                    rate=getattr(self.sampler, "rate", 1.0),
-                )
-                obs.spans.record(
-                    "queue.wait",
-                    log.seq,
-                    log.enqueue_time,
-                    now,
-                    closure=log.closure_name,
-                )
+            decision = observe_and_decide(
+                self.sampler, log, now, self.queues.queue_delay(now), obs
+            )
             if not decision.validate:
                 self.validator.skip(log)
                 if obs.enabled:
@@ -439,7 +412,7 @@ class OrthrusRuntime:
             self.sampler.on_validated(log, self.clock.now())
             self.latency.record(log.closure_name, outcome.latency)
             self.outcomes.append(outcome)
-            self._record_verdict_spans(log, outcome, validate_from=now)
+            self.record_verdict_spans(log, outcome, validate_from=now)
             if self.responder is not None:
                 self.responder.on_outcome(outcome)
             if self.timeseries is not None:
