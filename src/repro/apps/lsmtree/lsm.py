@@ -25,6 +25,7 @@ from repro.closures.annotation import closure
 from repro.closures.context import ops, syscall
 from repro.closures.syscalls import sys_random
 from repro.memory.pointer import OrthrusPtr, orthrus_new
+from repro.memory.version import approx_size
 from repro.runtime.orthrus import OrthrusRuntime
 
 _FINGERPRINT_LANES = 8
@@ -53,6 +54,10 @@ class LsmTree:
         #: tier 2: list of immutable sorted blocks, newest last (external
         #: device, owned by the control path)
         self.disk: list[tuple] = []
+        #: ``sum(approx_size(block) for block in disk)``, kept by the only
+        #: two writers of ``disk`` (_disk_append, _disk_replace); blocks are
+        #: immutable tuples, so their size at write time is their size
+        self.disk_bytes = 0
         #: client-side randomness source for level selection (recorded as a
         #: syscall so validation replays it)
         self.rng = random.Random(seed)
@@ -221,6 +226,7 @@ def lsm_flush(tree: LsmTree) -> int:
 
 def _disk_append(tree: LsmTree, block: tuple) -> int:
     tree.disk.append(block)
+    tree.disk_bytes += approx_size(block)
     return len(block[0])
 
 
@@ -246,4 +252,5 @@ def lsm_compact(tree: LsmTree) -> int:
 def _disk_replace(tree: LsmTree, block: tuple) -> int:
     tree.disk.clear()
     tree.disk.append(block)
+    tree.disk_bytes = approx_size(block)
     return len(block[0])

@@ -102,10 +102,9 @@ class LsmTreeServer(AppServer):
     def resident_bytes_extra(self) -> int:
         """Bytes of the tier-2 SSTable buffer (outside the versioned heap)
         — part of the application's resident footprint in both the vanilla
-        and the Orthrus deployment."""
-        from repro.memory.version import approx_size
-
-        return sum(approx_size(block) for block in self.tree.disk)
+        and the Orthrus deployment.  Read per request by the drivers'
+        memory tracking, so it is the tree's running total, not a walk."""
+        return self.tree.disk_bytes
 
     def state_digest(self) -> int:
         """Structure-sensitive digest: disk blocks plus the memtable chain

@@ -128,10 +128,6 @@ class Core:
         occurrences = self._occurrences
         index = occurrences.get(opcode, 0)
         occurrences[opcode] = index + 1
-        site = Site(self._function, opcode, index)
-        if self.record_sites:
-            self.site_units[site] = unit
-            self.site_counts[site] = self.site_counts.get(site, 0) + 1
         cycles = CYCLE_COST[unit] * cycle_weight
         self.total_cycles += cycles
         self.instructions += 1
@@ -139,9 +135,20 @@ class Core:
         if trace is not None:
             trace.unit_counts[unit] = trace.unit_counts.get(unit, 0) + 1
             trace.cycles += cycles
-            if trace.record_sites:
-                trace.sites.add(site)
-        for fault in self.faults:
+        # A Site is built iff something can observe it: an armed fault to
+        # match against it, or a recorder to keep it.  The occurrence index
+        # above advances regardless, so a fault armed mid-scope still names
+        # the instruction it would have named on an always-recording core.
+        faults = self.faults
+        if not (faults or self.record_sites or (trace is not None and trace.record_sites)):
+            return result
+        site = Site(self._function, opcode, index)
+        if self.record_sites:
+            self.site_units[site] = unit
+            self.site_counts[site] = self.site_counts.get(site, 0) + 1
+        if trace is not None and trace.record_sites:
+            trace.sites.add(site)
+        for fault in faults:
             if not fault.matches(unit, site):
                 continue
             if fault.trigger_rate < 1.0 and self._rng.random() >= fault.trigger_rate:

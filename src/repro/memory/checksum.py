@@ -6,41 +6,24 @@ version is created and verified the first time the object is loaded after
 crossing the control/data-path boundary.  A 16-bit code suffices because it
 is used purely for *detection* — never for recovery.
 
-We implement CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) with a
-precomputed table, and a canonical serialization for the Python values user
-data can hold, so that logically equal payloads always produce equal CRCs.
+CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, check value 0x29B1) is what
+:func:`binascii.crc_hqx` computes when seeded with 0xFFFF, so the CRC runs
+at C speed; a canonical serialization for the Python values user data can
+hold makes logically equal payloads produce equal CRCs.  Nothing here
+remembers a result: every verification serializes and checksums the
+payload again, because a remembered CRC would vouch for bytes nobody
+re-read.
 """
 
 from __future__ import annotations
 
 import struct
-
-_POLY = 0x1021
-_INIT = 0xFFFF
+from binascii import crc_hqx
 
 
-def _build_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ _POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-_TABLE = _build_table()
-
-
-def crc16(data: bytes) -> int:
+def crc16(data: bytes | bytearray) -> int:
     """CRC-16/CCITT-FALSE of ``data``."""
-    crc = _INIT
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    return crc_hqx(data, 0xFFFF)
 
 
 def serialize(value) -> bytes:
@@ -57,9 +40,47 @@ def serialize(value) -> bytes:
 
 
 def _serialize_into(value, out: bytearray) -> None:
-    if value is None:
+    """Append ``value``: the shapes payloads are made of, by exact type.
+
+    Exact-type tests cost one pointer compare each and cannot mistake a
+    ``bool`` or an ``IntEnum`` for an ``int``; anything else — subclasses
+    included — is :func:`_serialize_general`'s, whose bytes for these
+    shapes are the same.
+    """
+    kind = type(value)
+    if kind is tuple:
+        out += b"T"
+        out += len(value).to_bytes(4, "little")
+        for item in value:
+            _serialize_into(item, out)
+    elif kind is int:
+        out += b"I"
+        raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "little", signed=True)
+        out += len(raw).to_bytes(4, "little")
+        out += raw
+    elif value is None:
         out += b"N"
-    elif isinstance(value, bool):
+    elif kind is str:
+        raw = value.encode("utf-8")
+        out += b"S"
+        out += len(raw).to_bytes(4, "little")
+        out += raw
+    elif kind is float:
+        out += b"F"
+        out += struct.pack("<d", value)
+    elif kind.__base__ is object and getattr(kind, "__orthrus_ptr__", False):
+        # OrthrusPtr, known by its class marker (importing it would be a
+        # cycle).  A class whose base is ``object`` subclasses none of the
+        # builtins the general chain tests first, so that chain would end
+        # in its pointer branch too.
+        out += b"P"
+        out += value.obj_id.to_bytes(8, "little", signed=True)
+    else:
+        _serialize_general(value, out)
+
+
+def _serialize_general(value, out: bytearray) -> None:
+    if isinstance(value, bool):
         out += b"B1" if value else b"B0"
     elif isinstance(value, int):
         out += b"I"
@@ -107,7 +128,9 @@ def _serialize_into(value, out: bytearray) -> None:
 
 def checksum_of(value) -> int:
     """CRC-16 of the canonical serialization of ``value``."""
-    return crc16(serialize(value))
+    out = bytearray()
+    _serialize_into(value, out)
+    return crc16(out)  # the bytearray itself: no bytes() copy
 
 
 def deserialize(data: bytes):

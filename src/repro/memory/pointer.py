@@ -16,6 +16,20 @@ from typing import Any
 from repro.memory.heap import VersionedHeap
 
 
+def _current():
+    """``repro.closures.context.current()``, imported on the first call.
+
+    ``closures.context`` imports this package, so the import cannot sit at
+    module level; the first call rebinds this name to the real function and
+    later calls pay no import.
+    """
+    global _current
+    from repro.closures.context import current
+
+    _current = current
+    return current()
+
+
 class OrthrusPtr:
     """Smart pointer into the versioned user-data space."""
 
@@ -31,18 +45,14 @@ class OrthrusPtr:
 
     def load(self) -> Any:
         """Read the payload (immutable; updates must go through store)."""
-        from repro.closures.context import current
-
-        ctx = current()
+        ctx = _current()
         if ctx is not None:
             return ctx.load(self.obj_id)
         return self.heap.latest(self.obj_id).value
 
     def store(self, value: Any) -> None:
         """Write a new version of the payload."""
-        from repro.closures.context import current
-
-        ctx = current()
+        ctx = _current()
         if ctx is not None:
             ctx.store(self.obj_id, value)
         else:
@@ -50,9 +60,7 @@ class OrthrusPtr:
 
     def delete(self) -> None:
         """OrthrusDelete: end the object's life."""
-        from repro.closures.context import current
-
-        ctx = current()
+        ctx = _current()
         if ctx is not None:
             ctx.delete(self.obj_id)
         else:
@@ -83,9 +91,7 @@ def orthrus_new(value: Any, heap: VersionedHeap | None = None) -> OrthrusPtr:
     Inside a closure the allocation is attributed to the running execution
     and logged; outside one, ``heap`` must be given explicitly.
     """
-    from repro.closures.context import current
-
-    ctx = current()
+    ctx = _current()
     if ctx is not None:
         return ctx.allocate(value)
     if heap is None:
@@ -113,9 +119,7 @@ def orthrus_receive(value: Any, checksum: int, heap: VersionedHeap | None = None
     Installing the *transported* CRC (instead of recomputing it) is what
     lets the first data-path load detect the corruption.
     """
-    from repro.closures.context import current
-
-    ctx = current()
+    ctx = _current()
     if ctx is not None:
         return ctx.allocate(value, checksum_override=checksum)
     if heap is None:

@@ -20,6 +20,7 @@ workload always produces the same trace.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Iterable
 
 from repro.errors import SimulationError
@@ -115,12 +116,12 @@ class Store:
 
     def __init__(self, env: "Environment"):
         self.env = env
-        self._items: list[Any] = []
-        self._getters: list[Event] = []
+        self._items: deque[Any] = deque()
+        self._getters: deque[Event] = deque()
 
     def put(self, item: Any) -> None:
         if self._getters:
-            getter = self._getters.pop(0)
+            getter = self._getters.popleft()
             getter.succeed(item)
         else:
             self._items.append(item)
@@ -128,7 +129,7 @@ class Store:
     def get(self) -> Event:
         event = Event(self.env)
         if self._items:
-            event.succeed(self._items.pop(0))
+            event.succeed(self._items.popleft())
         else:
             self._getters.append(event)
         return event

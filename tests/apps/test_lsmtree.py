@@ -7,6 +7,7 @@ from repro.apps.lsmtree import LsmTreeServer, lsm_flush, lsm_get, lsm_put
 from repro.machine.cpu import Machine
 from repro.machine.faults import Fault, FaultKind
 from repro.machine.units import Unit
+from repro.memory.version import approx_size
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.workloads.base import Op, OpKind
 from repro.workloads.ycsb import YcsbWriteWorkload
@@ -97,6 +98,27 @@ class TestFunctional:
                 server.handle(op)
                 model[op.key] = op.value
         assert server.items() == model
+        assert runtime.detections == 0
+
+    def test_resident_bytes_is_the_size_of_the_disk_after_every_request(self, runtime):
+        # resident_bytes_extra is a running total kept by the two writers of
+        # tree.disk; it must equal the walk it replaced at every point a
+        # driver can read it, across flushes, compactions and tombstones.
+        server = LsmTreeServer(runtime, memtable_limit=12, compaction_threshold=4, seed=3)
+        assert server.resident_bytes_extra() == 0
+        sizes = set()
+        with runtime:
+            for index, op in enumerate(YcsbWriteWorkload(n_keys=90, seed=4).ops(300)):
+                if index % 7 == 3:
+                    op = Op(OpKind.REMOVE, op.key)
+                elif index % 11 == 5:
+                    op = Op(OpKind.GET, op.key)
+                server.handle(op)
+                walked = sum(approx_size(block) for block in server.tree.disk)
+                assert server.resident_bytes_extra() == walked
+                sizes.add(walked)
+        assert server.flushes >= 8 and server.compactions >= 2
+        assert len(sizes) > 2  # grew and shrank, not a constant
         assert runtime.detections == 0
 
     def test_skiplist_randomness_is_replayed(self, runtime):

@@ -8,12 +8,16 @@ counts, tracer length, span count, the full registry and the timeline
 sample count — so a behaviour-preserving refactor of ``harness/`` shows an
 empty diff here.  The benchmark pins (``benchmarks/perf/expected.json``)
 cover four configurations; this grid covers the options they leave out.
+The two ``lsmtree-compacting`` entries, and ``peak_live_bytes`` on every
+lsmtree entry, were recorded at the commit before ``LsmTree`` began keeping
+``disk_bytes`` as a running total (same ``_run``, that commit's ``src``).
 
 ``PERMITTED`` lists, by config key, the only fields allowed to differ from
 the fixture and why: the canary-deadline bug fix, and the two places where
 the validator loops had drifted apart and now share one decide step.
 """
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -65,6 +69,10 @@ _ALL_OBSERVERS = dict(
 
 _ft = FaultToleranceConfig
 
+#: ~15 flushes and several compactions in 300 ops: the SSTable buffer that
+#: both peak_*_bytes include grows and shrinks throughout the run
+_LSM_COMPACTING = functools.partial(lsmtree_scenario, memtable_limit=16)
+
 #: key -> (runner, scenario factory, ops, PipelineConfig overrides).  ``obs``
 #: is added by ``_run`` unless the overrides say ``obs=None``.
 GRID = {
@@ -72,6 +80,7 @@ GRID = {
     "plain/default": (run_orthrus_server, memcached_scenario, 300, {}),
     "plain/no-obs": (run_orthrus_server, memcached_scenario, 300, dict(obs=None)),
     "plain/lsmtree": (run_orthrus_server, lsmtree_scenario, 200, {}),
+    "plain/lsmtree-compacting": (run_orthrus_server, _LSM_COMPACTING, 300, {}),
     "plain/canary": (run_orthrus_server, memcached_scenario, 300,
                      dict(canary=CanaryConfig(period=50e-6))),
     "plain/audit": (run_orthrus_server, memcached_scenario, 300, dict(audit=True)),
@@ -131,6 +140,8 @@ GRID = {
     # -- the drivers that share set-up and memory tracking --------------------
     "vanilla/deferred-fault": (run_vanilla_server, memcached_scenario, 200,
                                dict(deferred_faults=_SIMD_FAULT, obs=None)),
+    "vanilla/lsmtree-compacting": (run_vanilla_server, _LSM_COMPACTING, 300,
+                                   dict(obs=None)),
     "rbv/default": (run_rbv_server, memcached_scenario, 200, dict(obs=None)),
     "phoenix/orthrus": ("phoenix", phoenix_scenario, 3200, dict(app_threads=4)),
     "phoenix/safe-mode": ("phoenix", phoenix_scenario, 3200,
@@ -210,6 +221,7 @@ def _run(key: str) -> dict:
         "duration": metrics.duration,
         "request_latencies": metrics.request_latency.count,
         "validation_latencies": metrics.validation_latency.count,
+        "peak_live_bytes": metrics.peak_live_bytes,
         "peak_versioned_bytes": metrics.peak_versioned_bytes,
         "trace_events": len(obs.tracer) if obs else 0,
         "spans": len(obs.spans) if obs else 0,

@@ -141,6 +141,37 @@ class TestOrthrusPipelineMechanics:
         )
         assert tight.metrics.skipped >= loose.metrics.skipped
 
+    def test_memory_accounting_work_is_linear_in_operations(self, monkeypatch):
+        # A count, not a timing: the per-request memory tracking must size
+        # what the request wrote, never re-walk the SSTable buffer.  When
+        # resident_bytes_extra() summed approx_size over tree.disk on every
+        # request, 800 ops cost 5.2x the calls of 400; sizing each block
+        # once as it is written costs 1.95x.
+        import repro.memory.version as version
+
+        real = version.approx_size
+
+        def calls(n_ops: int) -> int:
+            count = 0
+
+            def counting(value):
+                nonlocal count
+                count += 1
+                return real(value)
+
+            # version.py's own recursion resolves this name per item, so
+            # every element a walk touches is counted
+            with monkeypatch.context() as patch:
+                patch.setattr(version, "approx_size", counting)
+                result = run_orthrus_server(
+                    lsmtree_scenario(), n_ops, PipelineConfig(seed=5)
+                )
+            assert result.metrics.operations == n_ops
+            return count
+
+        n = 400  # past the first flush, so the buffer is not empty
+        assert calls(2 * n) <= 2.5 * calls(n)
+
 
 class TestRbvMechanics:
     def test_rbv_detects_control_path_fault(self):

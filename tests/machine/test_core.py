@@ -4,7 +4,7 @@ import pytest
 
 from repro.machine.core import AtomicCell, Core
 from repro.machine.faults import Fault, FaultKind
-from repro.machine.instruction import Site
+from repro.machine.instruction import Site, Trace
 from repro.machine.units import Unit
 
 
@@ -227,3 +227,80 @@ class TestMercurialBehaviour:
         core.begin("f")
         assert core.cache.atomic_read(cell) == 5
         core.end()
+
+
+def _operator_sequence(core: Core) -> tuple[list, Trace]:
+    """A fixed mix over all four units, with repeats of each opcode and a
+    nested scope, so occurrence indices, weights and frames all matter.
+    Returns the results and the nested scope's own trace."""
+    cell = AtomicCell(3)
+    out = []
+    out.append(core.alu.add(2, 3))
+    out.append(core.alu.add(out[-1], 4))
+    out.append(core.alu.hash64("a-key-longer-than-eight-bytes"))
+    out.append(core.fpu.fmul(1.5, 2.0))
+    with core.scope("inner") as inner:
+        out.append(core.alu.add(1, 1))
+        out.append(core.simd.vsum(range(20)))
+    out.append(core.fpu.fmul(out[3], 0.5))
+    out.append(core.cache.atomic_add(cell, 2))
+    out.append(core.cache.load_shared(("node", 1)))
+    out.append(core.alu.lt(1, 2))
+    out.append(core.alu.copy(b"x" * 200))
+    return out, inner.trace
+
+
+class TestSiteBuiltOnlyWhenObserved:
+    """``_issue`` skips the Site when nothing can observe it; everything a
+    run publishes must be the same as on a core that always builds one."""
+
+    @staticmethod
+    def _run(record_core: bool, record_trace: bool):
+        core = Core(0)
+        core.record_sites = record_core
+        trace = core.begin("f", Trace(record_sites=record_trace))
+        results, inner = _operator_sequence(core)
+        assert core.end() is trace
+        return core, (trace, inner), results
+
+    @pytest.mark.parametrize("record_core, record_trace",
+                             [(True, False), (False, True), (True, True)])
+    def test_recording_changes_nothing_but_the_records(self, record_core, record_trace):
+        lazy_core, lazy_traces, lazy_results = self._run(False, False)
+        core, traces, results = self._run(record_core, record_trace)
+        assert results == lazy_results
+        assert core.total_cycles == lazy_core.total_cycles
+        assert core.instructions == lazy_core.instructions == len(results)
+        for traced, lazy in zip(traces, lazy_traces):
+            assert traced.unit_counts == lazy.unit_counts
+            assert traced.cycles == lazy.cycles
+        trace, lazy_trace = traces[0], lazy_traces[0]
+        # ... and the lazy run really recorded nothing, the other really did
+        assert lazy_core.site_counts == {} and lazy_trace.sites == set()
+        recorded = set(core.site_counts) if record_core else trace.sites
+        assert Site("f", "add", 1) in recorded and Site("f", "fmul", 1) in recorded
+        assert (Site("inner", "add", 0) in recorded) == record_core  # inner scope: own trace
+        if record_core:
+            assert sum(core.site_counts.values()) == len(results)
+
+    def test_fault_armed_after_lazy_issues_hits_the_right_occurrence(self):
+        core = Core(0)
+        core.begin("fn")
+        healthy = [core.alu.add(10, 0) for _ in range(3)]  # no Site built
+        core.arm(Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=0,
+                       site=Site("fn", "add", 3)))
+        armed = [core.alu.add(10, 0) for _ in range(3)]
+        core.end()
+        assert healthy == [10, 10, 10]
+        assert armed == [11, 10, 10]  # exactly the fourth add of the scope
+
+    def test_recording_switched_on_mid_scope_continues_the_indices(self):
+        core = Core(0)
+        core.begin("fn")
+        core.alu.add(1, 1)
+        core.alu.add(1, 1)
+        core.record_sites = True
+        core.alu.add(1, 1)
+        core.end()
+        assert core.site_counts == {Site("fn", "add", 2): 1}
+        assert core.site_units == {Site("fn", "add", 2): Unit.ALU}

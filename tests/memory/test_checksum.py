@@ -1,9 +1,16 @@
 """CRC-16 and canonical serialization tests."""
 
+import dataclasses
+import enum
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.memory.checksum import checksum_of, crc16, serialize
+from repro.closures.annotation import user_data
+from repro.memory.checksum import checksum_of, crc16, deserialize, serialize
+from repro.memory.heap import VersionedHeap
+from repro.memory.pointer import OrthrusPtr
 
 
 class TestCrc16:
@@ -96,3 +103,201 @@ def test_serialize_total_and_deterministic(value):
 def test_serialize_injective_on_samples(a, b):
     if a != b:
         assert serialize(a) != serialize(b)
+
+
+# ----------------------------------------------------------------------
+# Differential tests: the table-driven CRC loop and the isinstance-chain
+# serializer that ``repro.memory.checksum`` used to contain live on here,
+# verbatim, as the oracles the C-speed / exact-type versions must equal.
+# ----------------------------------------------------------------------
+def _oracle_table() -> list[int]:
+    table = []
+    for byte in range(256):
+        crc = byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+            else:
+                crc = (crc << 1) & 0xFFFF
+        table.append(crc)
+    return table
+
+
+_ORACLE_TABLE = _oracle_table()
+
+
+def oracle_crc16(data: bytes) -> int:
+    crc = 0xFFFF
+    for byte in data:
+        crc = ((crc << 8) & 0xFFFF) ^ _ORACLE_TABLE[((crc >> 8) ^ byte) & 0xFF]
+    return crc
+
+
+def _oracle_into(value, out: bytearray) -> None:
+    if value is None:
+        out += b"N"
+    elif isinstance(value, bool):
+        out += b"B1" if value else b"B0"
+    elif isinstance(value, int):
+        out += b"I"
+        raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "little", signed=True)
+        out += len(raw).to_bytes(4, "little")
+        out += raw
+    elif isinstance(value, float):
+        out += b"F"
+        out += struct.pack("<d", value)
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        out += b"S"
+        out += len(raw).to_bytes(4, "little")
+        out += raw
+    elif isinstance(value, bytes):
+        out += b"Y"
+        out += len(value).to_bytes(4, "little")
+        out += value
+    elif isinstance(value, (tuple, list)):
+        out += b"T" if isinstance(value, tuple) else b"L"
+        out += len(value).to_bytes(4, "little")
+        for item in value:
+            _oracle_into(item, out)
+    elif isinstance(value, dict):
+        out += b"D"
+        out += len(value).to_bytes(4, "little")
+        for key in sorted(value, key=repr):
+            _oracle_into(key, out)
+            _oracle_into(value[key], out)
+    elif getattr(value, "__orthrus_ptr__", False):
+        out += b"P"
+        out += value.obj_id.to_bytes(8, "little", signed=True)
+    elif hasattr(value, "__orthrus_payload__"):
+        out += b"O"
+        _oracle_into(value.__orthrus_payload__(), out)
+    else:
+        raise TypeError(f"cannot checksum value of type {type(value).__name__}")
+
+
+def oracle_serialize(value) -> bytes:
+    out = bytearray()
+    _oracle_into(value, out)
+    return bytes(out)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    WIDE = 1 << 70
+
+
+class Label(str):
+    """A str subclass: must serialize as its characters, like the oracle."""
+
+
+class Metres(float):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+class TaggedList(list):
+    #: carries the pointer marker *and* subclasses a builtin the chain tests
+    #: first: the oracle serializes it as a list, so must the fast path
+    __orthrus_ptr__ = True
+    obj_id = 9
+
+
+@user_data
+@dataclasses.dataclass
+class Account:
+    owner: str
+    balance: int
+
+
+_HEAP = VersionedHeap()
+
+plain_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=1 << 64)
+    | st.integers(max_value=-(1 << 64))
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12)
+    | st.binary(max_size=12)
+)
+exotic_leaves = (
+    st.sampled_from(list(Colour))
+    | st.text(max_size=5).map(Label)
+    | st.floats(allow_nan=False).map(Metres)
+    | st.integers(min_value=0, max_value=1 << 40).map(lambda i: OrthrusPtr(_HEAP, i))
+    | st.builds(Account, st.text(max_size=5), st.integers())
+    | st.just(float("nan"))
+)
+dict_keys = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3)
+)
+
+
+def nest(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(children, max_size=3).map(Pair)
+        | st.dictionaries(dict_keys, children, max_size=4)
+    )
+
+
+plain_payloads = st.recursive(plain_leaves, nest, max_leaves=12)
+all_payloads = st.recursive(plain_leaves | exotic_leaves, nest, max_leaves=12)
+
+
+class TestCrcAgainstOracle:
+    def test_check_value_and_empty(self):
+        assert crc16(b"123456789") == oracle_crc16(b"123456789") == 0x29B1
+        assert crc16(b"") == oracle_crc16(b"") == 0xFFFF
+
+    @given(st.binary(max_size=600))
+    def test_equals_table_driven_loop(self, data):
+        assert crc16(data) == oracle_crc16(data)
+
+    @given(all_payloads)
+    def test_checksum_of_is_crc_of_serialization(self, value):
+        # checksum_of skips the bytes() copy; it may not skip anything else
+        assert checksum_of(value) == oracle_crc16(oracle_serialize(value))
+
+
+class TestSerializeAgainstOracle:
+    @given(all_payloads)
+    def test_generated_payloads(self, value):
+        assert serialize(value) == oracle_serialize(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            True, 1, 1.0, False, 0, 0.0, -0.0,
+            (True, 1, 1.0),
+            Colour.RED, Colour.WIDE, (Colour.RED, 1),
+            -1, -(1 << 64), (1 << 64) - 1, 1 << 64, 1 << 200, -(1 << 200),
+            tuple(range(256)), list(range(300)), tuple([None] * 257),
+            Pair((1, 2)), Label("x"), Metres(2.5), TaggedList([1, 2]),
+            {1: "a", "1": "b", None: 0, 2.5: (), True: [True]},
+            {(1, "k"): {"inner": b"\x00\xff"}},
+            ("node", 7, "v", 1020.0, (OrthrusPtr(_HEAP, 3), None, OrthrusPtr(_HEAP, -1))),
+            Account("ada", 10), [Account("bob", -5), (Account("eve", 1 << 80),)],
+            "", b"", (), [], {},
+        ],
+        ids=repr,
+    )
+    def test_traps(self, value):
+        assert serialize(value) == oracle_serialize(value)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, (1, object()), [complex(1, 2)]], ids=repr)
+    def test_unsupported_type_raises_like_the_oracle(self, value):
+        with pytest.raises(TypeError, match="cannot checksum value of type"):
+            oracle_serialize(value)
+        with pytest.raises(TypeError, match="cannot checksum value of type"):
+            serialize(value)
+
+    @given(plain_payloads)
+    def test_deserialize_round_trips(self, value):
+        assert deserialize(serialize(value)) == value
