@@ -29,6 +29,30 @@ CLOSURE_REGISTRY: dict[str, "ClosureMeta"] = {}
 USER_DATA_REGISTRY: dict[str, type] = {}
 
 
+def _current():
+    """``repro.closures.context.current()``, imported on the first call.
+
+    ``closures.context`` and ``runtime.orthrus`` both sit downstream of this
+    module, so neither import can be at module level; as in
+    ``memory.pointer._current``, the first call rebinds the name to the real
+    function and later closure calls pay no import.
+    """
+    global _current
+    from repro.closures.context import current
+
+    _current = current
+    return current()
+
+
+def _active_runtime():
+    """``repro.runtime.orthrus.active()``; rebinds itself like :func:`_current`."""
+    global _active_runtime
+    from repro.runtime.orthrus import active
+
+    _active_runtime = active
+    return active()
+
+
 @dataclass
 class ClosureMeta:
     """Compile-time record for one annotated data operator."""
@@ -80,12 +104,9 @@ def closure(fn: Callable | None = None, *, name: str | None = None, compare: Cal
         CLOSURE_REGISTRY[closure_name] = meta
 
         def wrapper(*args, **kwargs):
-            from repro.closures import context as context_mod
-            from repro.runtime import orthrus as runtime_mod
-
-            if context_mod.current() is not None:
+            if _current() is not None:
                 return func(*args, **kwargs)
-            runtime = runtime_mod.active()
+            runtime = _active_runtime()
             if runtime is None:
                 raise NoActiveContext(
                     f"closure {closure_name!r} invoked without an active "

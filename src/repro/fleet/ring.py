@@ -18,6 +18,11 @@ behind Ceph's straw buckets and envoy's bounded-load ring):
    highest-ranked shard that still has headroom under a capacity cap of
    ``ceil(partitions / shards * cap_factor)``.
 
+The ranking of step 2 is computed lazily: a partition's first preference
+is one ``argmax`` over its row of weights, and the row is sorted only if
+that shard is already full (~3% of rows at 96 shards).  Rows are hashed a
+block at a time, so no ``partitions x shards`` matrix is ever resident.
+
 Properties (enforced by ``tests/fleet/test_ring.py``):
 
 * **balance** — with the default ``cap_factor=1.0`` the cap is exactly
@@ -52,6 +57,13 @@ DEFAULT_VNODES = 256
 
 _U64 = np.uint64
 _MASK = _U64(0xFFFFFFFFFFFFFFFF)
+
+#: partition rows hashed (and held) at a time while assigning.  The weight
+#: block and mix64's temporaries are ``_BLOCK_ROWS * nodes`` words each, so
+#: memory is bounded whatever the grid size, and at 256 rows a 96-node
+#: block (192 KB) stays cache-resident through the mixer's passes
+#: (measured ~1.6x faster than hashing the same grid in one piece).
+_BLOCK_ROWS = 256
 
 
 def mix64(x: np.ndarray | int) -> np.ndarray | int:
@@ -121,21 +133,28 @@ class ConsistentHashRing:
         node_tokens = np.array(
             [name_token(name, self.salt) for name in self.nodes], dtype=_U64
         )
-        with np.errstate(over="ignore"):
-            weights = mix64(part_tokens[:, None] ^ node_tokens[None, :])
-        # Descending-weight preference list per partition; ``~w`` inverts
-        # the order monotonically so a *stable* ascending argsort yields
-        # descending weights with index-order tie-breaking.
-        prefs = np.argsort(~weights, axis=1, kind="stable")
-        loads = np.zeros(len(self.nodes), dtype=np.int64)
+        loads = [0] * len(self.nodes)
         owner = np.empty(self.partitions, dtype=np.int32)
         cap = self.capacity
-        for part in range(self.partitions):
-            for choice in prefs[part]:
-                if loads[choice] < cap:
-                    owner[part] = choice
-                    loads[choice] += 1
-                    break
+        for start in range(0, self.partitions, _BLOCK_ROWS):
+            weights = mix64(
+                part_tokens[start:start + _BLOCK_ROWS, None] ^ node_tokens[None, :]
+            )
+            # First preference: argmax returns the first maximum, i.e. the
+            # lowest node index among equal weights.
+            assigned = weights.argmax(axis=1).tolist()
+            for row, choice in enumerate(assigned):
+                if loads[choice] >= cap:
+                    # Overflow: rank this one row.  ``~w`` inverts the
+                    # order monotonically so a *stable* ascending argsort
+                    # yields descending weights with index-order
+                    # tie-breaking — the same node argmax puts first.
+                    for choice in np.argsort(~weights[row], kind="stable").tolist():
+                        if loads[choice] < cap:
+                            break
+                    assigned[row] = choice
+                loads[choice] += 1
+            owner[start:start + len(assigned)] = assigned
         return owner
 
     # -- lookups ---------------------------------------------------------

@@ -246,7 +246,9 @@ class FleetTopology:
     def ring(self) -> ConsistentHashRing:
         """The keyspace ring over shard names (fixed partition grid, so
         quarantine-time membership changes compare remap-minimally).
-        Cached: the assignment is O(partitions * shards)."""
+        Cached: the assignment still hashes all ``partitions * shards``
+        weights — a block of rows at a time, O(shards) memory — though it
+        sorts a row only when that partition's best shard is full."""
         if self._ring is None:
             self._ring = ConsistentHashRing(
                 [s.name for s in self.shards],

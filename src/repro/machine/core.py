@@ -131,17 +131,21 @@ class Core:
         cycles = CYCLE_COST[unit] * cycle_weight
         self.total_cycles += cycles
         self.instructions += 1
-        trace = self._trace
-        if trace is not None:
-            trace.unit_counts[unit] = trace.unit_counts.get(unit, 0) + 1
-            trace.cycles += cycles
         # A Site is built iff something can observe it: an armed fault to
         # match against it, or a recorder to keep it.  The occurrence index
         # above advances regardless, so a fault armed mid-scope still names
         # the instruction it would have named on an always-recording core.
         faults = self.faults
-        if not (faults or self.record_sites or (trace is not None and trace.record_sites)):
-            return result
+        trace = self._trace
+        if trace is None:
+            if not (faults or self.record_sites):
+                return result
+        else:
+            unit_counts = trace.unit_counts
+            unit_counts[unit] = unit_counts.get(unit, 0) + 1
+            trace.cycles += cycles
+            if not (faults or self.record_sites or trace.record_sites):
+                return result
         site = Site(self._function, opcode, index)
         if self.record_sites:
             self.site_units[site] = unit

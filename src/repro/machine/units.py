@@ -23,6 +23,11 @@ class Unit(enum.Enum):
     SIMD = "simd"
     CACHE = "cache"
 
+    # Members are singletons compared by identity, so hash them that way
+    # too: ``Enum.__hash__`` is a Python-level ``hash(self._name_)`` and
+    # ``Core._issue`` keys two dicts by unit on every instruction.
+    __hash__ = object.__hash__
+
     @property
     def error_prone(self) -> bool:
         """Whether real-world SDC studies flag this unit as high risk.

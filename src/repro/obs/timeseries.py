@@ -160,6 +160,18 @@ class SeriesBucket:
             "samples": list(self.samples),
         }
 
+    def copy(self) -> "SeriesBucket":
+        """An independent bucket equal to ``from_dict(self.as_dict())``."""
+        bucket = SeriesBucket(self.t_start, self.t_end)
+        bucket.count = self.count
+        bucket.sum = self.sum
+        if self.count:
+            bucket.min = self.min
+            bucket.max = self.max
+        bucket.last = self.last
+        bucket.samples = list(self.samples)
+        return bucket
+
     @classmethod
     def from_dict(cls, data: dict) -> "SeriesBucket":
         bucket = cls(data["t_start"], data["t_end"])
@@ -224,7 +236,7 @@ class TimeSeries:
         if other.empty:
             return
         merged = sorted(
-            self.buckets + [SeriesBucket.from_dict(b.as_dict()) for b in other.buckets],
+            self.buckets + [b.copy() for b in other.buckets],
             key=lambda b: (b.t_start, b.t_end),
         )
         self.buckets = merged

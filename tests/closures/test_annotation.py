@@ -1,8 +1,13 @@
 """@closure / @user_data annotation behaviour."""
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import pytest
+
+import repro
 
 from repro.closures.annotation import (
     CLOSURE_REGISTRY,
@@ -65,6 +70,55 @@ class TestClosureDecorator:
             assert outer(0) == 11
         # Only the outer closure produced a log/validation.
         assert runtime.validations == 1
+
+    def test_dispatch_does_not_depend_on_which_branch_ran_first(self):
+        # The wrapper resolves closures.context.current and
+        # runtime.orthrus.active on first use; every branch must behave the
+        # same before and after that, in any order.
+        @closure(name="dispatch_inner")
+        def inner(x):
+            return ops().alu.add(x, 1)
+
+        @closure(name="dispatch_outer")
+        def outer(x):
+            return inner(x) + 10
+
+        for _ in range(2):
+            with pytest.raises(NoActiveContext, match="dispatch_outer"):
+                outer(0)
+            runtime = OrthrusRuntime()
+            with runtime:
+                assert outer(0) == 11
+                assert inner(1) == 2
+            assert runtime.validations == 2  # outer (inner inline) + inner
+
+    def test_first_call_in_a_fresh_interpreter(self):
+        # ``repro.closures`` imported first is the order in which a
+        # module-level import of the runtime from annotation.py cycles.
+        script = (
+            "import repro.closures\n"
+            "from repro.closures import closure, ops\n"
+            "from repro.errors import NoActiveContext\n"
+            "@closure(name='fresh_op')\n"
+            "def fn(x):\n"
+            "    return ops().alu.add(x, 1)\n"
+            "try:\n"
+            "    fn(1)\n"
+            "except NoActiveContext:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('bare call did not raise')\n"
+            "from repro.runtime.orthrus import OrthrusRuntime\n"
+            "with OrthrusRuntime() as runtime:\n"
+            "    assert fn(4) == 5\n"
+            "assert runtime.validations == 1\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_static_unit_tagging(self):
         @closure(name="fp_op")

@@ -4,11 +4,21 @@ The fleet issue mandates two properties: load balance within ±15% at
 256 vnodes, and minimal key remap (< 2/N of the keyspace) when a node
 is added or quarantined out.  Both are checked on the real assignment,
 not a model of it.
+
+The assignment itself is computed lazily (first preference by ``argmax``,
+a row ranked only on overflow, the grid hashed in blocks); the
+sort-every-row version it replaced lives on here — and only here — as
+:func:`oracle_owner_of_partition`, and the differential tests hold the
+two to each other.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.fleet import ring as ring_mod
 from repro.fleet.ring import DEFAULT_VNODES, ConsistentHashRing, mix64, name_token
 
 
@@ -120,3 +130,123 @@ class TestValidation:
     def test_cap_factor_below_one_rejected(self):
         with pytest.raises(ValueError):
             ConsistentHashRing(_names(4), cap_factor=0.5)
+
+
+# ----------------------------------------------------------------------
+# differential tests against the sort-every-row oracle
+# ----------------------------------------------------------------------
+def oracle_owner_of_partition(ring: ConsistentHashRing) -> np.ndarray:
+    """The eager assignment ``_assign_partitions`` used to be: hash the
+    whole ``partitions x nodes`` grid, stable-sort every row, walk each
+    row to the first node with headroom.  Calls ``ring_mod.mix64`` at call
+    time, so a patched mixer reaches oracle and code alike."""
+    part_tokens = ring_mod.mix64(np.arange(ring.partitions, dtype=np.uint64))
+    node_tokens = np.array(
+        [name_token(name, ring.salt) for name in ring.nodes], dtype=np.uint64
+    )
+    with np.errstate(over="ignore"):
+        weights = ring_mod.mix64(part_tokens[:, None] ^ node_tokens[None, :])
+    prefs = np.argsort(~weights, axis=1, kind="stable")
+    loads = np.zeros(len(ring.nodes), dtype=np.int64)
+    owner = np.empty(ring.partitions, dtype=np.int32)
+    cap = ring.capacity
+    for part in range(ring.partitions):
+        for choice in prefs[part]:
+            if loads[choice] < cap:
+                owner[part] = choice
+                loads[choice] += 1
+                break
+    return owner
+
+
+def assert_matches_oracle(ring: ConsistentHashRing) -> None:
+    expected = oracle_owner_of_partition(ring)
+    assert ring.owner_of_partition.dtype == expected.dtype == np.int32
+    assert np.array_equal(ring.owner_of_partition, expected)
+
+
+@st.composite
+def rings(draw, min_nodes=1, max_nodes=200):
+    nodes = draw(st.integers(min_nodes, max_nodes))
+    vnodes = draw(st.integers(1, 8))
+    min_exp = (nodes - 1).bit_length()  # smallest power-of-two grid >= nodes
+    partitions = draw(st.none() | st.integers(min_exp, 11).map(lambda e: 1 << e))
+    salt = draw(st.integers(-5, 2**40) | st.text(max_size=6))
+    cap_factor = draw(st.sampled_from([1.0, 1.25, 2.0]) | st.floats(1.0, 2.0))
+    return ConsistentHashRing(
+        _names(nodes), vnodes=vnodes, partitions=partitions, salt=salt,
+        cap_factor=cap_factor,
+    )
+
+
+def _low_entropy_mix64(x):
+    """mix64 folded to four values: ties in every row, which 64-bit
+    weights never produce on their own."""
+    z = mix64(x)
+    return z % np.uint64(4) if isinstance(z, np.ndarray) else z % 4
+
+
+class TestAgainstSortEveryRowOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(rings())
+    def test_generated_rings(self, ring):
+        assert_matches_oracle(ring)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rings(min_nodes=2, max_nodes=64), st.data())
+    def test_membership_changes(self, ring, data):
+        nodes = list(ring.nodes)
+        assume(ring.partitions >= len(nodes) + 2)  # room for with_nodes()
+        subsets = [
+            [data.draw(st.sampled_from(nodes))],
+            nodes[: len(nodes) // 2],
+            nodes[:-1],
+            data.draw(st.lists(st.sampled_from(nodes), unique=True,
+                               min_size=1, max_size=len(nodes) - 1)),
+        ]
+        for removed in subsets:
+            assert_matches_oracle(ring.without(*removed))
+        assert_matches_oracle(ring.with_nodes("zz-new-a", "zz-new-b"))
+        # chained and direct removal are the same rebuild
+        first, rest = subsets[3][0], subsets[3][1:]
+        chained = ring.without(first).without(*rest)
+        direct = ring.without(*subsets[3])
+        assert chained.nodes == direct.nodes
+        assert np.array_equal(chained.owner_of_partition, direct.owner_of_partition)
+
+    @pytest.mark.parametrize("cap_factor", [1.0, 1.5])
+    @pytest.mark.parametrize("shards,vnodes", [(1, 4), (3, 16), (17, 8), (96, 4)])
+    def test_forced_ties_break_to_the_lower_node_index(
+        self, monkeypatch, shards, vnodes, cap_factor
+    ):
+        # Four distinct weights per row: the argmax path and the ranked-row
+        # path both meet ties (flipping either tie-break fails this test).
+        monkeypatch.setattr(ring_mod, "mix64", _low_entropy_mix64)
+        ring = ConsistentHashRing(_names(shards), vnodes=vnodes, cap_factor=cap_factor)
+        assert_matches_oracle(ring)
+        if shards > 2:
+            assert_matches_oracle(ring.without(ring.nodes[1]))
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 1 << 20])
+    def test_result_is_independent_of_the_hash_block(self, monkeypatch, block_rows):
+        kwargs = dict(vnodes=8, salt="blocks", cap_factor=1.0)
+        default = ConsistentHashRing(_names(24), **kwargs)
+        assert default.partitions < 1 << 20
+        monkeypatch.setattr(ring_mod, "_BLOCK_ROWS", block_rows)
+        patched = ConsistentHashRing(_names(24), **kwargs)
+        assert np.array_equal(patched.owner_of_partition, default.owner_of_partition)
+        assert_matches_oracle(patched)
+
+
+def test_benchmark_ring_never_holds_the_full_matrix():
+    # 96 shards x 32,768 partitions: the eager version peaked at 72 MB
+    # (weights, ~weights, int64 prefs: 3 x 25 MB); blocks peak near 1 MB.
+    names = _names(96)
+    tracemalloc.start()
+    try:
+        ring = ConsistentHashRing(names, vnodes=DEFAULT_VNODES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ring.partitions == 32768
+    assert peak <= 24 * 1024 * 1024, f"ring build peaked at {peak / 1e6:.1f} MB"

@@ -10,6 +10,7 @@ from repro.obs.timeseries import (
     DeltaRatioProbe,
     GaugeProbe,
     HistogramWindowProbe,
+    SeriesBucket,
     TimeSeries,
     TimeSeriesConfig,
     TimeSeriesRecorder,
@@ -80,6 +81,33 @@ class TestTimeSeries:
         assert restored.name == "lag" and restored.unit == "s"
         assert restored.total_samples == 20
         assert restored.values("mean") == series.values("mean")
+
+    def test_bucket_copy_equals_the_dict_round_trip(self):
+        empty = SeriesBucket(1.0, 2.0)
+        full = SeriesBucket(0.0, 0.0)
+        for i, value in enumerate((3.0, -1.5, 7.25, 0.0)):
+            full.add(float(i), value, reservoir=3)
+        for bucket in (empty, full):
+            clone = bucket.copy()
+            oracle = SeriesBucket.from_dict(bucket.as_dict())
+            for slot in SeriesBucket.__slots__:
+                assert getattr(clone, slot) == getattr(oracle, slot), slot
+                assert type(getattr(clone, slot)) is type(getattr(oracle, slot)), slot
+            assert clone.samples is not bucket.samples
+        # an empty bucket keeps the +/-inf sentinels, not as_dict's 0.0
+        assert empty.copy().min == math.inf and empty.copy().max == -math.inf
+
+    def test_merge_does_not_alias_the_other_series(self):
+        mine = TimeSeries("lag", capacity=8, reservoir=4)
+        other = TimeSeries("lag", capacity=8, reservoir=4)
+        for i in range(6):
+            mine.append(float(2 * i), 1.0)
+            other.append(float(2 * i + 1), 2.0)
+        before = other.to_dict()
+        mine.merge(other)
+        for i in range(40):  # compactions mutate mine's buckets in place
+            mine.append(float(100 + i), 3.0)
+        assert other.to_dict() == before
 
     def test_validation(self):
         with pytest.raises(ValueError):
