@@ -12,8 +12,6 @@ Usage (also exposed as the ``repro-bench`` console script)::
     python -m repro.cli timeline timeline.json --stat p95
     python -m repro.cli bench-compare --out-dir bench/ --tolerance 0.25
     python -m repro.cli obs-summary run.json
-    python -m repro.cli profile --app memcached --flame-out flame.txt
-    python -m repro.cli perf --profile-out profile.json
 
 Each subcommand drives the same harness the benchmark suite uses and
 prints a compact report; seeds make every invocation reproducible.
@@ -72,16 +70,6 @@ liveness) and folds every unvalidated log into the per-closure
 ``orthrus_exposure_seconds`` exposure ledger; ``--audit-out`` saves the
 payload.  Auditing is observational: run digests are byte-identical
 with it on or off.
-
-``profile`` runs the Orthrus arm under the wall-clock self-profiler and
-prints the subsystem share table (machine execute, queue ops, validator
-compare, memory versioning, …) plus the events/s / instructions/s
-throughput meter; ``--flame-out`` saves collapsed flamegraph stacks and
-``--sample`` attaches the budgeted Python sampling profiler.
-``--profile-out`` on perf/latency/coverage/fleet saves the same
-``orthrus-profile/1`` payload from a regular run; ``obs-summary``
-renders those artifacts too.  Profiling only *observes* wall time — run
-digests are byte-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -134,34 +122,27 @@ from repro.harness.scenarios import (
 from repro.machine.units import Unit
 from repro.obs import (
     AUDIT_FORMAT,
-    PROFILE_FORMAT,
     AuditConfig,
     CanaryConfig,
     MetricsRegistry,
     Observability,
-    ProfileConfig,
     TimeSeriesConfig,
     attribute,
     audit_fleet,
     audit_pipeline,
     console_summary,
-    export_profile,
     format_rate,
     format_seconds,
     format_wall,
     load_metrics_json,
     load_spans_chrome,
     load_timeline,
-    make_profiler,
     render_audit,
-    render_profile,
     render_sparkline,
     render_waterfall,
     stage_stats_from_registry,
     to_prometheus,
-    write_collapsed,
     write_metrics_json,
-    write_profile_json,
     write_spans_chrome,
     write_timeline_json,
     write_trace_jsonl,
@@ -388,46 +369,6 @@ def _print_canary(result) -> None:
         )
     organic = result.runtime.report.count_organic()
     print(f"organic detections : {organic}")
-
-
-def _profile_config(args) -> ProfileConfig | None:
-    """The --profile-out flag's ProfileConfig for the Orthrus arm.
-
-    None keeps the profiler entirely off (the NULL_PROFILER fast path);
-    the run digest is identical either way.
-    """
-    if getattr(args, "profile_out", None) is None and \
-            getattr(args, "flame_out", None) is None:
-        return None
-    return ProfileConfig(
-        sample=getattr(args, "sample", False),
-        sample_budget=getattr(args, "sample_budget", 0.02),
-    )
-
-
-def _export_profile(profile, args) -> None:
-    """Save the ``orthrus-profile/1`` payload (and flamegraph stacks)
-    the profile flags requested, and report the paths."""
-    out = getattr(args, "profile_out", None)
-    flame_out = getattr(args, "flame_out", None)
-    if out is None and flame_out is None:
-        return
-    if profile is None:
-        print("self-profile       : (runner does not attach the profiler)")
-        return
-    if out is not None:
-        try:
-            write_profile_json(profile, out)
-        except OSError as exc:
-            raise SystemExit(f"cannot write {out}: {exc}")
-        print(f"self-profile       : {out}")
-    if flame_out is not None:
-        try:
-            written = write_collapsed(profile, flame_out)
-        except OSError as exc:
-            raise SystemExit(f"cannot write {flame_out}: {exc}")
-        print(f"flamegraph stacks  : {written} -> {flame_out} "
-              "(collapsed; feed to flamegraph.pl or speedscope)")
 
 
 def _fault_tolerance_setup(args):
@@ -716,11 +657,9 @@ def cmd_perf(args) -> int:
     timeseries, slos = _timeseries_setup(args)
     ft, chaos = _fault_tolerance_setup(args)
     canary = _canary_config(args)
-    profile = _profile_config(args)
     audit = _audit_enabled(args)
     config = lambda obs=None, response=None, timeseries=None, slos=None, \
-            ft=None, chaos=None, canary=None, profile=None, \
-            audit=None: PipelineConfig(
+            ft=None, chaos=None, canary=None, audit=None: PipelineConfig(
         app_threads=args.threads,
         validation_cores=args.cores,
         seed=args.seed,
@@ -731,14 +670,13 @@ def cmd_perf(args) -> int:
         fault_tolerance=ft,
         validator_faults=chaos,
         canary=canary,
-        profile=profile,
         audit=audit,
     )
     v = vanilla(scenario, size, config())
     o = orthrus(
         scenario, size,
         config(obs, _response_config(args), timeseries, slos, ft, chaos,
-               canary, profile, audit),
+               canary, audit),
     )
     r = rbv(scenario, size, config())
     if args.app == "phoenix":
@@ -762,7 +700,6 @@ def cmd_perf(args) -> int:
     rc = rc or _finish_audit(o, args)
     _report_timeline(o, args)
     _export_obs(obs, args, o.metrics)
-    _export_profile(getattr(o, "profile", None), args)
     return rc
 
 
@@ -773,11 +710,9 @@ def cmd_latency(args) -> int:
     timeseries, slos = _timeseries_setup(args)
     ft, chaos = _fault_tolerance_setup(args)
     canary = _canary_config(args)
-    profile = _profile_config(args)
     audit = _audit_enabled(args)
     config = lambda obs=None, response=None, timeseries=None, slos=None, \
-            ft=None, chaos=None, canary=None, profile=None, \
-            audit=None: PipelineConfig(
+            ft=None, chaos=None, canary=None, audit=None: PipelineConfig(
         app_threads=args.threads,
         validation_cores=args.cores,
         seed=args.seed,
@@ -788,13 +723,12 @@ def cmd_latency(args) -> int:
         fault_tolerance=ft,
         validator_faults=chaos,
         canary=canary,
-        profile=profile,
         audit=audit,
     )
     o = orthrus(
         scenario, size,
         config(obs, _response_config(args), timeseries, slos, ft, chaos,
-               canary, profile, audit),
+               canary, audit),
     )
     r = rbv(scenario, size, config())
     ol, rl = o.metrics.validation_latency, r.metrics.validation_latency
@@ -812,7 +746,6 @@ def cmd_latency(args) -> int:
     rc = rc or _finish_audit(o, args)
     _report_timeline(o, args)
     _export_obs(obs, args, o.metrics)
-    _export_profile(getattr(o, "profile", None), args)
     return rc
 
 
@@ -820,12 +753,6 @@ def cmd_coverage(args) -> int:
     scenario, orthrus, _vanilla, rbv, default_size = _resolve(args.app)
     size = args.ops or default_size
     obs = _make_obs(args)
-    # A *shared* profiler instance: every trial activates it, so the
-    # payload aggregates the whole campaign (like the shared obs handle).
-    prof_config = _profile_config(args)
-    prof = make_profiler(prof_config) if prof_config is not None else None
-    if prof is not None and prof.sampler is not None:
-        prof.sampler.install()
     campaign = FaultInjectionCampaign(
         scenario,
         workload_size=size,
@@ -843,7 +770,6 @@ def cmd_coverage(args) -> int:
             drain_grace_fraction=args.grace,
             obs=obs,
             response=_response_config(args, auto_repair=False),
-            profile=prof,
         ),
         runner=orthrus,
         rbv_runner=rbv if args.rbv else None,
@@ -876,9 +802,6 @@ def cmd_coverage(args) -> int:
             "implicated the armed core"
         )
     _export_obs(obs, args)
-    if prof is not None:
-        prof.stop()
-        _export_profile(prof.to_payload(), args)
     return int(ExitCode.OK)
 
 
@@ -1100,7 +1023,6 @@ def cmd_fleet(args) -> int:
         report = run_fleet(
             config,
             workers=args.workers,
-            profile=True if _profile_config(args) is not None else None,
             group_timeout_s=args.group_timeout,
         )
     except FleetConfigError as exc:
@@ -1138,7 +1060,6 @@ def cmd_fleet(args) -> int:
     if args.timeline_out is not None:
         write_timeline_json(report.timeline, args.timeline_out)
         print(f"timeline artifact  : {args.timeline_out}")
-    _export_profile(report.profile, args)
     if report.degraded:
         # partial results outrank SAFE_HOLD: the operator must know the
         # report itself is incomplete before trusting any gate on it
@@ -1161,44 +1082,6 @@ def cmd_fleet(args) -> int:
     return audit_rc
 
 
-def cmd_profile(args) -> int:
-    """One Orthrus run under the self-profiler: subsystem share table,
-    throughput meter, and optional JSON / flamegraph artifacts."""
-    scenario, orthrus, _vanilla, _rbv, default_size = _resolve(args.app)
-    size = args.ops or default_size
-    result = orthrus(
-        scenario, size,
-        PipelineConfig(
-            app_threads=args.threads,
-            validation_cores=args.cores,
-            seed=args.seed,
-            profile=ProfileConfig(
-                sample=args.sample, sample_budget=args.sample_budget
-            ),
-        ),
-    )
-    payload = getattr(result, "profile", None)
-    if payload is None:
-        print(f"(the {type(result).__name__} runner does not attach the "
-              "profiler; no profile recorded)")
-        return int(ExitCode.FAILURE)
-    print(render_profile(payload))
-    if args.out is not None:
-        try:
-            write_profile_json(payload, args.out)
-        except OSError as exc:
-            raise SystemExit(f"cannot write {args.out}: {exc}")
-        print(f"profile artifact   : {args.out}")
-    if args.flame_out is not None:
-        try:
-            written = write_collapsed(payload, args.flame_out)
-        except OSError as exc:
-            raise SystemExit(f"cannot write {args.flame_out}: {exc}")
-        print(f"flamegraph stacks  : {written} -> {args.flame_out} "
-              "(collapsed; feed to flamegraph.pl or speedscope)")
-    return int(ExitCode.OK)
-
-
 def cmd_obs_summary(args) -> int:
     if args.path.endswith(".jsonl"):
         return _summarize_trace_jsonl(args.path)
@@ -1212,19 +1095,10 @@ def cmd_obs_summary(args) -> int:
         print(render_audit(snapshot))
         errors = snapshot.get("summary", {}).get("errors", 0)
         return int(ExitCode.FAILURE) if errors else int(ExitCode.OK)
-    if isinstance(snapshot, dict) and snapshot.get("format") == PROFILE_FORMAT:
-        if args.format == "prom":
-            registry = MetricsRegistry()
-            export_profile(snapshot, registry)
-            print(to_prometheus(registry), end="")
-            return int(ExitCode.OK)
-        print(render_profile(snapshot))
-        return int(ExitCode.OK)
     if not isinstance(snapshot, dict) or snapshot.get("format") != "orthrus-metrics/1":
         raise SystemExit(
-            f"{args.path} is not an orthrus-metrics/1 snapshot or an "
-            "orthrus-profile/1 payload (expected the JSON written by "
-            "--metrics-out or --profile-out)"
+            f"{args.path} is not an orthrus-metrics/1 snapshot "
+            "(expected the JSON written by --metrics-out)"
         )
     if args.format == "prom":
         print(to_prometheus(snapshot), end="")
@@ -1470,30 +1344,6 @@ def build_parser() -> argparse.ArgumentParser:
             "replaces the stock objectives",
         )
 
-    def profile_flags(p):
-        p.add_argument(
-            "--profile-out", default=None, metavar="PATH",
-            help="self-profile the Orthrus arm (subsystem wall-time "
-            "shares, events/s meter) and save the orthrus-profile/1 "
-            "payload; never affects the run digest",
-        )
-        p.add_argument(
-            "--flame-out", default=None, metavar="PATH",
-            help="also save collapsed flamegraph stacks "
-            "(flamegraph.pl / speedscope input); implies profiling",
-        )
-        p.add_argument(
-            "--sample", action="store_true",
-            help="also attach the budgeted sys.setprofile sampling "
-            "profiler (adds Python-frame stacks to --flame-out)",
-        )
-        p.add_argument(
-            "--sample-budget", type=float, default=0.02, metavar="FRAC",
-            help="sampling-overhead budget as a fraction of wall time "
-            "(default: %(default)s); the sampler uninstalls itself once "
-            "the budget is exhausted",
-        )
-
     def fault_tolerance_flags(p):
         p.add_argument(
             "--validator-faults", action="append", default=None,
@@ -1585,7 +1435,6 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_flags(perf)
     fault_tolerance_flags(perf)
     canary_flags(perf)
-    profile_flags(perf)
     audit_flags(perf)
 
     latency = sub.add_parser("latency", help="Fig 8-style validation latency")
@@ -1594,13 +1443,11 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_flags(latency)
     fault_tolerance_flags(latency)
     canary_flags(latency)
-    profile_flags(latency)
     audit_flags(latency)
 
     coverage = sub.add_parser("coverage", help="Table 2-style fault campaign")
     common(coverage)
     quarantine_flag(coverage)
-    profile_flags(coverage)
     coverage.add_argument("--faults", type=int, default=24)
     coverage.add_argument("--trigger-rate", type=float, default=1.0)
     coverage.add_argument("--grace", type=float, default=4.0,
@@ -1793,49 +1640,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeline-out", default=None, metavar="PATH",
         help="save the merged fleet timeline (orthrus-timeseries/1)",
     )
-    fleet.add_argument(
-        "--profile-out", default=None, metavar="PATH",
-        help="self-profile planning/simulation/merge across workers and "
-        "save the merged orthrus-profile/1 payload (per-worker "
-        "utilization + straggler attribution; digest-neutral)",
-    )
-    fleet.add_argument(
-        "--flame-out", default=None, metavar="PATH",
-        help="also save the merged collapsed flamegraph stacks",
-    )
     audit_flags(fleet)
-
-    profile = sub.add_parser(
-        "profile",
-        help="self-profile one Orthrus run: subsystem timer table, "
-        "throughput meter, optional flamegraph stacks",
-    )
-    profile.add_argument("--app", default="memcached", help="application to drive")
-    profile.add_argument("--ops", type=int, default=None, help="workload size")
-    profile.add_argument("--threads", type=int, default=2,
-                         help="application threads")
-    profile.add_argument("--cores", type=int, default=2,
-                         help="validation cores")
-    profile.add_argument("--seed", type=int, default=1)
-    profile.add_argument(
-        "--sample", action="store_true",
-        help="attach the budgeted sys.setprofile sampling profiler "
-        "(adds Python-frame stacks to --flame-out)",
-    )
-    profile.add_argument(
-        "--sample-budget", type=float, default=0.02, metavar="FRAC",
-        help="sampling-overhead budget as a fraction of wall time "
-        "(default: %(default)s)",
-    )
-    profile.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="save the orthrus-profile/1 payload (obs-summary renders it)",
-    )
-    profile.add_argument(
-        "--flame-out", default=None, metavar="PATH",
-        help="save collapsed flamegraph stacks "
-        "(flamegraph.pl / speedscope input)",
-    )
 
     obs_summary = sub.add_parser(
         "obs-summary",
@@ -1936,7 +1741,6 @@ _HANDLERS = {
     "coverage": cmd_coverage,
     "respond": cmd_respond,
     "fleet": cmd_fleet,
-    "profile": cmd_profile,
     "obs-summary": cmd_obs_summary,
     "timeline": cmd_timeline,
     "latency-attrib": cmd_latency_attrib,

@@ -18,7 +18,6 @@ from typing import Callable
 
 from repro.closures.analysis import analyze_escapes, infer_units
 from repro.errors import NoActiveContext
-from repro.obs.profiling import active as profiling_active
 from repro.machine.units import Unit
 
 #: All annotated closures, keyed by name — the campaign's injection targets
@@ -91,16 +90,15 @@ def closure(fn: Callable | None = None, *, name: str | None = None, compare: Cal
 
     def decorate(func: Callable) -> Callable:
         closure_name = name or func.__qualname__
-        with profiling_active().scope("closures.analysis"):
-            escapes = analyze_escapes(func)
-            meta = ClosureMeta(
-                fn=func,
-                name=closure_name,
-                compare=compare,
-                static_units=infer_units(func),
-                escaping=frozenset(escapes.escaping),
-                local_allocs=frozenset(escapes.local),
-            )
+        escapes = analyze_escapes(func)
+        meta = ClosureMeta(
+            fn=func,
+            name=closure_name,
+            compare=compare,
+            static_units=infer_units(func),
+            escaping=frozenset(escapes.escaping),
+            local_allocs=frozenset(escapes.local),
+        )
         CLOSURE_REGISTRY[closure_name] = meta
 
         def wrapper(*args, **kwargs):

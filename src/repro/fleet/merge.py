@@ -30,7 +30,6 @@ import json
 from repro.determinism import stable_digest
 from repro.obs.audit import AuditReport, Finding, merge_findings
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import active as profiling_active
 from repro.obs.timeseries import TimeSeries
 
 __all__ = [
@@ -46,11 +45,6 @@ __all__ = [
 def merge_events(results) -> list[dict]:
     """Merge per-shard event streams into one totally-ordered fleet
     stream with a post-merge global ``seq``."""
-    with profiling_active().scope("fleet.merge.events"):
-        return _merge_events(results)
-
-
-def _merge_events(results) -> list[dict]:
     events = []
     for result in results:
         events.extend(result.events)
@@ -84,11 +78,10 @@ def fleet_digest(config, merged_events: list[dict]) -> str:
 
 def merge_registries(results) -> MetricsRegistry:
     """Fold shard registry snapshots in ascending shard order."""
-    with profiling_active().scope("fleet.merge.registries"):
-        merged = MetricsRegistry()
-        for result in sorted(results, key=lambda r: r.shard_id):
-            merged.merge_snapshot(result.snapshot)
-        return merged
+    merged = MetricsRegistry()
+    for result in sorted(results, key=lambda r: r.shard_id):
+        merged.merge_snapshot(result.snapshot)
+    return merged
 
 
 def merge_audit(results) -> dict:
@@ -162,8 +155,7 @@ class FleetTimeline:
 
 def merge_timelines(results, cadence: float) -> FleetTimeline:
     """Merge every shard's series rings in ascending shard order."""
-    with profiling_active().scope("fleet.merge.timelines"):
-        timeline = FleetTimeline(cadence)
-        for result in sorted(results, key=lambda r: r.shard_id):
-            timeline.fold(result.series)
-        return timeline
+    timeline = FleetTimeline(cadence)
+    for result in sorted(results, key=lambda r: r.shard_id):
+        timeline.fold(result.series)
+    return timeline

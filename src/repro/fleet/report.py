@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from repro.fleet.merge import FleetTimeline
 from repro.fleet.topology import FleetConfig
 from repro.obs.exposure import ExposureLedger
+from repro.obs.latency import format_wall
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import format_rate, format_wall, worker_lines
 from repro.sim.metrics import RunMetrics
 
 __all__ = ["FleetReport"]
 
-# one formatting helper across the repo (repro.obs.profiling)
+# one formatting helper across the repo (repro.obs.latency)
 _fmt_seconds = format_wall
 
 
@@ -41,9 +41,6 @@ class FleetReport:
     workers: int
     wall_s: float
     rollup: dict = field(default_factory=dict)
-    #: merged ``orthrus-profile/1`` payload (with per-worker utilization)
-    #: when the run was launched with ``run_fleet(..., profile=...)``
-    profile: dict | None = None
     #: merged ``orthrus-audit/1`` payload of per-shard drift findings
     audit: dict | None = None
     #: per-host-group supervision records from the fan-out (empty when
@@ -231,8 +228,6 @@ class FleetReport:
             "workers": self.workers,
             "wall_s": round(self.wall_s, 3),
         }
-        if self.profile is not None:
-            payload["profile"] = self.profile
         if self.audit is not None:
             payload["audit"] = self.audit
         # supervision records ride along only when something failed, so
@@ -358,16 +353,6 @@ class FleetReport:
                 f" {ground['detections']} detections,"
                 f" lag p95={_fmt_seconds(ground['lag']['p95'])}"
             )
-        if self.profile is not None:
-            top = self.profile["subsystems"][0] if self.profile["subsystems"] else None
-            line = (
-                f"  self-profile    :"
-                f" {format_rate(self.profile['events_per_s'], 'event/s')}"
-            )
-            if top is not None:
-                line += f", top subsystem {top['name']} ({top['share']:.0%})"
-            lines.append(line)
-            lines.extend("  " + entry.strip() for entry in worker_lines(self.profile))
         lines.append(
             f"  determinism     : digest {self.digest[:16]}…"
             f" over {len(self.events)} events"

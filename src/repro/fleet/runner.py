@@ -12,14 +12,6 @@ the platform has it, ``spawn`` otherwise; ``workers=1`` runs inline with
 no pool at all, which is what the CI digest-equality check compares
 against) and folds the shard results through :mod:`repro.fleet.merge`
 into a :class:`~repro.fleet.report.FleetReport`.
-
-With ``profile=...`` set, each worker runs its host group under its own
-:class:`~repro.obs.profiling.Profiler` and ships the ``orthrus-profile/1``
-payload home with the shard results; the parent folds worker payloads
-with its own (planning + merge scopes) via the same associative merge
-discipline the shard results use, and annotates per-worker utilization
-plus the straggler.  Profiling never touches the fleet digest — the
-parity test runs w1 vs w4 with and without it.
 """
 
 from __future__ import annotations
@@ -28,6 +20,7 @@ import dataclasses
 import multiprocessing
 import multiprocessing.pool
 import pickle
+import time
 
 import numpy as np
 
@@ -46,13 +39,6 @@ from repro.fleet.ring import mix64
 from repro.fleet.shardsim import ShardPlan, simulate_shard
 from repro.fleet.streams import host_rng
 from repro.fleet.topology import FleetConfig, FleetTopology
-from repro.obs.profiling import (
-    WallTimer,
-    activation,
-    make_profiler,
-    merge_profiles,
-    worker_summary,
-)
 
 __all__ = ["plan_fleet", "run_fleet"]
 
@@ -151,18 +137,11 @@ def _simulate_group(payload):
     """Worker entry point: simulate one host group's shard plans.
 
     Module-level (picklable under ``spawn``); receives everything it
-    needs in the payload, returns ``(results, profile_payload | None)``
-    as plain picklable values.
+    needs in the payload, returns the shard results as plain picklable
+    values.
     """
-    config, plans, want_profile = payload
-    if not want_profile:
-        return [simulate_shard(plan, config) for plan in plans], None
-    prof = make_profiler(True)
-    with activation(prof):
-        with prof.scope("fleet.worker"):
-            results = [simulate_shard(plan, config) for plan in plans]
-    prof.stop()
-    return results, prof.to_payload()
+    config, plans = payload
+    return [simulate_shard(plan, config) for plan in plans]
 
 
 def _classify_failure(exc: BaseException) -> str:
@@ -192,13 +171,12 @@ def _supervised_fan_out(ctx, workers, payloads, group_timeout_s):
     failure classification, one bounded in-parent retry per group, and
     partial-result salvage.
 
-    Returns ``(results, profile_payloads, outcomes)`` where ``outcomes``
-    is one supervision record per group.  Raises
-    :class:`~repro.errors.FleetExecutionError` only when *every* group is
-    lost — a partial fleet is salvaged into a degraded report instead.
+    Returns ``(results, outcomes)`` where ``outcomes`` is one supervision
+    record per group.  Raises :class:`~repro.errors.FleetExecutionError`
+    only when *every* group is lost — a partial fleet is salvaged into a
+    degraded report instead.
     """
     results = []
-    profile_payloads = []
     outcomes = []
     with ctx.Pool(processes=workers) as pool:
         handles = [
@@ -206,7 +184,7 @@ def _supervised_fan_out(ctx, workers, payloads, group_timeout_s):
             for payload in payloads
         ]
         for index, (payload, handle) in enumerate(zip(payloads, handles)):
-            config, plans, _want_profile = payload
+            _config, plans = payload
             record = {
                 "group": index,
                 "hosts": sorted({plan.host_id for plan in plans}),
@@ -217,7 +195,7 @@ def _supervised_fan_out(ctx, workers, payloads, group_timeout_s):
                 "attempts": 1,
             }
             try:
-                group_results, prof = handle.get(timeout=group_timeout_s)
+                group_results = handle.get(timeout=group_timeout_s)
             except Exception as exc:  # noqa: BLE001 — classified below
                 record["failure"] = _classify_failure(exc)
                 record["error"] = f"{type(exc).__name__}: {exc}"[:200]
@@ -225,96 +203,67 @@ def _supervised_fan_out(ctx, workers, payloads, group_timeout_s):
                 try:
                     # The bounded retry runs inline in the parent: immune
                     # to pool breakage and to result-pickling failures
-                    # (nothing crosses a process boundary).  Profiling is
-                    # off for the retry — it is not digest material.
-                    group_results, prof = _simulate_group(
-                        (config, plans, False)
-                    )
+                    # (nothing crosses a process boundary).
+                    group_results = _simulate_group(payload)
                     record["status"] = "retried"
                 except Exception as retry_exc:  # noqa: BLE001
                     record["status"] = "lost"
                     record["error"] += (
                         f"; retry {type(retry_exc).__name__}: {retry_exc}"
                     )[:400]
-                    group_results, prof = [], None
+                    group_results = []
             results.extend(group_results)
-            if prof is not None:
-                profile_payloads.append(prof)
             outcomes.append(record)
     if not results:
         raise FleetExecutionError(
             f"all {len(payloads)} host group(s) failed supervision",
             outcomes,
         )
-    return results, profile_payloads, outcomes
+    return results, outcomes
 
 
 def run_fleet(
-    config: FleetConfig, workers: int = 1, profile=None,
+    config: FleetConfig, workers: int = 1,
     group_timeout_s: float | None = None,
 ) -> FleetReport:
     """Simulate the fleet and merge the shards into one report.
 
-    ``profile``: None = off; True/ProfileConfig = self-profile the run
-    (workers and parent), landing the merged ``orthrus-profile/1``
-    payload with per-worker utilization on ``FleetReport.profile``.
     ``group_timeout_s``: per-host-group deadline for the supervised
     fan-out (None = no deadline); a group that misses it is classified,
     retried once inline, and salvaged or recorded as lost.
     """
-    timer = WallTimer()
-    parent_prof = make_profiler(True if profile else None)
-    worker_payloads: list[dict] = []
-    with activation(parent_prof):
-        with parent_prof.scope("fleet.plan"):
-            topology = FleetTopology(config)
-            plans = plan_fleet(topology)
-        workers = max(1, min(workers, config.hosts))
-        fan_out: list[dict] = []
-        if workers == 1:
-            results, payload = _simulate_group(
-                (config, plans, parent_prof.enabled)
-            )
-            if payload is not None:
-                worker_payloads.append(payload)
-        else:
-            # One worker per host group: hosts are dealt round-robin so
-            # every group gets a grounded shard's heavier DES work with the
-            # same likelihood.  Which worker runs which group cannot matter
-            # — the merge re-establishes the total order.
-            groups: list[list[ShardPlan]] = [[] for _ in range(workers)]
-            for plan in plans:
-                groups[plan.host_id % workers].append(plan)
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-            ctx = multiprocessing.get_context(method)
-            results, extra_payloads, fan_out = _supervised_fan_out(
-                ctx, workers,
-                [(config, group, parent_prof.enabled) for group in groups],
-                group_timeout_s,
-            )
-            worker_payloads.extend(extra_payloads)
-
-        with parent_prof.scope("fleet.merge"):
-            events = merge_events(results)
-            digest = fleet_digest(config, events)
-            registry = merge_registries(results)
-            timeline = merge_timelines(results, cadence=config.epoch_s)
-            audit = merge_audit(results)
-    parent_prof.stop()
-
-    profile_payload = None
-    if parent_prof.enabled:
-        wall_s = timer.elapsed_s()
-        profile_payload = merge_profiles(
-            worker_payloads + [parent_prof.to_payload()], wall_s=wall_s
+    started = time.perf_counter()
+    topology = FleetTopology(config)
+    plans = plan_fleet(topology)
+    workers = max(1, min(workers, config.hosts))
+    fan_out: list[dict] = []
+    if workers == 1:
+        results = _simulate_group((config, plans))
+    else:
+        # One worker per host group: hosts are dealt round-robin so
+        # every group gets a grounded shard's heavier DES work with the
+        # same likelihood.  Which worker runs which group cannot matter
+        # — the merge re-establishes the total order.
+        groups: list[list[ShardPlan]] = [[] for _ in range(workers)]
+        for plan in plans:
+            groups[plan.host_id % workers].append(plan)
+        method = (
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
         )
-        # Per-worker utilization + straggler only make sense when the
-        # workers actually profiled (they always do when profiling is on).
-        profile_payload.update(worker_summary(worker_payloads))
+        ctx = multiprocessing.get_context(method)
+        results, fan_out = _supervised_fan_out(
+            ctx, workers,
+            [(config, group) for group in groups],
+            group_timeout_s,
+        )
+
+    events = merge_events(results)
+    digest = fleet_digest(config, events)
+    registry = merge_registries(results)
+    timeline = merge_timelines(results, cadence=config.epoch_s)
+    audit = merge_audit(results)
 
     report = FleetReport(
         config=config,
@@ -330,8 +279,7 @@ def run_fleet(
             if r.ground_metrics is not None
         ],
         workers=workers,
-        wall_s=timer.elapsed_s(),
-        profile=profile_payload,
+        wall_s=time.perf_counter() - started,
         audit=audit,
         fan_out=fan_out,
     )

@@ -39,7 +39,6 @@ from repro.fleet.topology import FleetConfig
 from repro.obs.audit import Finding, Severity
 from repro.obs.exposure import ExposureLedger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import active as profiling_active
 from repro.obs.timeseries import TimeSeries
 from repro.runtime.degradation import DegradationController, DegradationLevel
 
@@ -145,11 +144,6 @@ def _arrivals(plan: ShardPlan, config: FleetConfig) -> list[int]:
 
 def simulate_shard(plan: ShardPlan, config: FleetConfig) -> ShardResult:
     """Run one shard's epoch model; pure in (plan, config)."""
-    with profiling_active().scope("fleet.shard"):
-        return _simulate_shard(plan, config)
-
-
-def _simulate_shard(plan: ShardPlan, config: FleetConfig) -> ShardResult:
     rng = shard_rng(config.seed, plan.host_id, plan.shard_id, "sim")
     registry = MetricsRegistry()
     labels = {"host": plan.host_name}

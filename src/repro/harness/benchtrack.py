@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -41,7 +42,6 @@ from repro.harness.pipeline import (
 )
 from repro.harness.scenarios import lsmtree_scenario, memcached_scenario
 from repro.obs import Observability, TimeSeriesConfig
-from repro.obs.profiling import Profiler, activation, share_attribution
 from repro.sim.metrics import slowdown
 
 __all__ = [
@@ -309,25 +309,17 @@ def run_bench(name: str, scale: float = 1.0, seed: int = 1) -> dict:
         "app_threads": 2,
         "validation_cores": 2,
     }
-    # Self-profile the whole benchmark: the drivers' subsystem timers
-    # record into this ambient profiler, so the artifact carries a
-    # per-subsystem wall-time breakdown next to the sim metrics.  Wall
-    # time (and the profile) never gates — compare_artifacts only uses
-    # the profile to *attribute* a throughput regression.
-    prof = Profiler()
-    with activation(prof):
-        with prof.scope(f"bench.{name}"):
-            sim, series = spec.run(scale, seed)
-    prof.stop()
+    started = time.perf_counter()
+    sim, series = spec.run(scale, seed)
+    wall_time_s = time.perf_counter() - started
     return {
         "format": BENCH_FORMAT,
         "name": name,
         "config": config,
         "config_digest": _config_digest(config),
-        "wall_time_s": prof.wall_s,
+        "wall_time_s": wall_time_s,
         "sim": sim,
         "series_percentiles": series,
-        "profile": prof.to_payload(),
     }
 
 
@@ -345,10 +337,34 @@ def write_artifact(artifact: dict, directory: str) -> str:
 
 
 def load_artifact(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        artifact = json.load(fh)
+    """Load a ``BENCH_*.json`` and fail closed on a damaged one.
+
+    The comparison gates on ``sim``; a baseline whose ``sim`` is absent,
+    empty or holds a non-finite or non-numeric value would compare every
+    metric as new, improved or not at all, so it is rejected here with a
+    ``ValueError`` naming the file and the offending key.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            artifact = json.load(fh)
+    except ValueError as exc:  # truncated / non-UTF-8 / not JSON
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(artifact, dict) or artifact.get("format") != BENCH_FORMAT:
         raise ValueError(f"{path} is not an {BENCH_FORMAT} artifact")
+    if not isinstance(artifact.get("name"), str):
+        raise ValueError(f"{path}: 'name' must be a string")
+    sim = artifact.get("sim")
+    if not isinstance(sim, dict) or not sim:
+        raise ValueError(f"{path}: 'sim' must be a non-empty object of metrics")
+    for metric, value in sim.items():
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a real number / too big for one
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"{path}: sim[{metric!r}] must be a finite number, got {value!r}"
+            )
     return artifact
 
 
@@ -378,10 +394,6 @@ class BenchComparison:
     deltas: list[MetricDelta] = field(default_factory=list)
     config_match: bool = True
     notes: list[str] = field(default_factory=list)
-    #: per-subsystem wall-time share movement (biggest mover first) when
-    #: both artifacts carry an ``orthrus-profile/1`` section; informs
-    #: *where* a regression happened — it never gates
-    profile_shift: list[dict] = field(default_factory=list)
 
     @property
     def regressions(self) -> list[MetricDelta]:
@@ -457,10 +469,6 @@ def compare_artifacts(
         comparison.deltas.append(
             MetricDelta(metric, base_sim[metric], cur_sim[metric], direction, rel, status)
         )
-    base_profile = baseline.get("profile")
-    cur_profile = current.get("profile")
-    if base_profile and cur_profile:
-        comparison.profile_shift = share_attribution(base_profile, cur_profile)
     return comparison
 
 
@@ -487,18 +495,6 @@ def render_comparison(comparison: BenchComparison) -> str:
             f"  {marker} {delta.metric.ljust(width)}  {base} -> {cur}{rel}"
             + ("" if delta.status == "ok" else f"  [{delta.status}]")
         )
-    if comparison.profile_shift:
-        top = comparison.profile_shift[0]
-        # Name the subsystem whose share of wall time moved most — the
-        # answer to "which subsystem regressed?" — whenever something
-        # regressed, or whenever the shift itself is big enough to matter.
-        if not comparison.ok or abs(top["delta"]) >= 0.05:
-            lines.append(
-                f"  profile attribution: {top['name']}"
-                f" share {top['baseline_share']:.1%}"
-                f" -> {top['current_share']:.1%}"
-                f" ({top['delta'] * 100:+.1f}pp)"
-            )
     verdict = (
         "no regressions"
         if comparison.ok

@@ -36,12 +36,7 @@ from repro.faultinject.validator_faults import (
     ValidatorFaultBox,
     ValidatorFaultKind,
 )
-from repro.harness.pipeline import (
-    DriverSession,
-    PipelineConfig,
-    RunResult,
-    _with_profiler,
-)
+from repro.harness.pipeline import DriverSession, PipelineConfig, RunResult
 from repro.memory.checksum import checksum_of
 from repro.obs.audit import DynamicScalingHonoured
 from repro.response.quarantine import QuarantineManager
@@ -112,12 +107,6 @@ def run_chaos_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
         # This plane spawns every validator up front; fail closed rather
         # than silently ignore the request (doctor reports the same rule).
         raise ConfigurationError(finding.message)
-    return _with_profiler(
-        config, "driver.chaos", lambda: _run_chaos_impl(scenario, n_ops, config)
-    )
-
-
-def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     ft = (
         config.fault_tolerance
         if config.fault_tolerance is not None

@@ -41,7 +41,6 @@ from repro.memory.version import approx_size
 from repro.obs.audit import AuditConfig, DriftMonitor
 from repro.obs.canary import CanaryScheduler, LivenessMonitor, is_canary_log
 from repro.obs.exposure import ExposureLedger
-from repro.obs.profiling import activation, active, make_profiler
 from repro.obs.slo import SloMonitor, default_objectives
 from repro.obs.timeseries import (
     TimeSeriesRecorder,
@@ -126,14 +125,6 @@ class PipelineConfig:
     #: detection deadline — the liveness summary lands on
     #: ``RunResult.canary`` and misses on the DetectionReport
     canary: Any = None
-    #: wall-clock self-profiling (``repro.obs.profiling``): None/False =
-    #: off, True = a fresh driver-owned Profiler (payload lands on
-    #: ``RunResult.profile``), a ``ProfileConfig`` = owned with knobs
-    #: (e.g. the sys.setprofile sampler), a ``Profiler`` instance =
-    #: shared across runs — the caller installs/stops/exports it.
-    #: Profiling observes wall time only; it never touches virtual time
-    #: or digests (parity-tested in tests/harness/test_profile_parity.py).
-    profile: Any = None
     #: an ``repro.obs.AuditConfig`` (or True for defaults); when set the
     #: Orthrus drivers run runtime drift probes (declared vs observed
     #: behavior, DESIGN §14) plus an ExposureLedger, and the terminal
@@ -189,9 +180,6 @@ class RunResult:
     #: canary liveness summary dict (``LivenessMonitor.summary()``) when
     #: the run was configured with ``PipelineConfig.canary``
     canary: Any = None
-    #: ``orthrus-profile/1`` payload when the run owned its profiler
-    #: (``PipelineConfig.profile`` of True/ProfileConfig); None otherwise
-    profile: Any = None
     #: ``orthrus-audit/1`` payload (drift-probe findings + exposure
     #: ledger) when the run was configured with ``PipelineConfig.audit``
     audit: Any = None
@@ -201,43 +189,6 @@ class RunResult:
         if self.runtime is not None:
             return self.runtime.detections
         return self.rbv_detections
-
-
-def _with_profiler(config: PipelineConfig, label: str, body: Callable[[], RunResult]):
-    """Run a driver body under the configured self-profiler.
-
-    An *owned* profiler (``config.profile`` of True/ProfileConfig) is
-    created, activated, stopped, and exported to ``result.profile`` here;
-    a *shared* one (a Profiler instance, e.g. spanning a whole campaign)
-    is only activated — its creator installs/stops/exports it.  With
-    profiling off the body still runs under the *ambient* profiler's
-    ``label`` scope, so a profiled benchmark sees its driver runs.
-    """
-    prof = make_profiler(config.profile)
-    if not prof.enabled:
-        with active().scope(label):
-            return body()
-    owned = prof is not config.profile
-    with activation(prof):
-        if owned and prof.sampler is not None:
-            prof.sampler.install()
-        try:
-            with prof.scope(label):
-                result = body()
-        finally:
-            if owned:
-                prof.stop()
-    if owned:
-        result.profile = prof.to_payload()
-    return result
-
-
-def _finish_profile(prof, env: Environment, machines) -> None:
-    """Fold the run's throughput counters into the active profiler."""
-    prof.add_events(env.events_processed)
-    prof.add_instructions(
-        sum(core.instructions for machine in machines for core in machine.cores)
-    )
 
 
 def _orthrus_overhead_cycles(log: ClosureLog, costs: CostModel) -> float:
@@ -323,10 +274,7 @@ class DriverSession:
         ``orthrus=False`` is the unmodified application: no checksums, no
         held versions, no sampler, observers or response layer.
         """
-        prof = active()
         env = Environment()
-        if prof.enabled:
-            env.profiler = prof
         machine = config.build_machine()
         n_val = config.validation_cores if orthrus else 1
         # The unmodified application has no Orthrus knobs to honour.
@@ -741,9 +689,6 @@ class DriverSession:
         if runtime.responder is not None and not result.crashed:
             result.incident = runtime.responder.finalize()
         result.digest = self.server.state_digest() if not result.crashed else None
-        prof = active()
-        if prof.enabled:
-            _finish_profile(prof, env, [runtime.machine])
         return result
 
 
@@ -800,12 +745,6 @@ def validator_process(session: DriverSession, core, log_store: Store,
 # ----------------------------------------------------------------------
 def run_vanilla_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     """The unmodified application: no logging, no checksums, no validator."""
-    return _with_profiler(
-        config, "driver.vanilla", lambda: _run_vanilla_impl(scenario, n_ops, config)
-    )
-
-
-def _run_vanilla_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     session = DriverSession.open(scenario, n_ops, config, orthrus=False)
     if session.result.crashed:
         return session.result
@@ -828,14 +767,8 @@ def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
         return run_chaos_server(scenario, n_ops, config)
     if config.validation_cores < 1:
         raise ConfigurationError("Orthrus needs at least one validation core")
-    return _with_profiler(
-        config, "driver.orthrus", lambda: _run_orthrus_impl(scenario, n_ops, config)
-    )
-
-
-def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    """The plain plane: a reliable, unbounded, work-conserving shared
-    store drained by immortal validator cores."""
+    # The plain plane: a reliable, unbounded, work-conserving shared
+    # store drained by immortal validator cores.
     session = DriverSession.open(scenario, n_ops, config)
     if session.result.crashed:
         return session.result
@@ -921,16 +854,7 @@ def run_rbv_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     primary pays serialization + batched network forwarding and stalls at
     the replication-lag bound.
     """
-    return _with_profiler(
-        config, "driver.rbv", lambda: _run_rbv_impl(scenario, n_ops, config)
-    )
-
-
-def _run_rbv_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    prof = active()
     env = Environment()
-    if prof.enabled:
-        env.profiler = prof
     costs = config.costs
     batch_size = config.rbv_batch_size or costs.rbv_batch_size
 
@@ -1082,6 +1006,4 @@ def _run_rbv_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     result.rbv_detections = detections[0]
     result.responses = [responses_by_index.get(i) for i in range(len(ops))]
     result.digest = primary.state_digest() if not result.crashed else None
-    if prof.enabled:
-        _finish_profile(prof, env, [primary_machine, replica_machine])
     return result

@@ -65,8 +65,8 @@ class Core:
         #: attribution scope on the same core (§2.2's call structure).
         self._frames: list[tuple[str, dict[str, int], Trace | None]] = []
         self.total_cycles = 0
-        #: lifetime dynamic instruction count; feeds the wall-clock
-        #: instructions/sec throughput meter (repro.obs.profiling)
+        #: lifetime dynamic instruction count; a plain counter the
+        #: host-time benchmark reads from outside (benchmarks/perf)
         self.instructions = 0
         #: inspection/profiling support (§A.3.2): when enabled, every
         #: executed instruction site is recorded with its unit and its

@@ -22,7 +22,6 @@ from repro.clock import Clock, LogicalClock
 from repro.errors import HeapError, ReclaimedVersionError
 from repro.memory.checksum import checksum_of
 from repro.memory.version import RECLAIMED, Version, approx_size
-from repro.obs.profiling import active as profiling_active
 
 
 class _ObjectRecord:
@@ -116,8 +115,6 @@ class VersionedHeap:
         creator: int | None,
         checksum_override: int | None = None,
     ) -> Version:
-        prof = profiling_active()
-        t0 = prof.now() if prof.enabled else 0
         record = self._objects[obj_id]
         now = self._advance()
         if checksum_override is not None:
@@ -145,8 +142,6 @@ class VersionedHeap:
         self.versioned_bytes += version.size + VERSION_HEADER_BYTES
         self.live_bytes += version.size
         self.versions_created += 1
-        if prof.enabled:
-            prof.lap("memory.version", t0)
         return version
 
     def _advance(self) -> float:

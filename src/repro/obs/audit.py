@@ -32,9 +32,9 @@ This module is the auditor that closes the gap, in two halves:
 Findings merge associatively (dedupe by rule/subject/message, severity
 sort), so fleet workers can fold shard-level findings without caring
 about worker count or arrival order — the same discipline the metrics
-and profile merges use.  Everything here is observational: no rule
-consumes RNG or perturbs virtual time, so run digests are byte-identical
-with auditing on or off.
+merge uses.  Everything here is observational: no rule consumes RNG or
+perturbs virtual time, so run digests are byte-identical with auditing
+on or off.
 """
 
 from __future__ import annotations

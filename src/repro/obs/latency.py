@@ -29,7 +29,9 @@ __all__ = [
     "attribute",
     "stage_stats_from_registry",
     "render_waterfall",
+    "format_rate",
     "format_seconds",
+    "format_wall",
 ]
 
 #: chain-terminal markers: stages after these never add latency
@@ -228,6 +230,26 @@ def format_seconds(value: float) -> str:
     if mag == 0.0:
         return "0s"
     return f"{value * 1e9:.3g}ns"
+
+
+def format_rate(value: float, unit: str = "op/s") -> str:
+    """Human-scaled rate: ``843 op/s`` / ``97 kop/s`` / ``1.21 Mop/s``."""
+    if value >= 1e9:
+        return f"{value / 1e9:.2f} G{unit}"
+    if value >= 1e6:
+        return f"{value / 1e6:.2f} M{unit}"
+    if value >= 1e3:
+        return f"{value / 1e3:.0f} k{unit}"
+    return f"{value:.0f} {unit}"
+
+
+def format_wall(value: float) -> str:
+    """Human-scaled wall seconds: ``1.95s`` / ``48.21ms`` / ``6.1us``."""
+    if value >= 1.0:
+        return f"{value:.2f}s"
+    if value >= 1e-3:
+        return f"{value * 1e3:.2f}ms"
+    return f"{value * 1e6:.1f}us"
 
 
 def render_waterfall(

@@ -41,7 +41,6 @@ from repro.memory.heap import VersionedHeap
 from repro.memory.pointer import OrthrusPtr
 from repro.memory.reclaim import ReclamationManager
 from repro.obs.observability import NULL_OBS
-from repro.obs.profiling import active as profiling_active
 from repro.runtime.sampling import AlwaysSampler, observe_and_decide
 from repro.runtime.scheduler import LatencyTracker, Scheduler
 from repro.validation.queues import OVERFLOW_REJECT, QueueSet
@@ -256,14 +255,9 @@ class OrthrusRuntime:
             detector=self._on_detection,
             obs=self.obs,
         )
-        prof = profiling_active()
         try:
-            if prof.enabled:
-                with prof.scope("machine.execute"), ctx:
-                    retval = meta.fn(*args, **kwargs)
-            else:
-                with ctx:
-                    retval = meta.fn(*args, **kwargs)
+            with ctx:
+                retval = meta.fn(*args, **kwargs)
         except BaseException:
             # Fail-stop: the closure crashed.  Close its window so its
             # versions do not leak, then let the crash propagate.

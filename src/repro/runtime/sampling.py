@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.closures.log import ClosureLog
-from repro.obs.profiling import active as profiling_active
 
 
 class SampleDecision(NamedTuple):
@@ -78,15 +77,11 @@ def observe_and_decide(
     sample, the decision counter, the ``sampler.decision`` event and the
     ``queue.wait`` span that ends at this dequeue.
     """
-    prof = profiling_active()
-    t0 = prof.now() if prof.enabled else 0
     if memory is not None:
         sampler.observe_memory(*memory)
     else:
         sampler.observe_delay(delay)
     decision = sampler_decision(sampler, log, now)
-    if prof.enabled:
-        prof.lap("sampler.decide", t0)
     if obs.enabled:
         obs.registry.histogram(
             "orthrus_queue_delay_seconds",

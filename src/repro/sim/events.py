@@ -145,12 +145,9 @@ class Environment:
         self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._eid = 0
-        #: engine events retired by step(); feeds the wall-clock
-        #: events/sec throughput meter (repro.obs.profiling)
+        #: engine events retired by step(); a plain counter the
+        #: host-time benchmark reads from outside (benchmarks/perf)
         self.events_processed = 0
-        #: optional self-profiler set by a driver; the engine stays
-        #: dependency-free — anything with now()/lap() works, None is off
-        self.profiler = None
 
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -158,13 +155,7 @@ class Environment:
             raise SimulationError("event scheduled twice")
         event._scheduled = True
         self._eid += 1
-        prof = self.profiler
-        if prof is not None:
-            t0 = prof.now()
-            heapq.heappush(self._heap, (self.now + delay, self._eid, event))
-            prof.lap("sim.queue.push", t0)
-        else:
-            heapq.heappush(self._heap, (self.now + delay, self._eid, event))
+        heapq.heappush(self._heap, (self.now + delay, self._eid, event))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -180,13 +171,7 @@ class Environment:
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        prof = self.profiler
-        if prof is not None:
-            t0 = prof.now()
-            when, _, event = heapq.heappop(self._heap)
-            prof.lap("sim.queue.pop", t0)
-        else:
-            when, _, event = heapq.heappop(self._heap)
+        when, _, event = heapq.heappop(self._heap)
         if when < self.now:
             raise SimulationError("time ran backwards")
         self.now = when

@@ -22,7 +22,6 @@ from repro.machine.core import Core
 from repro.memory.heap import VersionedHeap
 from repro.memory.reclaim import ReclamationManager
 from repro.obs.observability import NULL_OBS
-from repro.obs.profiling import active as profiling_active
 from repro.validation.comparator import (
     ComparisonResult,
     canonicalize_ptrs,
@@ -181,12 +180,7 @@ class Validator:
 
     def validate(self, log: ClosureLog, core: Core) -> ValidationOutcome:
         """Re-execute ``log`` on ``core`` and compare results."""
-        prof = profiling_active()
-        if prof.enabled:
-            with prof.scope("validate.compare"):
-                rerun = reexecute(self._heap, log, core)
-        else:
-            rerun = reexecute(self._heap, log, core)
+        rerun = reexecute(self._heap, log, core)
         result = rerun.result
         val_cycles = rerun.val_cycles
 

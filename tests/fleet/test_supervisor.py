@@ -45,7 +45,7 @@ def _sleeps_in_worker_only(payload):
 
 
 def _host_zero_group_always_fails(payload):
-    _config, plans, _want = payload
+    _config, plans = payload
     if any(plan.host_id == 0 for plan in plans):
         raise RuntimeError("injected persistent failure")
     return _REAL_SIMULATE_GROUP(payload)

@@ -1,6 +1,7 @@
 """Benchmark tracking: artifact schema, direction-aware comparison."""
 
 import copy
+import os
 
 import pytest
 
@@ -17,6 +18,10 @@ from repro.harness.benchtrack import (
 
 #: small but non-degenerate: every bench finishes in well under a minute
 SCALE = 0.1
+
+BASELINE_DIR = os.path.join(
+    os.path.dirname(__file__), "..", "..", "benchmarks", "baselines"
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +58,52 @@ class TestArtifacts:
         path.write_text('{"format": "not-a-bench"}')
         with pytest.raises(ValueError):
             load_artifact(str(path))
+
+    @pytest.mark.parametrize(
+        ("damage", "names"),
+        [
+            (lambda text: text.replace('"sim"', '"simulated"'), "'sim'"),
+            (lambda text: text[: text.index('"sim"')] + '"sim": [1, 2]}', "'sim'"),
+            (lambda text: text[: text.index('"sim"')] + '"sim": {}}', "'sim'"),
+            (lambda text: text.replace('"sim": {', '"sim": {"x": NaN, '), "sim['x']"),
+            (lambda text: text.replace('"sim": {', '"sim": {"x": -Infinity, '), "sim['x']"),
+            (lambda text: text.replace('"sim": {', '"sim": {"x": "0.74", '), "sim['x']"),
+            (lambda text: text.replace('"sim": {', '"sim": {"x": true, '), "sim['x']"),
+            (lambda text: text.replace('"sim": {', '"sim": {"x": 1%s, ' % ("0" * 400)), "sim['x']"),
+            (lambda text: text.replace('"name": "fig8_validation_latency"', '"name": 8'), "'name'"),
+            (lambda text: text[: len(text) // 2], "not valid JSON"),
+        ],
+        ids=["sim-missing", "sim-list", "sim-empty", "nan", "inf", "string",
+             "bool", "huge", "name", "truncated"],
+    )
+    def test_load_fails_closed_on_a_damaged_artifact(
+        self, fig8_artifact, tmp_path, damage, names
+    ):
+        path = write_artifact(fig8_artifact, str(tmp_path))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        damaged = damage(text)
+        assert damaged != text
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(damaged)
+        with pytest.raises(ValueError) as exc:
+            load_artifact(path)
+        message = str(exc.value)
+        assert path in message and names in message and "\n" not in message
+
+    @pytest.mark.parametrize("name", sorted(BENCHES))
+    def test_committed_baseline_loads_and_is_reproduced_exactly(self, name):
+        """The baselines hold virtual-time numbers: a fresh run of the
+        recorded (scale, seed) reproduces every gated value exactly."""
+        baseline = load_artifact(os.path.join(BASELINE_DIR, artifact_filename(name)))
+        assert set(baseline) == {
+            "format", "name", "config", "config_digest", "wall_time_s",
+            "sim", "series_percentiles",
+        }
+        config = baseline["config"]
+        fresh = run_bench(name, scale=config["scale"], seed=config["seed"])
+        for key in ("sim", "series_percentiles", "config_digest"):
+            assert fresh[key] == baseline[key], key
 
     def test_unknown_bench_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark"):

@@ -17,7 +17,7 @@ from repro.obs import (
     render_waterfall,
     stage_stats_from_registry,
 )
-from repro.obs.latency import StageStats, _percentile
+from repro.obs.latency import StageStats, _percentile, format_rate, format_wall
 
 
 def run(runner=run_orthrus_server, **kwargs):
@@ -102,3 +102,28 @@ class TestRendering:
         stats = StageStats(count=4, total=8.0, p50=2.0, p95=2.0, p99=2.0, max=2.0)
         assert stats.mean == 2.0
         assert StageStats(0, 0.0, 0.0, 0.0, 0.0, 0.0).mean == 0.0
+
+
+# ----------------------------------------------------------------------
+# formatting helpers (the repo-wide rate/wall renderers)
+
+
+class TestFormatting:
+    @pytest.mark.parametrize(
+        ("value", "expect"),
+        [
+            (12.0, "12 op/s"),
+            (4_200.0, "4 kop/s"),
+            (1_390_000.0, "1.39 Mop/s"),
+            (2_500_000_000.0, "2.50 Gop/s"),
+        ],
+    )
+    def test_format_rate(self, value, expect):
+        assert format_rate(value) == expect
+
+    @pytest.mark.parametrize(
+        ("value", "expect"),
+        [(2.5, "2.50s"), (0.0035, "3.50ms"), (4.2e-6, "4.2us")],
+    )
+    def test_format_wall(self, value, expect):
+        assert format_wall(value) == expect

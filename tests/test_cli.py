@@ -324,6 +324,38 @@ class TestBenchCompare:
             main(["bench-compare", "--bench", "fig99",
                   "--out-dir", str(tmp_path)])
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda art: art.pop("sim"),
+            lambda art: art["sim"].update(coverage_fraction=float("nan")),
+            lambda art: art["sim"].update(coverage_fraction="0.74"),
+            lambda art: art.update(sim=[1, 2]),
+            None,  # truncated mid-file
+        ],
+        ids=["sim-missing", "nan", "string", "sim-list", "truncated"],
+    )
+    def test_damaged_baseline_fails_the_gate(self, tmp_path, capsys, damage):
+        """A baseline the gate cannot read must not read as a pass."""
+        with open("benchmarks/baselines/BENCH_fleet_scale.json") as fh:
+            text = fh.read()
+        if damage is None:
+            text = text[: len(text) // 2]
+        else:
+            artifact = json.loads(text)
+            damage(artifact)
+            text = json.dumps(artifact)
+        baseline = tmp_path / "BENCH_fleet_scale.json"
+        baseline.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-compare", "--bench", "fleet_scale",
+                  "--out-dir", str(tmp_path / "out"),
+                  "--baseline-dir", str(tmp_path)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert str(baseline) in message
+        assert "verdict" not in capsys.readouterr().out
+
 
 class TestSpanAndCanaryFlags:
     def test_spans_out_writes_chrome_trace(self, tmp_path, capsys):
@@ -440,6 +472,39 @@ class TestRosterDrift:
         parser = build_parser()
         for name in subcommand_names(parser):
             assert name in parser.epilog
+
+
+class TestRemovedProfilerSurface:
+    """Host time is measured from outside (benchmarks/perf); the old
+    in-process surface fails closed instead of being accepted and ignored."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile"],
+            ["perf", "--profile-out", "x"],
+            ["latency", "--flame-out", "x"],
+            ["coverage", "--sample"],
+            ["fleet", "--profile-out", "x"],
+        ],
+    )
+    def test_argparse_rejects_the_removed_surface(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_obs_summary_rejects_a_left_over_profile_artifact(self, tmp_path):
+        stale = tmp_path / "profile.json"
+        stale.write_text(json.dumps(
+            {"format": "orthrus-profile/1", "wall_s": 1.0, "subsystems": []}
+        ))
+        with pytest.raises(SystemExit, match="not an orthrus-metrics/1 snapshot"):
+            main(["obs-summary", str(stale)])
+
+    def test_list_does_not_name_it(self, capsys):
+        assert main(["list"]) == 0
+        assert "profile" not in capsys.readouterr().out
 
 
 class TestDoctor:
