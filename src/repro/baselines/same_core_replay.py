@@ -24,11 +24,8 @@ from repro.closures.log import ClosureLog
 from repro.detection import DetectionEvent
 from repro.machine.core import Core
 from repro.memory.heap import VersionedHeap
-from repro.validation.comparator import (
-    ComparisonResult,
-    canonicalize_ptrs,
-    compare_execution,
-)
+from repro.validation.comparator import ComparisonResult
+from repro.validation.validator import compare_with_log
 
 
 class SameCoreReplayValidator:
@@ -69,33 +66,7 @@ class SameCoreReplayValidator:
         if failure is not None:
             result = ComparisonResult.mismatch(failure)
         else:
-            app_positions = {oid: k for k, oid in enumerate(log.allocated)}
-
-            def canon_app(obj_id: int):
-                position = app_positions.get(obj_id)
-                return ("ptr:new", position) if position is not None else ("ptr", obj_id)
-
-            app_outputs = [
-                (
-                    canon_app(self._heap.version(vid).obj_id),
-                    canonicalize_ptrs(self._heap.version(vid).value, canon_app),
-                )
-                for vid in log.output_versions
-            ]
-            val_outputs = [
-                (ctx.canon_obj(obj_id), canonicalize_ptrs(value, ctx.canon_obj))
-                for obj_id, value in ctx.private.writes
-            ]
-            val_deletes = [ctx.canon_obj(oid) for oid in ctx.private.deleted]
-            result = compare_execution(
-                app_outputs=app_outputs,
-                val_outputs=val_outputs,
-                app_retval=log.retval,
-                val_retval=val_retval,
-                app_deletes=log.deletes,
-                val_deletes=val_deletes,
-                compare=log.compare,
-            )
+            result = compare_with_log(self._heap, log, ctx, val_retval)
 
         self.replayed_count += 1
         if not result.matches:

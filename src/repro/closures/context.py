@@ -249,17 +249,9 @@ class ExecutionContext:
         logical object.  A pointer to a pre-existing shared object becomes
         ``("ptr", obj_id)``, identical in both modes.
         """
-        from repro.memory.pointer import OrthrusPtr
+        from repro.validation.comparator import canonicalize_ptrs  # it imports us
 
-        if isinstance(value, OrthrusPtr):
-            return self.canon_obj(value.obj_id)
-        if isinstance(value, tuple):
-            return tuple(self.canonicalize(item) for item in value)
-        if isinstance(value, list):
-            return [self.canonicalize(item) for item in value]
-        if isinstance(value, dict):
-            return {key: self.canonicalize(item) for key, item in value.items()}
-        return value
+        return canonicalize_ptrs(value, self.canon_obj)
 
     def canon_obj(self, obj_id: int):
         """Canonical identity of an object id (see :meth:`canonicalize`)."""

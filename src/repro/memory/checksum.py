@@ -35,48 +35,62 @@ def serialize(value) -> bytes:
     int ``1`` and the float ``1.0`` checksum differently).
     """
     out = bytearray()
-    _serialize_into(value, out)
+    _serialize_items((value,), out)
     return bytes(out)
 
 
-def _serialize_into(value, out: bytearray) -> None:
-    """Append ``value``: the shapes payloads are made of, by exact type.
+def _headers(tag: bytes) -> tuple[bytes, ...]:
+    return tuple(tag + length.to_bytes(4, "little") for length in range(256))
+
+
+#: tag + 4-byte length for every length below 256: constants built at
+#: import, like the CRC table was — nothing a run computes is kept here
+_TUPLE_HEADERS, _LIST_HEADERS, _INT_HEADERS, _STR_HEADERS = map(_headers, (b"T", b"L", b"I", b"S"))
+_pack_double = struct.Struct("<d").pack
+
+
+def _serialize_items(items, out: bytearray) -> None:
+    """Append each of ``items``: the shapes payloads are made of, by exact type.
 
     Exact-type tests cost one pointer compare each and cannot mistake a
-    ``bool`` or an ``IntEnum`` for an ``int``; anything else — subclasses
-    included — is :func:`_serialize_general`'s, whose bytes for these
-    shapes are the same.
+    ``bool`` or an ``IntEnum`` for an ``int``.  Leaves are written here, in
+    their parent's loop, and only a tuple or list costs another call;
+    anything else — subclasses included — is :func:`_serialize_general`'s,
+    whose bytes for these shapes are the same.
     """
-    kind = type(value)
-    if kind is tuple:
-        out += b"T"
-        out += len(value).to_bytes(4, "little")
-        for item in value:
-            _serialize_into(item, out)
-    elif kind is int:
-        out += b"I"
-        raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "little", signed=True)
-        out += len(raw).to_bytes(4, "little")
-        out += raw
-    elif value is None:
-        out += b"N"
-    elif kind is str:
-        raw = value.encode("utf-8")
-        out += b"S"
-        out += len(raw).to_bytes(4, "little")
-        out += raw
-    elif kind is float:
-        out += b"F"
-        out += struct.pack("<d", value)
-    elif kind.__base__ is object and getattr(kind, "__orthrus_ptr__", False):
-        # OrthrusPtr, known by its class marker (importing it would be a
-        # cycle).  A class whose base is ``object`` subclasses none of the
-        # builtins the general chain tests first, so that chain would end
-        # in its pointer branch too.
-        out += b"P"
-        out += value.obj_id.to_bytes(8, "little", signed=True)
-    else:
-        _serialize_general(value, out)
+    for item in items:
+        kind = type(item)
+        if kind is int:
+            size = (item.bit_length() + 8) // 8 + 1
+            out += _INT_HEADERS[size] if size < 256 else b"I" + size.to_bytes(4, "little")
+            out += item.to_bytes(size, "little", signed=True)
+        elif kind is str:
+            raw = item.encode("utf-8")
+            size = len(raw)
+            out += _STR_HEADERS[size] if size < 256 else b"S" + size.to_bytes(4, "little")
+            out += raw
+        elif item is None:
+            out += b"N"
+        elif kind is float:
+            out += b"F"
+            out += _pack_double(item)
+        elif kind is tuple or kind is list:
+            size = len(item)
+            if size < 256:
+                out += (_TUPLE_HEADERS if kind is tuple else _LIST_HEADERS)[size]
+            else:
+                out += b"T" if kind is tuple else b"L"
+                out += size.to_bytes(4, "little")
+            _serialize_items(item, out)
+        elif kind.__base__ is object and getattr(kind, "__orthrus_ptr__", False):
+            # OrthrusPtr, known by its class marker (importing it would be a
+            # cycle).  A class whose base is ``object`` subclasses none of
+            # the builtins the general chain tests first, so that chain
+            # would end in its pointer branch too.
+            out += b"P"
+            out += item.obj_id.to_bytes(8, "little", signed=True)
+        else:
+            _serialize_general(item, out)
 
 
 def _serialize_general(value, out: bytearray) -> None:
@@ -102,14 +116,12 @@ def _serialize_general(value, out: bytearray) -> None:
     elif isinstance(value, (tuple, list)):
         out += b"T" if isinstance(value, tuple) else b"L"
         out += len(value).to_bytes(4, "little")
-        for item in value:
-            _serialize_into(item, out)
+        _serialize_items(value, out)
     elif isinstance(value, dict):
         out += b"D"
         out += len(value).to_bytes(4, "little")
         for key in sorted(value, key=repr):
-            _serialize_into(key, out)
-            _serialize_into(value[key], out)
+            _serialize_items((key, value[key]), out)
     elif getattr(value, "__orthrus_ptr__", False):
         # An Orthrus pointer embedded in a payload (a versioned container
         # referencing another user-data object): serialized by object id.
@@ -118,7 +130,7 @@ def _serialize_general(value, out: bytearray) -> None:
     elif hasattr(value, "__orthrus_payload__"):
         # User-data classes expose their payload for checksumming.
         out += b"O"
-        _serialize_into(value.__orthrus_payload__(), out)
+        _serialize_items((value.__orthrus_payload__(),), out)
     else:
         raise TypeError(
             f"cannot checksum value of type {type(value).__name__}; "
@@ -129,8 +141,12 @@ def _serialize_general(value, out: bytearray) -> None:
 def checksum_of(value) -> int:
     """CRC-16 of the canonical serialization of ``value``."""
     out = bytearray()
-    _serialize_into(value, out)
+    _serialize_items((value,), out)
     return crc16(out)  # the bytearray itself: no bytes() copy
+
+
+#: a value inside more containers than this is rejected, not recursed into
+MAX_NESTING = 200
 
 
 def deserialize(data: bytes):
@@ -141,9 +157,11 @@ def deserialize(data: bytes):
     and are materialized back into values on the receiver.  Corrupted
     buffers either decode to a *wrong value* (a silent corruption the CRC
     catches at the data-path boundary) or raise ``ValueError`` (a fail-stop
-    the classifier counts separately).
+    the classifier counts separately) — never anything else: a dict key
+    that cannot be hashed and nesting beyond :data:`MAX_NESTING` levels
+    are ``ValueError`` too.
     """
-    value, offset = _deserialize_from(data, 0)
+    value, offset = _deserialize_from(data, 0, 0)
     if offset != len(data):
         raise ValueError(f"{len(data) - offset} trailing bytes after payload")
     return value
@@ -155,8 +173,14 @@ def _take(data: bytes, offset: int, count: int) -> bytes:
     return data[offset : offset + count]
 
 
-def _deserialize_from(data: bytes, offset: int):
-    tag = _take(data, offset, 1)
+def _deserialize_from(data: bytes, offset: int, depth: int):
+    if depth > MAX_NESTING:
+        raise ValueError(
+            f"payload nested deeper than {MAX_NESTING} levels at offset {offset}"
+        )
+    tag = data[offset : offset + 1]  # a one-byte slice is a shared constant
+    if not tag:
+        raise ValueError("truncated payload")
     offset += 1
     if tag == b"N":
         return None, offset
@@ -192,7 +216,7 @@ def _deserialize_from(data: bytes, offset: int):
             raise ValueError("absurd sequence length")
         items = []
         for _ in range(length):
-            item, offset = _deserialize_from(data, offset)
+            item, offset = _deserialize_from(data, offset, depth + 1)
             items.append(item)
         return (tuple(items) if tag == b"T" else items), offset
     if tag == b"D":
@@ -202,8 +226,14 @@ def _deserialize_from(data: bytes, offset: int):
             raise ValueError("absurd dict length")
         out = {}
         for _ in range(length):
-            key, offset = _deserialize_from(data, offset)
-            value, offset = _deserialize_from(data, offset)
-            out[key] = value
+            key_offset = offset
+            key, offset = _deserialize_from(data, offset, depth + 1)
+            value, offset = _deserialize_from(data, offset, depth + 1)
+            try:
+                out[key] = value
+            except TypeError:
+                raise ValueError(
+                    f"unhashable {type(key).__name__} dict key at offset {key_offset}"
+                ) from None
         return out, offset
     raise ValueError(f"unknown payload tag {tag!r}")

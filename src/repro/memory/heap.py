@@ -165,11 +165,13 @@ class VersionedHeap:
 
     def latest(self, obj_id: int) -> Version:
         """The live version of ``obj_id``."""
-        record = self._record(obj_id)
+        record = self._objects.get(obj_id)
+        if record is None:
+            raise HeapError(f"unknown object {obj_id}")
         if record.deleted_at is not None:
             raise HeapError(f"load of deleted object {obj_id}")
         version = self._versions[record.version_ids[-1]]
-        if version.reclaimed:
+        if version.value is RECLAIMED:
             raise ReclaimedVersionError(f"live version of obj {obj_id} was reclaimed")
         return version
 
@@ -177,7 +179,7 @@ class VersionedHeap:
         version = self._versions.get(version_id)
         if version is None:
             raise HeapError(f"unknown version {version_id}")
-        if version.reclaimed:
+        if version.value is RECLAIMED:
             raise ReclaimedVersionError(f"version {version_id} was reclaimed")
         return version
 
@@ -327,6 +329,7 @@ class PrivateHeap:
         self.writes: list[tuple[int, Any]] = []
         #: obj_ids deleted during re-execution, in order.
         self.deleted: list[int] = []
+        self._deleted_ids: set[int] = set()  # membership for :meth:`load`
 
     def allocate(self, value: Any) -> int:
         """Shadow OrthrusNew: allocate a validator-private object."""
@@ -352,12 +355,13 @@ class PrivateHeap:
 
     def delete(self, obj_id: int) -> None:
         self.deleted.append(obj_id)
+        self._deleted_ids.add(obj_id)
         self._values.pop(obj_id, None)
 
     def has(self, obj_id: int) -> bool:
         return obj_id in self._values
 
     def load(self, obj_id: int) -> Any:
-        if obj_id in self.deleted:
+        if obj_id in self._deleted_ids:
             raise HeapError(f"validator load of deleted shadow object {obj_id}")
         return self._values[obj_id]

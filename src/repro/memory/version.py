@@ -25,8 +25,25 @@ def approx_size(value: Any) -> int:
 
     Used for the memory-overhead accounting of Figs 6/10; it does not need
     to match CPython's allocator exactly, only to be consistent between the
-    vanilla baseline and the versioned heap.
+    vanilla baseline and the versioned heap.  A tuple or list sizes its
+    exact-type leaves itself and recurses only for what is not one.
     """
+    kind = type(value)
+    if kind is tuple or kind is list:
+        total = 16
+        for item in value:
+            leaf = type(item)
+            if leaf is int:
+                total += 8 + item.bit_length() // 8
+            elif leaf is str:
+                total += 16 + len(item)
+            elif item is None or leaf is float:
+                total += 8
+            elif leaf.__base__ is object and getattr(leaf, "__orthrus_ptr__", False):
+                total += 8  # one pointer word
+            else:
+                total += approx_size(item)
+        return total
     if value is None or isinstance(value, bool):
         return 8
     if isinstance(value, int):

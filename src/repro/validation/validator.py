@@ -26,6 +26,7 @@ from repro.validation.comparator import (
     ComparisonResult,
     canonicalize_ptrs,
     compare_execution,
+    payloads_match,
 )
 
 
@@ -67,6 +68,51 @@ class Reexecution:
     @property
     def matches(self) -> bool:
         return self.result.matches
+
+
+def compare_with_log(
+    heap: VersionedHeap, log: ClosureLog, ctx: ExecutionContext, val_retval
+) -> ComparisonResult:
+    """Compare what ``ctx`` re-executed against what ``log`` recorded.
+
+    The APP output versions are read where they lie, in lockstep with the
+    private heap's writes; canonical copies are materialized only for a
+    closure that overrides ``compare``.
+    """
+    app_positions = {oid: k for k, oid in enumerate(log.allocated)}
+
+    def canon_app(obj_id: int):
+        position = app_positions.get(obj_id)
+        return ("ptr:new", position) if position is not None else ("ptr", obj_id)
+
+    canon_val = ctx.canon_obj
+    custom = log.compare
+
+    def same_output(version_id: int, write: tuple[int, object]) -> bool:
+        # Outputs are (target, value) pairs: a store of the right value to
+        # the *wrong object* (e.g. a mis-hashed bucket, Listing 2) must
+        # diverge even though the stored bytes match.
+        version = heap.version(version_id)
+        obj_id, value = write
+        app_target, val_target = canon_app(version.obj_id), canon_val(obj_id)
+        if custom is not None:
+            return custom(
+                (app_target, canonicalize_ptrs(version.value, canon_app)),
+                (val_target, canonicalize_ptrs(value, canon_val)),
+            )
+        return app_target == val_target and payloads_match(
+            version.value, value, canon_app, canon_val
+        )
+
+    return compare_execution(
+        app_outputs=log.output_versions,
+        val_outputs=ctx.private.writes,
+        app_retval=log.retval,
+        val_retval=val_retval,
+        app_deletes=log.deletes,
+        val_deletes=[canon_val(oid) for oid in ctx.private.deleted],
+        compare=same_output,
+    )
 
 
 def reexecute(
@@ -114,39 +160,7 @@ def reexecute(
             context=ctx,
             error=failure,
         )
-
-    app_positions = {oid: k for k, oid in enumerate(log.allocated)}
-
-    def canon_app(obj_id: int):
-        position = app_positions.get(obj_id)
-        return ("ptr:new", position) if position is not None else ("ptr", obj_id)
-
-    # Outputs are (target, value) pairs: a store of the right value to the
-    # *wrong object* (e.g. a mis-hashed bucket, Listing 2) must diverge
-    # even though the stored bytes match.
-    app_outputs = []
-    for vid in log.output_versions:
-        version = heap.version(vid)
-        app_outputs.append(
-            (
-                canon_app(version.obj_id),
-                canonicalize_ptrs(version.value, canon_app),
-            )
-        )
-    val_outputs = [
-        (ctx.canon_obj(obj_id), canonicalize_ptrs(value, ctx.canon_obj))
-        for obj_id, value in ctx.private.writes
-    ]
-    val_deletes = [ctx.canon_obj(oid) for oid in ctx.private.deleted]
-    result = compare_execution(
-        app_outputs=app_outputs,
-        val_outputs=val_outputs,
-        app_retval=log.retval,
-        val_retval=val_retval,
-        app_deletes=log.deletes,
-        val_deletes=val_deletes,
-        compare=log.compare,
-    )
+    result = compare_with_log(heap, log, ctx, val_retval)
     return Reexecution(result=result, val_cycles=val_cycles, context=ctx)
 
 

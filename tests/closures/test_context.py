@@ -49,6 +49,28 @@ class TestContextStack:
                 raise RuntimeError("boom")
         assert current() is None
 
+    def test_a_thread_that_never_ran_a_closure_has_no_context(self, core, heap):
+        # current() on a thread with no stack at all, on one whose stack
+        # has emptied, and nested
+        import threading
+
+        seen = []
+        outer, _ = app_ctx(core, heap)
+        inner, _ = app_ctx(Core(1), heap, seq=2)
+
+        def body():
+            seen.append(current())
+            with outer:
+                with inner:
+                    seen.append(current())
+                seen.append(current())
+            seen.append(current())
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join()
+        assert seen == [None, inner, outer, None]
+
     def test_invalid_mode_rejected(self, core, heap):
         with pytest.raises(ValueError):
             ExecutionContext("bogus", core, heap, ClosureLog(1, "op", "t"))

@@ -143,6 +143,25 @@ class TestReclamation:
         with pytest.raises((HeapError, ReclaimedVersionError)):
             heap.version(v1.version_id)
 
+    def test_lookups_name_what_is_wrong(self, heap):
+        with pytest.raises(HeapError, match="unknown object 99"):
+            heap.latest(99)
+        with pytest.raises(HeapError, match="unknown version 99"):
+            heap.version(99)
+        obj = heap.allocate(1)
+        stale = heap.latest(obj)
+        heap.store(obj, 2)
+        heap.reclaim_before(math.inf)
+        assert stale.reclaimed and not heap.latest(obj).reclaimed
+        heap.delete(obj)
+        with pytest.raises(HeapError, match=f"load of deleted object {obj}"):
+            heap.latest(obj)
+        # a caller still holding a reclaimed version object: the payload
+        # is the sentinel, and a lookup by id that found it would refuse it
+        heap._versions[stale.version_id] = stale
+        with pytest.raises(ReclaimedVersionError, match=f"version {stale.version_id} was reclaimed"):
+            heap.version(stale.version_id)
+
     def test_reclaim_updates_accounting(self, heap):
         obj = heap.allocate("abcdefgh")
         heap.store(obj, "ijklmnop")
@@ -208,6 +227,21 @@ class TestPrivateHeap:
         private.delete(5)
         with pytest.raises(HeapError):
             private.load(5)
+
+    def test_deletes_keep_their_order_and_shadow_a_later_store(self):
+        # ``deleted`` is the ordered list the comparison reads; membership
+        # is tested against a set kept beside it, with the list's answers
+        private = PrivateHeap()
+        for obj in (9, 3, 9, 7):
+            private.store(obj, "v")
+            private.delete(obj)
+        assert private.deleted == [9, 3, 9, 7]
+        private.store(3, "again")
+        assert private.has(3)
+        with pytest.raises(HeapError, match="deleted shadow object 3"):
+            private.load(3)
+        private.store(4, "never deleted")
+        assert private.load(4) == "never deleted"
 
     def test_has(self):
         private = PrivateHeap()
