@@ -35,7 +35,7 @@ perf/latency/coverage attaches the response layer (arbitration +
 quarantine) to the Orthrus arm of those experiments.
 
 ``--validator-faults`` / ``--degradation`` on perf, latency, and respond
-route the Orthrus arm through the fault-tolerant chaos driver (bounded
+give the Orthrus arm's validator loop the fault-tolerant policies (bounded
 queues, watchdog re-dispatch, degradation ladder) and print the
 conservation ledger; ``--ft-json`` saves the report, and a run whose
 terminal degradation state is ``SAFE_HOLD`` exits nonzero (status 2).
@@ -373,7 +373,7 @@ def _print_canary(result) -> None:
 
 def _fault_tolerance_setup(args):
     """(FaultToleranceConfig, ValidatorChaosConfig | None) when the
-    fault-tolerance flags ask for the chaos driver, else (None, None).
+    fault-tolerance flags ask for the fault-tolerant policies, else (None, None).
 
     Any of --validator-faults / --degradation / --queue-capacity /
     --overflow-policy opts the Orthrus arm into the fault-tolerant plane.
@@ -1351,7 +1351,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="arm chaos faults against the validation plane itself "
             "(crash|hang|slowdown|verdict-loss; N < 1 is a fraction of "
             "the validation cores, N >= 1 a core count); repeatable, "
-            "routes the Orthrus arm through the fault-tolerant driver",
+            "selects the fault-tolerant plane policies for the Orthrus arm",
         )
         p.add_argument(
             "--degradation", action="store_true",

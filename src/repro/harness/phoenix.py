@@ -27,7 +27,9 @@ from repro.sim.metrics import RunMetrics
 from repro.harness.pipeline import (
     DriverSession,
     PipelineConfig,
+    Plane,
     RunResult,
+    StoreAdmission,
     _orthrus_overhead_cycles,
     _SENTINEL,
     validator_process,
@@ -118,17 +120,14 @@ def run_phoenix(
     captured_logs: list[ClosureLog] = []
     runtime._on_log = captured_logs.append
 
-    log_store = Store(env)
     session = DriverSession(env, runtime, config, result, config.make_sampler())
     pending_bytes, deadline = session.pending_bytes, session.deadline
+    admission = StoreAdmission(session)
     validators = []
     if orthrus:
+        plane = Plane(admission)
         validators = [
-            env.process(
-                validator_process(
-                    session, machine.core(config.app_threads + i), log_store
-                )
-            )
+            env.process(validator_process(session, machine.core(config.app_threads + i), plane))
             for i in range(config.validation_cores)
         ]
 
@@ -145,11 +144,9 @@ def run_phoenix(
         replica_job = scenario.build(replica_runtime)
 
     def on_task_done(index, result_ptr, logs, now):
-        for log in logs:
-            log.enqueue_time = now
-            if orthrus:
-                pending_bytes[0] += log.approx_bytes()
-                log_store.put(log)
+        if orthrus:
+            for log in logs:
+                admission.enqueue(log)
         if variant == "rbv" and result_ptr is not None:
             payload = runtime.heap.latest(result_ptr.obj_id).value
             repl_store.put((index, payload, approx_size(payload), now))
@@ -334,10 +331,8 @@ def run_phoenix(
     def coordinator():
         yield env.all_of(processes)
         deadline[0] = env.now * (1 + config.drain_grace_fraction)
-        for _ in validators:
-            log_store.put(_SENTINEL)
         if validators:
-            yield env.all_of(validators)
+            yield from admission.shut(validators)
 
     env.run(until=env.process(coordinator()))
     if orthrus:

@@ -1,4 +1,4 @@
-"""Virtual-time drivers: one driver session, two Orthrus validation planes.
+"""Virtual-time drivers: one driver session, one Orthrus validator loop.
 
 Every deployment of a scenario runs through one :class:`DriverSession`,
 which wires the scenario into the discrete-event engine:
@@ -11,13 +11,13 @@ which wires the scenario into the discrete-event engine:
   finalisation are the session's too, as are the validator-side stages —
   sampler decision, validation cost, verdict accounting, settlement — so
   each exists exactly once (DESIGN.md §10.5 has the stage table);
-* **a validation plane** supplies only how a log is submitted, its
-  validator loop and its drain.  The *plain* plane here is a shared store
-  (work-conserving, equivalent to per-core queues with stealing) drained
-  by immortal validator cores, applying the sampler under queueing-delay
-  or memory-budget feedback; the *fault-tolerant* plane lives in
-  :mod:`repro.harness.chaos`.  The vanilla deployment is the session with
-  no plane at all;
+* **a validation plane** is one validator loop (:func:`validator_process`)
+  over policies chosen once at set-up (:class:`Plane`).  The *plain* plane
+  is the null set: a shared store (work-conserving, equivalent to
+  per-core queues with stealing) drained by immortal validator cores,
+  applying the sampler under queueing-delay or memory-budget feedback;
+  the *fault-tolerant* policies live in :mod:`repro.harness.chaos`.  The
+  vanilla deployment is the session with no plane at all;
 * **the RBV replica** replays full requests *in submission order* on a
   separate healthy server, paying serialization + network transfer per
   batch and stalling the primary when the replication lag bound is hit.
@@ -36,6 +36,7 @@ from typing import Any, Callable
 
 from repro.closures.log import ClosureLog
 from repro.errors import ConfigurationError
+from repro.faultinject.validator_faults import ValidatorFaultBox, ValidatorFaultKind
 from repro.machine.cpu import Machine
 from repro.memory.version import approx_size
 from repro.obs.audit import AuditConfig, DriftMonitor
@@ -52,7 +53,12 @@ from repro.obs.timeseries import (
 from repro.response.coordinator import ResponseCoordinator
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.runtime.safemode import SafeModePolicy
-from repro.runtime.sampling import AdaptiveSampler, SamplerConfig, observe_and_decide
+from repro.runtime.sampling import (
+    COVERAGE_REASONS,
+    AdaptiveSampler,
+    SamplerConfig,
+    observe_and_decide,
+)
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.events import Environment, SimClock, Store
 from repro.sim.metrics import RunMetrics
@@ -114,11 +120,11 @@ class PipelineConfig:
     slos: Any = None
     #: a ``repro.runtime.degradation.FaultToleranceConfig``; when set the
     #: Orthrus driver swaps the reliable shared log store for the
-    #: fault-tolerant validation plane (bounded per-core queues, watchdog
+    #: fault-tolerant policies (bounded per-core queues, watchdog
     #: re-dispatch, degradation ladder) in :mod:`repro.harness.chaos`
     fault_tolerance: Any = None
     #: a ``repro.faultinject.ValidatorChaosConfig``; arms chaos faults on
-    #: validation cores (implies the fault-tolerant driver)
+    #: validation cores (implies the fault-tolerant policies)
     validator_faults: Any = None
     #: a ``repro.obs.CanaryConfig``; when set the Orthrus drivers inject
     #: known-corrupt canary closures on its period and hold them to its
@@ -175,7 +181,7 @@ class RunResult:
     #: terminal ``repro.obs.SloReport`` for the same runs
     slo: Any = None
     #: ``repro.harness.chaos.FaultToleranceReport`` when the run used the
-    #: fault-tolerant validation plane; None otherwise
+    #: fault-tolerant policies; None otherwise
     ft: Any = None
     #: canary liveness summary dict (``LivenessMonitor.summary()``) when
     #: the run was configured with ``PipelineConfig.canary``
@@ -204,31 +210,22 @@ def _orthrus_overhead_cycles(log: ClosureLog, costs: CostModel) -> float:
     return cycles
 
 
-def _exposure_staleness(sampler) -> float:
-    """The exposure window one skipped validation opens: the key stays
-    unprotected until its next validation opportunity, which the sampler
-    bounds by its staleness threshold (DESIGN §14)."""
-    return float(
-        getattr(getattr(sampler, "config", None), "staleness_threshold", 2e-3)
-    )
-
-
-
 # ----------------------------------------------------------------------
 # The driver session
 # ----------------------------------------------------------------------
 class DriverSession:
     """One deployment of a scenario in virtual time: everything the
-    vanilla, plain-Orthrus and fault-tolerant drivers do identically.
+    vanilla and Orthrus drivers do identically.
 
     The session owns set-up (:meth:`open`), the application threads, the
     observer processes (telemetry, canaries, audit probes), the
-    validator-side stages both validation planes run — sampler decision,
+    validator-side stages the one validator loop runs — sampler decision,
     validation cost, re-execution, verdict accounting, unvalidated
-    settlement — and finalisation.  A *plane* supplies only what truly
-    differs: how a log is submitted, its validator loop and its drain.
-    Per-event code binds what it needs to locals before its loop; nothing
-    here is reached through the session on a per-instruction path.
+    settlement — and finalisation.  The :class:`Plane` policies supply
+    only what truly differs: how a log is admitted, whether dispatches are
+    supervised, and how the plane drains.  Per-event code binds what it
+    needs to locals before its loop; nothing here is reached through the
+    session on a per-instruction path.
     """
 
     def __init__(self, env: Environment, runtime: OrthrusRuntime,
@@ -248,6 +245,9 @@ class DriverSession:
         #: end of the timely-detection window, known once the apps finish
         self.deadline = [float("inf")]
         self.apps_done = False
+        #: the plane has nothing further to watch: set by the coordinator
+        #: once the apps finish (plain) or the ledger settles (supervised)
+        self.quiesced = False
         self.server: Any = None
         self.ops: list[Any] = []
         self.safe_policy = SafeModePolicy.off()
@@ -255,10 +255,14 @@ class DriverSession:
         self.val_cores = [c.core_id for c in runtime.scheduler.validation_cores]
         self.drift = self.exposure = None
         self.recorder = self.slo_monitor = self.canary_monitor = None
-        self._threads: list[Any] = []
         self._request_logs: list[ClosureLog] = []
         self._responses: dict[int, Any] = {}
-        self.stale_s = _exposure_staleness(sampler)
+        #: the exposure window one skipped validation opens: the key stays
+        #: unprotected until its next validation opportunity, which the
+        #: sampler bounds by its staleness threshold (DESIGN §14)
+        self.stale_s = float(
+            getattr(getattr(sampler, "config", None), "staleness_threshold", 2e-3)
+        )
         self._dispatch_s = config.costs.seconds(
             config.costs.validation_dispatch_cycles
         )
@@ -321,8 +325,8 @@ class DriverSession:
 
     def attach_observers(self) -> None:
         """Audit (drift monitor + exposure ledger) and the time-series
-        recorder with its probes and SLO monitor.  Called by a plane once
-        its own gauges are registered, so registry order is the plane's."""
+        recorder with its probes and SLO monitor.  Called once the plane's
+        own gauges are registered, so registry order is the plane's."""
         config, obs = self.config, self.obs
         if config.audit is not None:
             audit_cfg = AuditConfig() if config.audit is True else config.audit
@@ -389,11 +393,10 @@ class DriverSession:
         backpressure).  The vanilla deployment produces no logs and passes
         nothing.
         """
-        self._threads = [
+        return [
             self.env.process(self.app_thread(i, submit))
             for i in range(self.config.app_threads)
         ]
-        return self._threads
 
     def app_thread(self, thread_id: int, submit):
         env, runtime, obs = self.env, self.runtime, self.obs
@@ -449,28 +452,17 @@ class DriverSession:
                 ).record(env.now - began)
             track_memory()
 
-    def wait_for_apps(self):
-        """Coordinator prologue: block until every application thread is
-        done, then stamp the run's duration and open the drain window."""
-        env = self.env
-        yield env.all_of(self._threads)
-        self.apps_done = True
-        self.metrics.duration = env.now
-        self.deadline[0] = env.now * (1 + self.config.drain_grace_fraction)
-
     # -- observer processes ------------------------------------------------
-    def start_observers(self, submit_canary, quiesced) -> None:
+    def start_observers(self, submit_canary) -> None:
         """Spawn the telemetry, canary and audit-probe processes.
 
         Each rides its own virtual-time cadence so it ticks even while
         every app thread is blocked (safe-mode holds, backpressure) — that
         is exactly when queue depth, lag and drift are interesting.
         ``submit_canary`` is the plane's enqueue for probes (same contract
-        as :meth:`start_apps`); ``quiesced()`` turns true once the plane
-        has nothing further to watch, which ends the canary poller and the
-        audit probe — the plain plane passes "apps done", the
-        fault-tolerant plane its coordinator's stop flag.  Whatever is
-        still pending when the coordinator fires dies with the environment.
+        as :meth:`start_apps`); :attr:`quiesced` ends the canary poller and
+        the audit probe.  Whatever is still pending when the coordinator
+        fires dies with the environment.
         """
         env, config, obs, runtime = self.env, self.config, self.obs, self.runtime
         recorder, drift, done_events = self.recorder, self.drift, self.done_events
@@ -513,7 +505,7 @@ class DriverSession:
                 while True:
                     yield env.timeout(step)
                     monitor.poll(env.now)
-                    if quiesced() and monitor.outstanding == 0:
+                    if self.quiesced and monitor.outstanding == 0:
                         return
 
             env.process(canary_issuer())
@@ -524,7 +516,7 @@ class DriverSession:
                 while True:
                     yield env.timeout(drift.config.cadence)
                     drift.probe(env.now)
-                    if quiesced():
+                    if self.quiesced:
                         return
 
             env.process(audit_probe_process())
@@ -692,52 +684,236 @@ class DriverSession:
         return result
 
 
-def validator_process(session: DriverSession, core, log_store: Store,
-                      on_step: Callable[[], None] = lambda: None):
-    """One validation core of the plain plane: dequeue → sample →
-    re-execute (§3.3) over the reliable shared store.
+# ----------------------------------------------------------------------
+# The validation plane: policies and the one validator loop
+# ----------------------------------------------------------------------
+class StoreAdmission:
+    """Admission into one reliable, unbounded, work-conserving shared
+    ``Store`` (per-core queues with stealing, in effect), closed by one
+    sentinel per validator.  The paper figures and Phoenix run it."""
 
-    Shared between the server and Phoenix drivers.  Ends when it dequeues
-    the shutdown sentinel.  Logs dequeued past the session's deadline (the
-    end of the timely-detection window) are dropped unvalidated.
+    def __init__(self, session: DriverSession):
+        self.env, self.obs, self.pending_bytes = session.env, session.obs, session.pending_bytes
+        self.store = Store(self.env)
+        self.wait, self.hand_back = self.store.get, self.store.unget
+
+    def enqueue(self, log):
+        log.enqueue_time = self.env.now
+        self.pending_bytes[0] += log.approx_bytes()
+        self.store.put(log)
+        return ()  # the store is unbounded: nothing for the producer to wait out
+
+    submit_canary = enqueue
+
+    def submit(self, log):
+        waits = self.enqueue(log)
+        obs = self.obs
+        if obs.enabled:
+            # QueueSet emits these under bounded admission; the bare Store
+            # cannot, so this does — for organic logs only.
+            obs.registry.counter(
+                "orthrus_queue_pushes_total", {"queue": "store"},
+                help="closure logs enqueued for validation",
+            ).inc()
+            obs.tracer.emit(
+                "queue.push", ts=self.env.now, queue="store", seq=log.seq,
+                closure=log.closure_name, depth=len(self.store),
+            )
+        return waits
+
+    @staticmethod
+    def claim(log, _core_id):
+        return log
+
+    def shut(self, validators):
+        """One sentinel per validator, then wait until all have left — a
+        reserve core started meanwhile in a retired one's place (it takes
+        that one's sentinel) included."""
+        for _ in validators:
+            self.store.put(_SENTINEL)
+        while not all(validator.triggered for validator in validators):
+            yield self.env.all_of(validators)
+
+
+@dataclass
+class Plane:
+    """The validation-plane policies a run chose at set-up (DESIGN §10.5):
+    the null set — :class:`StoreAdmission`, no supervisor, no ladder, no
+    armed validator faults — runs the paper figures; ``fault_tolerance`` /
+    ``validator_faults`` choose those of :mod:`repro.harness.chaos`."""
+
+    admission: Any
+    supervisor: Any = None
+    ladder: Any = None
+    faults: ValidatorFaultBox = field(default_factory=ValidatorFaultBox)
+
+
+def validator_process(session: DriverSession, core, plane: Plane,
+                      on_step: Callable[[], None] = lambda: None,
+                      retire: Callable[[int], None] = lambda _core_id: None):
+    """One validation core: dequeue → sample → re-execute (§3.3).
+
+    The only validator loop; ``plane`` says how.  Ends on the Store's
+    sentinel, on quarantine (handing back what it dequeued) or when an
+    armed fault kills it; ``retire(core_id)`` hears of the last three.
+    Logs dequeued past the session's deadline (the end of the
+    timely-detection window) are dropped unvalidated.
     """
     env, metrics, costs = session.env, session.metrics, session.config.costs
     pending_bytes, deadline = session.pending_bytes, session.deadline
-    decide, reexecute, record_verdict = (
-        session.decide, session.reexecute, session.record_verdict
-    )
-    compare_cycles, validation_cycles = (
-        session.compare_cycles, session.validation_cycles
-    )
+    scheduler, validator = session.runtime.scheduler, session.runtime.validator
+    decide, reexecute, record_verdict = session.decide, session.reexecute, session.record_verdict
+    compare_cycles, validation_cycles = session.compare_cycles, session.validation_cycles
+    admission, supervisor, ladder = plane.admission, plane.supervisor, plane.ladder
+    wait, claim = admission.wait, admission.claim
+    faults = plane.faults
+    armed = len(faults) > 0
+    # Unvalidated logs close their window as a skip, or as a ledgered drop.
+    ledger, watchdog, close = None, None, lambda log, _reason: validator.skip(log)
+    if supervisor is not None:
+        ledger, watchdog, close = supervisor.ledger, supervisor.watchdog, validator.drop
     skip_s = costs.seconds(costs.skip_cycles)
-
-    def close(log, _reason):
-        session.runtime.validator.skip(log)
-
+    core_id = core.core_id
     while True:
-        log = yield log_store.get()
-        if log is _SENTINEL:
+        item = yield wait()
+        if item is _SENTINEL:
             return
-        pending_bytes[0] -= log.approx_bytes()
+        if core not in scheduler.validation_cores:
+            # Quarantined: hand what was dequeued to a healthy peer and leave.
+            admission.hand_back(item)
+            retire(core_id)
+            return
         now = env.now
+        log = claim(item, core_id)
+        fault = faults.fault_for(core_id, now) if armed else None
+        kind = fault.kind if fault is not None else None
+        if kind is ValidatorFaultKind.CRASH:
+            # Die mid-dispatch, stranding the log until the watchdog expires it.
+            retire(core_id)
+            if log is not None:
+                pending_bytes[0] -= log.approx_bytes()
+                watchdog.dispatched(log, core_id, now)
+            return
+        if log is None:
+            continue  # orphan token: its log was evicted, handed off or stolen
+        pending_bytes[0] -= log.approx_bytes()
         if now > deadline[0]:
+            if ledger is not None:
+                ledger.dropped(log.seq, "deadline")
             session.drop_past_deadline(log, now, close)
             continue
+        if kind is ValidatorFaultKind.HANG:
+            # Block forever holding the dispatched log.
+            retire(core_id)
+            if session.obs.enabled:
+                session.obs.spans.record(
+                    "queue.wait", log.seq, log.enqueue_time, now,
+                    closure=log.closure_name,
+                )
+            watchdog.dispatched(log, core_id, now)
+            yield env.event()
+            return  # pragma: no cover — the event never fires
+        # None for a canary: it bypasses the sampler but not the dispatch
+        # path, so a dead validator strands it — ``canary.missed``.
         decision = decide(log, now)
-        if decision is None or decision.validate:
-            # The functional replay happens at dispatch; the engine then
-            # advances by what it cost.
+        if ladder is not None and ladder.checksum_only:
+            # CHECKSUM_ONLY rung: CRC boundary checks, no re-execution.
+            busy = sum(
+                costs.checksum_cycles(64)
+                for _ in range(max(1, len(log.output_versions)))
+            )
+            yield env.timeout(costs.seconds(busy))
+            supervisor.checksum_fallback(log, env.now)
+            on_step()
+            continue
+        shed_for_coverage = (
+            decision is not None
+            and ladder is not None
+            and ladder.coverage_only
+            and decision.reason not in COVERAGE_REASONS
+        )
+        if decision is not None and (not decision.validate or shed_for_coverage):
+            # Counted when decided: a supervised run may stop mid-skip.
+            if ledger is not None:
+                ledger.skipped(log.seq)
+            metrics.skipped += 1
+            if shed_for_coverage:
+                session.skip(log, now, "coverage-shed", "coverage-shed")
+            else:
+                session.skip(log, now, decision.reason)
+            yield env.timeout(skip_s)
+            session.release(log)
+        elif supervisor is None:
+            # Unsupervised: the functional replay happens at dispatch; the
+            # engine then advances by what it cost.
             compare = compare_cycles(log)
             outcome = reexecute(log, core)
             busy = validation_cycles(log, core, outcome.val_cycles, compare)
             yield env.timeout(costs.seconds(busy))
-            record_verdict(log, outcome, core.core_id, now)
+            record_verdict(log, outcome, core_id, now)
         else:
-            session.skip(log, now, decision.reason)
-            yield env.timeout(skip_s)
-            metrics.skipped += 1
-            session.release(log)
+            # Supervised: advance by about what the APP run cost under the
+            # watchdog's deadline; the verdict can be lost or duplicated
+            # meanwhile, so the replay happens at completion.
+            watchdog.dispatched(log, core_id, now)
+            busy = validation_cycles(log, core, log.app_cycles, compare_cycles(log))
+            if kind is ValidatorFaultKind.SLOWDOWN:
+                busy *= fault.slowdown_factor
+            yield env.timeout(costs.seconds(busy))
+            # A lost verdict stays in flight for the watchdog to expire; a
+            # completion the watchdog already re-dispatched is a duplicate.
+            if (kind is not ValidatorFaultKind.VERDICT_LOSS
+                    and watchdog.completed(log.seq, env.now)):
+                outcome = reexecute(log, core)
+                ledger.validated(log.seq)
+                record_verdict(log, outcome, core_id, now, level=(
+                    ladder.level.label if ladder is not None else "normal"
+                ))
         on_step()
+
+
+class ValidatorPool:
+    """The scaling policy (§3.5): which validation cores run a validator.
+
+    Static starts every core.  Dynamic starts one and keeps the rest in
+    reserve, starting one whenever some closure's recent validation
+    latency runs 50% above the global average (:meth:`scale`), and one in
+    place of a started validator that stops serving (:meth:`retire`) —
+    else the death of the one started validator would strand the plane
+    while the reserve sits idle.
+    """
+
+    def __init__(self, session: DriverSession, plane: Plane):
+        self.session, self.plane = session, plane
+        val_cores = session.val_cores
+        self.reserve = val_cores[1:] if session.config.dynamic_scaling else []
+        self.validators: list[Any] = []
+        for core_id in val_cores[:len(val_cores) - len(self.reserve)]:
+            self.spawn(core_id)
+
+    def spawn(self, core_id: int) -> None:
+        session, supervisor = self.session, self.plane.supervisor
+        if supervisor is not None:
+            supervisor.alive.add(core_id)
+        self.validators.append(session.env.process(validator_process(
+            session, session.runtime.machine.core(core_id), self.plane,
+            session.track_memory, self.retire,
+        )))
+
+    def retire(self, core_id: int) -> None:
+        """A started validator stopped serving (each does so at most once)."""
+        supervisor = self.plane.supervisor
+        if supervisor is not None:
+            supervisor.alive.discard(core_id)
+        if self.reserve:
+            self.spawn(self.reserve.pop(0))
+
+    def scale(self):
+        session = self.session
+        while self.reserve and not session.apps_done:
+            yield session.env.timeout(5e-6)
+            if session.runtime.latency.closures_needing_help():
+                self.spawn(self.reserve.pop(0))
 
 
 # ----------------------------------------------------------------------
@@ -755,93 +931,64 @@ def run_vanilla_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
 
 
 # ----------------------------------------------------------------------
-# Orthrus — the plain plane
+# Orthrus
 # ----------------------------------------------------------------------
 def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    """The Orthrus deployment: logging + asynchronous sampled validation."""
-    if config.fault_tolerance is not None or config.validator_faults is not None:
-        # The fault-tolerant plane (bounded queues + watchdog +
-        # degradation ladder) runs the same session over its own loop.
-        from repro.harness.chaos import run_chaos_server
-
-        return run_chaos_server(scenario, n_ops, config)
+    """The Orthrus deployment: logging + asynchronous sampled validation,
+    over the plane policies ``fault_tolerance`` / ``validator_faults``
+    choose (DESIGN §10.5)."""
     if config.validation_cores < 1:
         raise ConfigurationError("Orthrus needs at least one validation core")
-    # The plain plane: a reliable, unbounded, work-conserving shared
-    # store drained by immortal validator cores.
     session = DriverSession.open(scenario, n_ops, config)
     if session.result.crashed:
         return session.result
-    env, runtime, obs = session.env, session.runtime, session.obs
-    pending_bytes = session.pending_bytes
-    log_store = Store(env)
-    if obs.enabled:
-        # The shared log store is the pipeline's (work-conserving) analogue
-        # of the per-core queues; expose its depth the same way.
-        obs.registry.gauge(
-            "orthrus_log_store_depth",
-            help="pending closure logs in the shared validation store",
-        ).set_function(lambda: float(len(log_store)))
-    session.attach_observers()
-
-    def enqueue(log):
-        log.enqueue_time = env.now
-        pending_bytes[0] += log.approx_bytes()
-        log_store.put(log)
-        return ()  # the store is unbounded: nothing for the producer to wait out
-
-    def submit(log):
-        waits = enqueue(log)
+    env, obs = session.env, session.obs
+    if config.fault_tolerance is None and config.validator_faults is None:
+        plane = Plane(StoreAdmission(session))
         if obs.enabled:
-            # QueueSet emits these on the bounded plane; the bare Store
-            # cannot, so the driver does — for organic logs only.
-            obs.registry.counter(
-                "orthrus_queue_pushes_total", {"queue": "store"},
-                help="closure logs enqueued for validation",
-            ).inc()
-            obs.tracer.emit(
-                "queue.push", ts=env.now, queue="store", seq=log.seq,
-                closure=log.closure_name, depth=len(log_store),
-            )
-        return waits
-
-    session.start_apps(submit)
-    val_cores = session.val_cores
-    validators: list[Any] = []
-
-    def spawn_validator(core_id: int) -> None:
-        validators.append(env.process(validator_process(
-            session, runtime.machine.core(core_id), log_store, session.track_memory
-        )))
-
-    if config.dynamic_scaling:
-        # §3.5 dynamic scaling: one validation thread to start; the
-        # scheduler launches another whenever some closure's recent
-        # validation latency runs 50% above the global average, up to the
-        # configured core budget.
-        spawn_validator(val_cores[0])
-        reserve = val_cores[1:]
-
-        def scaling_monitor():
-            while reserve and not session.apps_done:
-                yield env.timeout(5e-6)
-                if runtime.latency.closures_needing_help():
-                    spawn_validator(reserve.pop(0))
-
-        env.process(scaling_monitor())
+            # The shared store is the work-conserving analogue of the
+            # per-core queues; expose its depth the same way.
+            store = plane.admission.store
+            obs.registry.gauge(
+                "orthrus_log_store_depth",
+                help="pending closure logs in the shared validation store",
+            ).set_function(lambda: float(len(store)))
     else:
-        for core_id in val_cores:
-            spawn_validator(core_id)
-    session.start_observers(enqueue, lambda: session.apps_done)
+        from repro.harness.chaos import fault_tolerant_plane
+
+        plane = fault_tolerant_plane(session)
+    supervisor = plane.supervisor
+    session.attach_observers()
+    if supervisor is not None and session.drift is not None:
+        # The conservation ledger is the residual-drift signal: work
+        # outstanding while nothing settles means the plane is wedged.
+        session.drift.attach_ledger(supervisor.ledger)
+    app_threads = session.start_apps(plane.admission.submit)
+    pool = ValidatorPool(session, plane)
+    if config.dynamic_scaling:
+        env.process(pool.scale())
+    if supervisor is not None:
+        env.process(supervisor.ticker())
+    session.start_observers(plane.admission.submit_canary)
 
     def coordinator():
-        yield from session.wait_for_apps()
-        for _ in validators:
-            log_store.put(_SENTINEL)
-        yield env.all_of(validators)
+        yield env.all_of(app_threads)
+        # Every app thread is done: stamp the duration, open the drain window.
+        session.apps_done = True
+        session.metrics.duration = env.now
+        session.deadline[0] = env.now * (1 + config.drain_grace_fraction)
+        if supervisor is None:
+            session.quiesced = True
+            yield from plane.admission.shut(pool.validators)
+        else:
+            yield from supervisor.drain()
 
     env.run(until=env.process(coordinator()))
-    return session.finish()
+    result = session.finish()
+    if supervisor is not None:
+        result.ft = supervisor.report()
+    return result
+
 
 # ----------------------------------------------------------------------
 # RBV
@@ -854,43 +1001,35 @@ def run_rbv_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     primary pays serialization + batched network forwarding and stalls at
     the replication-lag bound.
     """
-    env = Environment()
+    # The primary is the unmodified application; detections are the
+    # replica's, not a validator's.
+    session = DriverSession.open(scenario, n_ops, config, orthrus=False)
+    result, metrics, env, ops = session.result, session.metrics, session.env, session.ops
+    result.runtime = None
+    if result.crashed:
+        return result
+    primary_runtime, primary = session.runtime, session.server
+    primary_machine = primary_runtime.machine
     costs = config.costs
     batch_size = config.rbv_batch_size or costs.rbv_batch_size
-
-    def build_instance(machine: Machine) -> tuple[OrthrusRuntime, Any]:
-        runtime = OrthrusRuntime(
-            machine=machine,
-            app_cores=list(range(config.app_threads)),
-            validation_cores=[config.app_threads],
-            clock=SimClock(env),
-            mode="external",
-            checksums=False,
-            hold_versions=False,
-        )
-        server = scenario.build(runtime)
-        scenario.setup(server)
-        return runtime, server
-
-    primary_machine = config.build_machine()
     replica_machine = Machine(
         cores_per_node=config.app_threads + 1, numa_nodes=1, seed=config.seed + 7919
     )
+    replica = scenario.build(OrthrusRuntime(
+        machine=replica_machine,
+        app_cores=list(range(config.app_threads)),
+        validation_cores=[config.app_threads],
+        clock=SimClock(env),
+        mode="external",
+        checksums=False,
+        hold_versions=False,
+    ))
     try:
-        primary_runtime, primary = build_instance(primary_machine)
-        _, replica = build_instance(replica_machine)
+        scenario.setup(replica)
     except Exception as exc:
-        return RunResult(
-            metrics=RunMetrics(),
-            crashed=True,
-            crash_reason=f"setup: {type(exc).__name__}: {exc}",
-        )
-    for core_id, fault in config.deferred_faults:
-        primary_machine.arm(core_id, fault)
-
-    ops = scenario.make_ops(n_ops, config.seed)
-    metrics = RunMetrics()
-    result = RunResult(metrics=metrics, runtime=None)
+        result.crashed = True
+        result.crash_reason = f"setup: {type(exc).__name__}: {exc}"
+        return result
     responses_by_index: dict[int, Any] = {}
     repl_store = Store(env)
     inflight = [0]

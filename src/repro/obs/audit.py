@@ -530,36 +530,6 @@ class QuarantineKeepsPool(AuditRule):
         ]
 
 
-class DynamicScalingHonoured(AuditRule):
-    rule_id = "dynamic-scaling-ignored"
-    description = (
-        "dynamic validator scaling is only requested on the plane that "
-        "implements it"
-    )
-    remediation = (
-        "drop dynamic_scaling, or drop fault_tolerance / validator_faults"
-    )
-
-    def check(self, config) -> list[Finding]:
-        if not getattr(config, "dynamic_scaling", False):
-            return []
-        if (
-            getattr(config, "fault_tolerance", None) is None
-            and getattr(config, "validator_faults", None) is None
-        ):
-            return []
-        return [
-            self.finding(
-                "pipeline",
-                "dynamic_scaling is set, but fault_tolerance / "
-                "validator_faults select the fault-tolerant plane, which "
-                "starts every validation core up front — the request "
-                "would be silently ignored",
-                dynamic_scaling=True,
-            )
-        ]
-
-
 def pipeline_rules(known_closures=None) -> tuple:
     """The static rule set for one :class:`PipelineConfig`."""
     return (
@@ -572,7 +542,6 @@ def pipeline_rules(known_closures=None) -> tuple:
         QueueCapacityPositive(),
         ComponentConfigsValid(),
         QuarantineKeepsPool(),
-        DynamicScalingHonoured(),
     )
 
 

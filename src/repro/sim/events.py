@@ -134,6 +134,13 @@ class Store:
             self._getters.append(event)
         return event
 
+    def unget(self, item: Any) -> None:
+        """Return an item a getter took back to the head of the channel."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.appendleft(item)
+
     def __len__(self) -> int:
         return len(self._items)
 

@@ -12,11 +12,12 @@ import pytest
 
 from repro.faultinject.validator_faults import ValidatorChaosConfig
 from repro.harness.pipeline import (
+    DriverSession,
     PipelineConfig,
     run_orthrus_server,
     run_vanilla_server,
 )
-from repro.harness.scenarios import memcached_scenario
+from repro.harness.scenarios import masstree_scenario, memcached_scenario
 from repro.obs.observability import Observability
 from repro.obs.timeseries import TimeSeriesConfig
 from repro.runtime.degradation import (
@@ -118,7 +119,7 @@ class TestConservationUnderValidatorFaults:
 
     def test_validator_faults_alone_select_chaos_driver(self):
         # validator_faults without an explicit FaultToleranceConfig must
-        # still route to the fault-tolerant driver.
+        # still choose the fault-tolerant policies.
         scenario = memcached_scenario(n_keys=30)
         config = PipelineConfig(
             seed=3,
@@ -153,6 +154,37 @@ class TestOffenderQuarantine:
         assert victim_core in result.ft.quarantined_validators
         assert result.ft.conserved
         assert result.detections == 0
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_backlog_handoff_counts_pending_bytes_once(self, monkeypatch, seed):
+        # Slowed validators miss a 20 µs deadline twice and are quarantined
+        # with logs still queued; handing that backlog to the healthy
+        # queues must not count its bytes a second time, or
+        # memory_in_use() (the Fig-10 budget signal) stays inflated.
+        pending_at_finish = []
+        finish = DriverSession.finish
+
+        def recording(session):
+            pending_at_finish.append(session.pending_bytes[0])
+            return finish(session)
+
+        monkeypatch.setattr(DriverSession, "finish", recording)
+        config = PipelineConfig(
+            seed=seed,
+            app_threads=4,
+            validation_cores=4,
+            sampler=AlwaysSampler(),
+            fault_tolerance=FaultToleranceConfig(
+                watchdog=WatchdogConfig(deadline=20e-6), check_interval=10e-6
+            ),
+            validator_faults=ValidatorChaosConfig.parse(
+                ["slowdown=0.5"], seed=seed, slowdown_factor=200
+            ),
+        )
+        result = run_orthrus_server(masstree_scenario(), 600, config)
+        assert result.ft.quarantined_validators
+        assert result.ft.ledger["outstanding"] == 0
+        assert pending_at_finish == [0]
 
 
 class TestTotalValidationPlaneDeath:

@@ -11,10 +11,14 @@ cover four configurations; this grid covers the options they leave out.
 The two ``lsmtree-compacting`` entries, and ``peak_live_bytes`` on every
 lsmtree entry, were recorded at the commit before ``LsmTree`` began keeping
 ``disk_bytes`` as a running total (same ``_run``, that commit's ``src``).
+The two ``validator-quarantine`` entries were recorded at the commit
+before the plain and fault-tolerant planes became one validator loop
+(same ``_run``, that commit's ``src``).
 
 ``PERMITTED`` lists, by config key, the only fields allowed to differ from
-the fixture and why: the canary-deadline bug fix, and the two places where
-the validator loops had drifted apart and now share one decide step.
+the fixture and why: the canary-deadline bug fix, the two places where
+the validator loops had drifted apart and now share one decide step, and
+the plain plane's quarantined validator that kept validating.
 """
 
 import functools
@@ -54,6 +58,9 @@ _SIMD_FAULT = (
     (0, Fault(unit=Unit.SIMD, kind=FaultKind.BITFLIP, bit=3,
               site=Site("mc.set", "vsum", 0))),
 )
+#: unscoped: only the re-executions on validation core 2 compute wrongly,
+#: so the response layer quarantines core 2 early in the run
+_VALIDATOR_FAULT = ((2, Fault(unit=Unit.SIMD, kind=FaultKind.BITFLIP, bit=3)),)
 _OVERLOAD = dict(app_threads=4, validation_cores=1, seed=3)
 _CHAOS = dict(
     validation_cores=4,
@@ -98,6 +105,9 @@ GRID = {
                                   deferred_faults=_SIMD_FAULT)),
     "plain/deferred-fault": (run_orthrus_server, memcached_scenario, 200,
                              dict(deferred_faults=_SIMD_FAULT)),
+    "plain/validator-quarantine": (run_orthrus_server, memcached_scenario, 400,
+                                   dict(response=ResponseConfig(),
+                                        deferred_faults=_VALIDATOR_FAULT)),
     "plain/overload-all-observers": (run_orthrus_server, masstree_scenario, 500,
                                      dict(_OVERLOAD, **_ALL_OBSERVERS)),
     "plain/canary-past-deadline": (run_orthrus_server, masstree_scenario, 600,
@@ -123,6 +133,9 @@ GRID = {
     "ft/response-fault": (run_orthrus_server, memcached_scenario, 200,
                           dict(fault_tolerance=_ft(), response=ResponseConfig(),
                                deferred_faults=_SIMD_FAULT)),
+    "ft/validator-quarantine": (run_orthrus_server, memcached_scenario, 400,
+                                dict(fault_tolerance=_ft(), response=ResponseConfig(),
+                                     deferred_faults=_VALIDATOR_FAULT)),
     "ft/chaos-all-observers": (run_orthrus_server, memcached_scenario, 300,
                                dict(_CHAOS, sampler=AlwaysSampler, **_ALL_OBSERVERS)),
     "ft/overload-ladder": (run_orthrus_server, masstree_scenario, 500,
@@ -163,14 +176,22 @@ _CANARY_DEADLINE = (
     "canaries dequeued past the drain deadline no longer count as organic "
     "skips / validator drops (nor tick the reclaimer's batch counter)"
 )
+_QUARANTINED_VALIDATOR = (
+    "a quarantined validation core now leaves the loop on the plain plane "
+    "too, handing back the log it dequeued, instead of validating (and "
+    "detecting) for the rest of the run"
+)
 _PAST_DEADLINE = dict.fromkeys(
     ("skipped", "registry", "registry_series", "trace_events"), _CANARY_DEADLINE
 )
+#: recorded after the decide step was shared, so no decision-event allowance
+_RECORDED_AFTER_SHARED_DECIDE = {"ft/validator-quarantine"}
 PERMITTED = {
     **{
         key: {"trace_events": _DECISION_EVENT}
         for key, (_, _, _, overrides) in GRID.items()
         if key.startswith("ft/") and overrides.get("obs", True) is not None
+        and key not in _RECORDED_AFTER_SHARED_DECIDE
     },
     "ft/canary": {"trace_events": _DECISION_EVENT, "registry": _CANARY_SIGNAL},
     "ft/chaos-all-observers": {
@@ -180,6 +201,9 @@ PERMITTED = {
         "trace_events": _DECISION_EVENT, "registry": _CANARY_SIGNAL,
     },
     "plain/canary-past-deadline": _PAST_DEADLINE,
+    "plain/validator-quarantine": dict.fromkeys(
+        ("detections", "registry", "spans", "trace_events"), _QUARANTINED_VALIDATOR
+    ),
     "ft/canary-past-deadline": _PAST_DEADLINE,
 }
 

@@ -1,28 +1,44 @@
-"""One driver session, two planes: what the planes must agree on.
+"""One driver session, one validator loop: what the planes must agree on.
 
-Three contracts of the shared stages in ``harness/pipeline.py``:
-canaries dequeued past the drain deadline are not organic coverage loss
-(the shared settlement step); the plain plane, the fault-tolerant plane
-and library ``queued`` mode report a log's lifecycle in one vocabulary
-(the shared decide step); and a request the selected plane cannot honour
-(``dynamic_scaling`` on the fault-tolerant plane) fails closed.
+The plain plane is the fault-tolerant plane with null policies
+(DESIGN §10.5).  Contracts of the shared stages and the one loop in
+``harness/pipeline.py``: canaries dequeued past the drain deadline are not
+organic coverage loss (the shared settlement step); the plain plane, the
+fault-tolerant plane and library ``queued`` mode report a log's lifecycle
+in one vocabulary (the shared decide step); dynamic scaling and validator
+quarantine behave the same on every plane; plain and idle fault-tolerant
+runs compute the same thing; and there is only one loop to hold to it.
 """
 
-import pytest
+import ast
+import json
+import pathlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.harness.pipeline as pipeline
 from repro.cli import main
-from repro.errors import ConfigurationError
 from repro.faultinject.validator_faults import ValidatorChaosConfig
-from repro.harness.chaos import run_chaos_server
 from repro.harness.pipeline import PipelineConfig, run_orthrus_server
-from repro.harness.scenarios import masstree_scenario, memcached_scenario
+from repro.harness.scenarios import (
+    lsmtree_scenario,
+    masstree_scenario,
+    memcached_scenario,
+)
 from repro.machine.cpu import Machine
+from repro.machine.faults import Fault, FaultKind
+from repro.machine.units import Unit
 from repro.obs import Observability
 from repro.obs.audit import audit_pipeline
 from repro.obs.canary import CANARY_CLOSURE, CanaryConfig
+from repro.response import ResponseConfig
 from repro.runtime.degradation import FaultToleranceConfig
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.runtime.sampling import AlwaysSampler
+from repro.validation.validator import Validator
+
+HARNESS = pathlib.Path(pipeline.__file__).parent
 
 #: unbounded, ladder off: the fault-tolerant loop with nothing to tolerate
 _FT_IDLE = FaultToleranceConfig(queue_capacity=None, degradation=None)
@@ -138,30 +154,192 @@ class TestTelemetryVocabulary:
             assert queued_spans == spans - self.DES_ONLY_SPANS, outcome
 
 
-class TestDynamicScalingFailsClosed:
-    """The fault-tolerant plane starts every validator up front, so it must
-    refuse ``dynamic_scaling`` instead of silently ignoring it."""
+class TestDynamicScalingEverywhere:
+    """§3.5 dynamic scaling is a policy of the one loop, so the overloaded
+    4-app / 2-validation shape grows its pool on every plane."""
 
-    def test_doctor_names_the_rule(self, capsys):
-        rc = main(["doctor", "--config",
-                   "tests/fixtures/doctor_bad_dynamic_scaling.json"])
-        assert rc == 1
-        assert "dynamic-scaling-ignored" in capsys.readouterr().out
+    @staticmethod
+    def _run(monkeypatch, selector, dynamic_scaling):
+        spawned = []
+        loop = pipeline.validator_process
+
+        def counting(session, core, *args):
+            spawned.append(core.core_id)
+            return loop(session, core, *args)
+
+        monkeypatch.setattr(pipeline, "validator_process", counting)
+        config = PipelineConfig(app_threads=4, validation_cores=2, seed=3,
+                                dynamic_scaling=dynamic_scaling, **selector)
+        result = run_orthrus_server(masstree_scenario(), 200, config)
+        assert not result.crashed, result.crash_reason
+        return result, spawned
 
     @pytest.mark.parametrize("selector", [
+        {},
         dict(fault_tolerance=FaultToleranceConfig()),
         dict(validator_faults=ValidatorChaosConfig.parse(["hang=1"], seed=1)),
-    ], ids=["fault_tolerance", "validator_faults"])
-    def test_rule_and_driver_entry_agree(self, selector):
-        config = PipelineConfig(dynamic_scaling=True, **selector)
-        errors = audit_pipeline(config).errors
-        assert [f.rule for f in errors] == ["dynamic-scaling-ignored"]
-        for runner in (run_orthrus_server, run_chaos_server):
-            with pytest.raises(ConfigurationError, match="dynamic_scaling"):
-                runner(memcached_scenario(), 10, config)
+    ], ids=["plain", "fault_tolerance", "validator_faults"])
+    def test_scales_like_static(self, monkeypatch, selector):
+        dynamic, spawned = self._run(monkeypatch, selector, dynamic_scaling=True)
+        static, _ = self._run(monkeypatch, selector, dynamic_scaling=False)
+        assert len(spawned) > 1, spawned
+        assert dynamic.digest == static.digest
+        if dynamic.ft is None:
+            assert dynamic.metrics.validated + dynamic.metrics.skipped == 200
+        else:
+            assert dynamic.ft.conserved, dynamic.ft.ledger
+            assert dynamic.ft.ledger["enqueued"] == 200
+        assert audit_pipeline(PipelineConfig(dynamic_scaling=True, **selector)).ok
 
-    def test_plain_plane_still_scales(self):
-        config = PipelineConfig(dynamic_scaling=True)
-        assert audit_pipeline(config).ok
-        result = run_orthrus_server(memcached_scenario(), 50, config)
-        assert result.metrics.validated + result.metrics.skipped == 50
+    def test_crashing_pool_falls_back_like_static(self):
+        """Every validator crashes: each death starts a reserve core until
+        none is left, then the total-death sweep settles the stranded logs
+        by the CRC fallback and sheds blocked producers, as the static run
+        does — the run ends instead of polling forever."""
+
+        def run(dynamic_scaling):
+            config = PipelineConfig(
+                app_threads=4, validation_cores=2, seed=3,
+                dynamic_scaling=dynamic_scaling,
+                fault_tolerance=FaultToleranceConfig(
+                    queue_capacity=8, overflow_policy="block-producer"
+                ),
+                validator_faults=ValidatorChaosConfig.parse(["crash=0.99"], seed=1),
+            )
+            return run_orthrus_server(masstree_scenario(), 200, config)
+
+        dynamic, static = run(True), run(False)
+        assert dynamic.ft.faulted_cores == {"crash": [4, 5]}
+        assert dynamic.ft.conserved, dynamic.ft.ledger
+        assert dynamic.ft.ledger["fallback"] > 0
+        assert "shutdown-drain" not in dynamic.ft.ledger["drop_reasons"]
+        assert dynamic.ft.ledger == static.ft.ledger
+        assert dynamic.digest == static.digest
+
+    def test_doctor_accepts_the_combination(self, tmp_path, capsys):
+        spec = tmp_path / "dynamic_scaling.json"
+        spec.write_text(json.dumps({"pipeline": {
+            "validation_cores": 4,
+            "dynamic_scaling": True,
+            "fault_tolerance": {"queue_capacity": 64},
+        }}))
+        assert main(["doctor", "--config", str(spec)]) == 0
+        assert "no contradictions found" in capsys.readouterr().out
+
+
+class TestQuarantinedValidator:
+    """A validation core the response layer quarantines leaves the loop on
+    every plane, handing back the log it had dequeued.  Under dynamic
+    scaling core 2 is the one started validator, so the reserve core 3
+    must take its place or the safe-mode holds never release."""
+
+    @pytest.mark.parametrize("dynamic_scaling", [False, True], ids=["static", "dynamic"])
+    @pytest.mark.parametrize("fault_tolerance", [None, FaultToleranceConfig()],
+                             ids=["plain", "fault-tolerant"])
+    def test_never_validates_after_quarantine(self, monkeypatch, fault_tolerance,
+                                              dynamic_scaling):
+        calls = []
+        validate = Validator.validate
+
+        def recording(self, log, core):
+            calls.append((core.core_id, self._clock.now()))
+            return validate(self, log, core)
+
+        monkeypatch.setattr(Validator, "validate", recording)
+        config = PipelineConfig(
+            seed=7, response=ResponseConfig(), fault_tolerance=fault_tolerance,
+            dynamic_scaling=dynamic_scaling, safe_mode=True,
+            deferred_faults=((2, Fault(unit=Unit.SIMD, kind=FaultKind.BITFLIP, bit=3)),),
+        )
+        result = run_orthrus_server(memcached_scenario(), 400, config)
+        assert result.incident.quarantined_cores == [2]
+        quarantined_at = next(
+            entry.time for entry in result.incident.timeline
+            if entry.kind == "quarantine"
+        )
+        assert any(core == 2 for core, _ in calls)
+        assert [t for core, t in calls if core == 2 and t > quarantined_at] == []
+        assert result.metrics.validated + result.metrics.skipped == 400
+        assert result.detections == 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    scenario=st.sampled_from([memcached_scenario, masstree_scenario, lsmtree_scenario]),
+    shape=st.sampled_from([(1, 1), (2, 1), (2, 2), (4, 1), (2, 4)]),
+    seed=st.integers(1, 3),
+    n_ops=st.integers(20, 200),
+)
+def test_plain_and_idle_fault_tolerant_planes_agree(scenario, shape, seed, n_ops):
+    """Same computation, same clock: digest, operations, duration and
+    detections agree.  Validated, skipped and peak bytes are deliberately
+    not compared: the plain plane replays at dispatch and the supervised
+    one at completion, so the latter holds versions longer, and per-core
+    queues give the sampler a different delay signal than the shared
+    store."""
+    app_threads, validation_cores = shape
+    results = [
+        run_orthrus_server(scenario(), n_ops, PipelineConfig(
+            app_threads=app_threads, validation_cores=validation_cores, seed=seed,
+            fault_tolerance=fault_tolerance,
+        ))
+        for fault_tolerance in (None, _FT_IDLE)
+    ]
+    plain, supervised = (
+        (r.digest, r.metrics.operations, r.metrics.duration, r.detections)
+        for r in results
+    )
+    assert plain == supervised
+
+
+def _own_nodes(function):
+    """The nodes of ``function``'s own body, not of functions nested in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _harness_functions():
+    for path in sorted(HARNESS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{path.stem}.{node.name}", node
+
+
+class TestOneLoop:
+    """The plain plane is not a second driver: one validator generator, one
+    ``run_orthrus_server`` body, and ``run_chaos_server`` is a default."""
+
+    def test_exactly_one_generator_decides(self):
+        deciders = []
+        for name, function in _harness_functions():
+            own = list(_own_nodes(function))
+            generator = any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own)
+            if generator and any(
+                isinstance(n, ast.Attribute) and n.attr == "decide" for n in own
+            ):
+                deciders.append(name)
+        assert deciders == ["pipeline.validator_process"]
+
+    def test_run_orthrus_server_calls_no_other_driver(self):
+        (function,) = (f for name, f in _harness_functions()
+                       if name == "pipeline.run_orthrus_server")
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        assert not {c for c in called if c.startswith("run_") and c.endswith("_server")}
+
+    def test_run_chaos_server_is_one_return(self):
+        (function,) = (f for name, f in _harness_functions()
+                       if name == "chaos.run_chaos_server")
+        body = [
+            node for node in function.body
+            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))
+        ]
+        assert len(body) == 1 and isinstance(body[0], ast.Return)
