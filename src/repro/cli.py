@@ -22,12 +22,11 @@ a saved JSON snapshot as a table (or a ``.jsonl`` trace in total
 ``event_seq`` order).
 
 ``--timeline-out`` additionally attaches the time-series recorder to the
-Orthrus arm, evaluates the stock SLOs (override with repeatable ``--slo``
-specs like ``"validation_lag_p95 p95 <= 200us"``) and saves an
-``orthrus-timeseries/1`` artifact; ``timeline`` renders such an artifact
-as terminal sparklines.  ``bench-compare`` runs the tracked benchmarks,
-writes ``BENCH_<name>.json`` artifacts and diffs them against a baseline
-directory with per-metric direction-aware tolerances.
+Orthrus arm and saves an ``orthrus-timeseries/1`` artifact; ``timeline``
+renders such an artifact as terminal sparklines.  ``bench-compare`` runs
+the tracked benchmarks, writes ``BENCH_<name>.json`` artifacts and diffs
+them against a baseline directory with per-metric direction-aware
+tolerances.
 
 ``respond`` runs one full inject→detect→quarantine→repair incident
 episode and prints the resulting IncidentReport; ``--quarantine`` on
@@ -45,9 +44,9 @@ dispatch → validate → verdict, plus chaos detours) and saves a Chrome
 trace-event file; ``latency-attrib`` folds such a trace (or a metrics
 snapshot's span histograms) into a per-stage waterfall with
 reconciliation.  ``--canary-period`` on perf/latency injects known-corrupt
-canary closures and reports validation-plane liveness; ``obs-summary`` and
-``timeline`` exit with status 3 when a loaded run recorded a missed
-canary.
+canary closures and reports validation-plane liveness; perf/latency, and
+``obs-summary`` / ``timeline`` on a saved run, exit with status 3 when a
+canary missed its deadline.
 
 ``fleet`` simulates a sharded fleet (hundreds of hosts, millions of
 users) with per-shard validator pools and degradation ladders, fanned out
@@ -60,16 +59,15 @@ exits with status 2.
 ``doctor`` statically audits validation-plane configs (a JSON file with
 ``pipeline``/``fleet`` sections, or the stock defaults) for
 contradictions — a quarantined-out validator pool, a watchdog deadline
-outliving its SLO, a sampler targeting unregistered closures — and exits
-1 when any ERROR-severity finding survives; ``--out`` saves the
-``orthrus-audit/1`` artifact (``obs-summary`` renders it).  ``--audit``
-on perf/latency/respond/fleet additionally attaches the *runtime* drift
-monitor, which compares declared config against observed behavior
-(coverage floor, verdict-producing cores, ledger residuals, canary
-liveness) and folds every unvalidated log into the per-closure
-``orthrus_exposure_seconds`` exposure ledger; ``--audit-out`` saves the
-payload.  Auditing is observational: run digests are byte-identical
-with it on or off.
+outliving the fleet's SLO window, a sampler targeting unregistered
+closures — and exits 1 when any ERROR-severity finding survives;
+``--out`` saves the ``orthrus-audit/1`` artifact (``obs-summary`` renders
+it).  ``--audit`` on perf/latency/respond/fleet additionally attaches the
+*runtime* drift monitor, which compares declared config against observed
+behavior (verdict-producing cores, ledger residuals) and folds every
+unvalidated log into the per-closure ``orthrus_exposure_seconds``
+exposure ledger; ``--audit-out`` saves the payload.  Auditing is
+observational: run digests are byte-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -147,7 +145,6 @@ from repro.obs import (
     write_timeline_json,
     write_trace_jsonl,
 )
-from repro.obs.slo import SloObjective
 from repro.response import ResponseConfig
 from repro.runtime.degradation import FaultToleranceConfig
 from repro.sim.metrics import slowdown
@@ -217,9 +214,8 @@ def _make_obs(args) -> Observability | None:
     (the pipeline then runs fully uninstrumented)."""
     timeline_out = getattr(args, "timeline_out", None)
     spans_out = getattr(args, "spans_out", None)
-    wants_slo = bool(getattr(args, "slo", None))
     if args.metrics_out is None and args.trace_out is None and \
-            timeline_out is None and spans_out is None and not wants_slo:
+            timeline_out is None and spans_out is None:
         return None
     for path in (args.metrics_out, args.trace_out, timeline_out, spans_out):
         if path is None:
@@ -257,32 +253,24 @@ def _export_obs(obs: Observability | None, args, run_metrics=None) -> None:
               "(chrome trace; open in Perfetto)")
 
 
-def _timeseries_setup(args):
-    """(TimeSeriesConfig, objectives) for the Orthrus arm, or (None, None).
-
-    ``--slo`` specs replace the stock objectives; with ``--timeline-out``
-    alone the pipeline evaluates its defaults.
-    """
-    timeline_out = getattr(args, "timeline_out", None)
-    specs = getattr(args, "slo", None) or []
-    if timeline_out is None and not specs:
-        return None, None
+def _timeseries_config(args) -> TimeSeriesConfig | None:
+    """The --timeline-out flag's TimeSeriesConfig for the Orthrus arm."""
+    if getattr(args, "timeline_out", None) is None:
+        return None
     try:
-        objectives = [SloObjective.parse(spec) for spec in specs]
+        return TimeSeriesConfig(cadence=args.timeline_cadence)
     except ValueError as exc:
-        raise SystemExit(str(exc))
-    return TimeSeriesConfig(cadence=args.timeline_cadence), (objectives or None)
+        raise SystemExit(f"--timeline-cadence: {exc}")
 
 
 def _report_timeline(result, args) -> None:
-    """Save the timeline artifact and print the SLO verdicts.
+    """Save the timeline artifact.
 
-    Defensive getattrs: the phoenix harness returns its own result type
-    without timeline/slo attributes.
+    Defensive getattr: the phoenix harness returns its own result type
+    without a timeline attribute.
     """
     timeline_out = getattr(args, "timeline_out", None)
     timeline = getattr(result, "timeline", None)
-    slo = getattr(result, "slo", None)
     if timeline_out is not None and timeline is None:
         print(f"timeline           : (the {type(result).__name__} runner "
               "does not attach the recorder; no artifact written)")
@@ -295,16 +283,6 @@ def _report_timeline(result, args) -> None:
             f"timeline           : {timeline.samples_taken} samples, "
             f"{len(timeline.summary())} series -> {timeline_out}"
         )
-    if slo is not None:
-        for line in slo.summary_lines():
-            print(line)
-        report = result.runtime.report
-        if report.anomalies:
-            regimes = ", ".join(
-                f"{regime}={count}"
-                for regime, count in sorted(report.anomaly_regimes().items())
-            )
-            print(f"telemetry anomalies: {regimes}")
 
 
 def _response_config(args, auto_repair: bool = True) -> ResponseConfig | None:
@@ -350,12 +328,16 @@ def _canary_config(args) -> CanaryConfig | None:
         raise SystemExit(str(exc))
 
 
-def _print_canary(result) -> None:
-    """Canary liveness rollup for a RunResult produced with --canary-period."""
+def _finish_canary(result) -> int:
+    """Canary liveness rollup for a RunResult produced with --canary-period.
+
+    Returns this run's exit-status contribution: 3 when a canary missed
+    its detection deadline, else 0.
+    """
     summary = getattr(result, "canary", None)
     if summary is None:
         print("canary liveness    : (runner does not attach the canary plane)")
-        return
+        return int(ExitCode.OK)
     status = "ALARM" if summary["missed"] else "ok"
     print(
         f"canary liveness    : {status} — {summary['issued']} issued, "
@@ -369,6 +351,7 @@ def _print_canary(result) -> None:
         )
     organic = result.runtime.report.count_organic()
     print(f"organic detections : {organic}")
+    return int(ExitCode.CANARY_MISSED) if summary["missed"] else int(ExitCode.OK)
 
 
 def _fault_tolerance_setup(args):
@@ -402,6 +385,10 @@ def _fault_tolerance_setup(args):
     if args.watchdog_deadline is not None:
         deadline = args.watchdog_deadline
         kwargs["watchdog"] = WatchdogConfig(deadline=deadline)
+        try:
+            kwargs["watchdog"].validate()
+        except ConfigurationError as exc:
+            raise SystemExit(str(exc))
         # Tight deadlines need a tick fast enough to notice them expire.
         kwargs["check_interval"] = min(
             FaultToleranceConfig().check_interval, deadline / 8
@@ -502,7 +489,7 @@ def _finish_audit(result, args) -> int:
 #: fail loudly rather than silently auditing nothing
 _DOCTOR_PIPELINE_KEYS = frozenset((
     "app_threads", "validation_cores", "seed", "sampler_targets",
-    "canary", "slos", "fault_tolerance", "quarantine", "audit",
+    "canary", "fault_tolerance", "quarantine", "audit",
     "dynamic_scaling",
 ))
 _DOCTOR_FLEET_KEYS = frozenset((
@@ -531,8 +518,6 @@ def _pipeline_from_spec(spec: dict) -> PipelineConfig:
         kwargs["sampler_targets"] = tuple(spec["sampler_targets"])
     if "canary" in spec:
         kwargs["canary"] = CanaryConfig(**spec["canary"])
-    if "slos" in spec:
-        kwargs["slos"] = [SloObjective.parse(s) for s in spec["slos"]]
     if "audit" in spec:
         kwargs["audit"] = AuditConfig(**spec["audit"])
     ft_spec = spec.get("fault_tolerance")
@@ -615,8 +600,6 @@ def cmd_doctor(args) -> int:
     for key, value in ft_flags.items():
         if value is not None:
             pipeline_spec.setdefault("fault_tolerance", {})[key] = value
-    if args.slo:
-        pipeline_spec["slos"] = list(pipeline_spec.get("slos", ())) + args.slo
     try:
         pipeline = _pipeline_from_spec(pipeline_spec)
     except (ConfigurationError, TypeError, ValueError) as exc:
@@ -650,35 +633,52 @@ def cmd_doctor(args) -> int:
     return int(ExitCode.OK) if report.ok else int(ExitCode.FAILURE)
 
 
+def _arm_configs(args):
+    """(baseline config factory, Orthrus-arm config) for perf/latency.
+
+    The vanilla and RBV arms run bare; every observer, policy and fault
+    flag applies to the Orthrus arm alone.
+    """
+    base = dict(app_threads=args.threads, validation_cores=args.cores, seed=args.seed)
+    obs = _make_obs(args)  # opens the export paths first: fail before any run
+    ft, chaos = _fault_tolerance_setup(args)
+    orthrus = PipelineConfig(
+        **base,
+        obs=obs,
+        response=_response_config(args),
+        timeseries=_timeseries_config(args),
+        fault_tolerance=ft,
+        validator_faults=chaos,
+        canary=_canary_config(args),
+        audit=_audit_enabled(args),
+    )
+    return lambda: PipelineConfig(**base), orthrus
+
+
+def _finish_orthrus_arm(result, config: PipelineConfig, args) -> int:
+    """Print the Orthrus arm's response, canary, fault-tolerance and audit
+    reports, save its artifacts, and return the first nonzero exit status
+    in that order (SAFE_HOLD, CANARY_MISSED, audit FAILURE)."""
+    if args.quarantine:
+        _print_response(result)
+    canary_rc = _finish_canary(result) if config.canary is not None else 0
+    ft_rc = (
+        _finish_fault_tolerance(result, args)
+        if config.fault_tolerance is not None else 0
+    )
+    audit_rc = _finish_audit(result, args)
+    _report_timeline(result, args)
+    _export_obs(config.obs, args, result.metrics)
+    return ft_rc or canary_rc or audit_rc
+
+
 def cmd_perf(args) -> int:
     scenario, orthrus, vanilla, rbv, default_size = _resolve(args.app)
     size = args.ops or default_size
-    obs = _make_obs(args)
-    timeseries, slos = _timeseries_setup(args)
-    ft, chaos = _fault_tolerance_setup(args)
-    canary = _canary_config(args)
-    audit = _audit_enabled(args)
-    config = lambda obs=None, response=None, timeseries=None, slos=None, \
-            ft=None, chaos=None, canary=None, audit=None: PipelineConfig(
-        app_threads=args.threads,
-        validation_cores=args.cores,
-        seed=args.seed,
-        obs=obs,
-        response=response,
-        timeseries=timeseries,
-        slos=slos,
-        fault_tolerance=ft,
-        validator_faults=chaos,
-        canary=canary,
-        audit=audit,
-    )
-    v = vanilla(scenario, size, config())
-    o = orthrus(
-        scenario, size,
-        config(obs, _response_config(args), timeseries, slos, ft, chaos,
-               canary, audit),
-    )
-    r = rbv(scenario, size, config())
+    plain, config = _arm_configs(args)
+    v = vanilla(scenario, size, plain())
+    o = orthrus(scenario, size, config)
+    r = rbv(scenario, size, plain())
     if args.app == "phoenix":
         base = v.metrics.duration
         print(f"vanilla job time : {base * 1e3:.3f} ms")
@@ -690,63 +690,21 @@ def cmd_perf(args) -> int:
         print(f"rbv overhead       : {100 * slowdown(v.metrics.throughput, r.metrics.throughput):.1f}%")
     print(f"orthrus memory ovh : {100 * o.metrics.memory_overhead:.1f}%")
     print(f"validated/skipped  : {o.metrics.validated}/{o.metrics.skipped}")
-    if args.quarantine:
-        _print_response(o)
-    if canary is not None:
-        _print_canary(o)
-    rc = 0
-    if ft is not None or chaos is not None:
-        rc = _finish_fault_tolerance(o, args)
-    rc = rc or _finish_audit(o, args)
-    _report_timeline(o, args)
-    _export_obs(obs, args, o.metrics)
-    return rc
+    return _finish_orthrus_arm(o, config, args)
 
 
 def cmd_latency(args) -> int:
     scenario, orthrus, _vanilla, rbv, default_size = _resolve(args.app)
     size = args.ops or default_size
-    obs = _make_obs(args)
-    timeseries, slos = _timeseries_setup(args)
-    ft, chaos = _fault_tolerance_setup(args)
-    canary = _canary_config(args)
-    audit = _audit_enabled(args)
-    config = lambda obs=None, response=None, timeseries=None, slos=None, \
-            ft=None, chaos=None, canary=None, audit=None: PipelineConfig(
-        app_threads=args.threads,
-        validation_cores=args.cores,
-        seed=args.seed,
-        obs=obs,
-        response=response,
-        timeseries=timeseries,
-        slos=slos,
-        fault_tolerance=ft,
-        validator_faults=chaos,
-        canary=canary,
-        audit=audit,
-    )
-    o = orthrus(
-        scenario, size,
-        config(obs, _response_config(args), timeseries, slos, ft, chaos,
-               canary, audit),
-    )
-    r = rbv(scenario, size, config())
+    plain, config = _arm_configs(args)
+    o = orthrus(scenario, size, config)
+    r = rbv(scenario, size, plain())
     ol, rl = o.metrics.validation_latency, r.metrics.validation_latency
     print(f"orthrus validation latency : mean {ol.mean * 1e6:.2f} us, p95 {ol.p95 * 1e6:.2f} us")
     print(f"rbv validation latency     : mean {rl.mean * 1e6:.2f} us, p95 {rl.p95 * 1e6:.2f} us")
     if ol.mean > 0:
         print(f"ratio                      : {rl.mean / ol.mean:.0f}x")
-    if args.quarantine:
-        _print_response(o)
-    if canary is not None:
-        _print_canary(o)
-    rc = 0
-    if ft is not None or chaos is not None:
-        rc = _finish_fault_tolerance(o, args)
-    rc = rc or _finish_audit(o, args)
-    _report_timeline(o, args)
-    _export_obs(obs, args, o.metrics)
-    return rc
+    return _finish_orthrus_arm(o, config, args)
 
 
 def cmd_coverage(args) -> int:
@@ -877,7 +835,9 @@ def cmd_respond(args) -> int:
         )
         if ft is not None or chaos is not None:
             ft_rc = _finish_fault_tolerance(stress, args)
-        ft_rc = ft_rc or _finish_audit(stress, args)
+        # evaluated unconditionally: a SAFE_HOLD must not skip the audit report
+        audit_rc = _finish_audit(stress, args)
+        ft_rc = ft_rc or audit_rc
     if args.json is not None:
         payload = json.loads(report.to_json())
         if stress is not None and stress.ft is not None:
@@ -1337,12 +1297,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--timeline-cadence", type=float, default=5e-6, metavar="SIM_S",
             help="sampling cadence in sim-seconds (default: %(default)g)",
         )
-        p.add_argument(
-            "--slo", action="append", default=None, metavar="SPEC",
-            help="SLO objective '<series> <stat> <op> <value>[unit]' "
-            "(e.g. 'validation_lag_p95 p95 <= 200us'); repeatable, "
-            "replaces the stock objectives",
-        )
 
     def fault_tolerance_flags(p):
         p.add_argument(
@@ -1414,11 +1368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--overflow-policy", default=None, metavar="POLICY",
         help="bounded-queue overflow policy to declare (free-form on "
         "purpose: the audit flags unknown policies)",
-    )
-    doctor.add_argument(
-        "--slo", action="append", default=None, metavar="SPEC",
-        help="SLO objective '<series> <stat> <op> <value>[unit]' "
-        "(repeatable)",
     )
     doctor.add_argument(
         "--json", action="store_true",

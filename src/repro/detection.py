@@ -57,35 +57,9 @@ class DetectionReport:
     """Aggregated detections for one run."""
 
     events: list[DetectionEvent] = field(default_factory=list)
-    #: telemetry anomaly flags (EWMA + z-score hooks in
-    #: :class:`repro.obs.slo.SloMonitor`): dicts with ``time``, ``series``,
-    #: ``regime`` (e.g. ``validator-starvation``), ``value``, ``zscore``.
-    anomalies: list[dict] = field(default_factory=list)
 
     def record(self, event: DetectionEvent) -> None:
         self.events.append(event)
-
-    def flag_anomaly(
-        self, time: float, series: str, regime: str, value: float, zscore: float
-    ) -> None:
-        """Attach one telemetry anomaly (validator starvation, lag/depth
-        spikes) to the run's detection record."""
-        self.anomalies.append(
-            {
-                "time": time,
-                "series": series,
-                "regime": regime,
-                "value": value,
-                "zscore": zscore,
-            }
-        )
-
-    def anomaly_regimes(self) -> dict[str, int]:
-        """Anomaly counts keyed by flagged regime."""
-        counts: dict[str, int] = {}
-        for anomaly in self.anomalies:
-            counts[anomaly["regime"]] = counts.get(anomaly["regime"], 0) + 1
-        return counts
 
     @property
     def detected(self) -> bool:
@@ -134,8 +108,7 @@ class DetectionReport:
 
         Keys: ``detected``, ``total``, ``by_kind``, ``by_closure``,
         ``by_app_core`` (core ids stringified for JSON), ``first_time``;
-        plus ``anomalies`` (count + per-regime rollup) whenever the
-        telemetry anomaly hooks flagged anything.
+        plus ``organic`` whenever canary events are among them.
         """
         first = self.first
         summary = {
@@ -149,13 +122,7 @@ class DetectionReport:
         organic = self.count_organic()
         if organic != len(self.events):
             summary["organic"] = organic
-        if self.anomalies:
-            summary["anomalies"] = {
-                "total": len(self.anomalies),
-                "by_regime": self.anomaly_regimes(),
-            }
         return summary
 
     def clear(self) -> None:
         self.events.clear()
-        self.anomalies.clear()

@@ -81,7 +81,6 @@ def _orthrus_with_telemetry(seed: int) -> PipelineConfig:
         seed,
         obs=Observability(trace=False),
         timeseries=TimeSeriesConfig(),
-        slos=[],
     )
 
 

@@ -42,7 +42,6 @@ from repro.memory.version import approx_size
 from repro.obs.audit import AuditConfig, DriftMonitor
 from repro.obs.canary import CanaryScheduler, LivenessMonitor, is_canary_log
 from repro.obs.exposure import ExposureLedger
-from repro.obs.slo import SloMonitor, default_objectives
 from repro.obs.timeseries import (
     TimeSeriesRecorder,
     install_audit_probes,
@@ -114,10 +113,6 @@ class PipelineConfig:
     #: driver runs a virtual-time sampling process over the registry and
     #: lands the recorder on ``RunResult.timeline``
     timeseries: Any = None
-    #: list of ``repro.obs.SloObjective`` evaluated on every telemetry
-    #: tick; None picks :func:`repro.obs.slo.default_objectives`, [] turns
-    #: SLO evaluation off.  The terminal report lands on ``RunResult.slo``
-    slos: Any = None
     #: a ``repro.runtime.degradation.FaultToleranceConfig``; when set the
     #: Orthrus driver swaps the reliable shared log store for the
     #: fault-tolerant policies (bounded per-core queues, watchdog
@@ -178,8 +173,6 @@ class RunResult:
     #: ``repro.obs.TimeSeriesRecorder`` when the run was configured with
     #: ``PipelineConfig.timeseries`` (and obs); None otherwise
     timeline: Any = None
-    #: terminal ``repro.obs.SloReport`` for the same runs
-    slo: Any = None
     #: ``repro.harness.chaos.FaultToleranceReport`` when the run used the
     #: fault-tolerant policies; None otherwise
     ft: Any = None
@@ -254,7 +247,7 @@ class DriverSession:
         #: the declared validator pool (quarantine may shrink the scheduler's)
         self.val_cores = [c.core_id for c in runtime.scheduler.validation_cores]
         self.drift = self.exposure = None
-        self.recorder = self.slo_monitor = self.canary_monitor = None
+        self.recorder = self.canary_monitor = None
         self._request_logs: list[ClosureLog] = []
         self._responses: dict[int, Any] = {}
         #: the exposure window one skipped validation opens: the key stays
@@ -325,23 +318,17 @@ class DriverSession:
 
     def attach_observers(self) -> None:
         """Audit (drift monitor + exposure ledger) and the time-series
-        recorder with its probes and SLO monitor.  Called once the plane's
-        own gauges are registered, so registry order is the plane's."""
+        recorder with its probes.  Called once the plane's own gauges are
+        registered, so registry order is the plane's."""
         config, obs = self.config, self.obs
         if config.audit is not None:
             audit_cfg = AuditConfig() if config.audit is True else config.audit
             self.exposure = ExposureLedger(
                 registry=obs.registry if obs.enabled else None
             )
-            # The declared coverage floor defaults to the sampler's
-            # configured minimum rate — the contract the drift probe holds
-            # observed organic coverage against.
             self.drift = DriftMonitor(
                 audit_cfg,
                 declared_pool=config.validation_cores,
-                coverage_floor=float(
-                    getattr(getattr(self.sampler, "config", None), "min_rate", 0.0)
-                ),
                 metrics=self.metrics,
                 obs=obs,
                 exposure=self.exposure,
@@ -357,14 +344,6 @@ class DriverSession:
                 install_canary_probes(recorder)
             if self.drift is not None:
                 install_audit_probes(recorder)
-            self.slo_monitor = SloMonitor(
-                recorder,
-                objectives=(
-                    config.slos if config.slos is not None else default_objectives()
-                ),
-                tracer=obs.tracer,
-                report=self.runtime.report,
-            )
 
     # -- memory ----------------------------------------------------------
     def track_memory(self) -> None:
@@ -478,8 +457,6 @@ class DriverSession:
             sched = CanaryScheduler(config.canary, seed=config.seed)
             monitor = LivenessMonitor(config.canary, runtime.report, obs=obs)
             self.canary_monitor = monitor
-            if drift is not None:
-                drift.attach_canary(monitor)
 
             def canary_issuer():
                 # Probes ride the same store/queues (and watchdog) as
@@ -674,10 +651,9 @@ class DriverSession:
             result.audit = self.drift.finalize(env.now)
         if self.recorder is not None:
             # Final flush: one forced sample so the tail of the run (the
-            # drain phase) is in the series, then freeze the SLO verdicts.
+            # drain phase) is in the series.
             self.recorder.sample(env.now, force=True)
             result.timeline = self.recorder
-            result.slo = self.slo_monitor.finalize(env.now)
         if runtime.responder is not None and not result.crashed:
             result.incident = runtime.responder.finalize()
         result.digest = self.server.state_digest() if not result.crashed else None

@@ -4,9 +4,9 @@ The nba-stats-scraper incident (ROADMAP item 5) was pure configuration
 drift — the system "correctly waited for processors that would never
 arrive" for three days.  Orthrus's validation plane can rot the same
 way: a validator pool that is entirely quarantined, a watchdog deadline
-that outlives the SLO it is supposed to protect, a sampler targeting
-closures no app registers.  None of these is a *code* failure, so no
-test catches them; each silently converts "protected" into "exposed".
+that outlives the fleet's SLO window, a sampler targeting closures no
+app registers.  None of these is a *code* failure, so no test catches
+them; each silently converts "protected" into "exposed".
 
 This module is the auditor that closes the gap, in two halves:
 
@@ -22,10 +22,11 @@ This module is the auditor that closes the gap, in two halves:
   ``orthrus-audit/1`` artifact.
 
 * **Runtime drift probes** — a :class:`DriftMonitor` polled inside the
-  DES that compares *declared* config against *observed* behavior:
-  organic coverage vs the declared floor, the declared validator pool
-  vs the cores that actually produced verdicts, conservation-ledger
-  residuals, and canary liveness.  Violations become ``audit.violation``
+  DES that compares *declared* config against *observed* behavior: the
+  declared validator pool vs the cores that actually produced verdicts,
+  and conservation-ledger residuals.  Plane liveness is the canaries'
+  job (:mod:`repro.obs.canary`), and DESIGN §14.3 tabulates which alarm
+  answers which failure.  Violations become ``audit.violation``
   trace events (the incident timeline), ``orthrus_audit_violations_total``
   counters, and terminal findings merged into the run's audit payload.
 
@@ -39,6 +40,7 @@ on or off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -289,19 +291,6 @@ def render_audit(payload: dict) -> str:
 # ----------------------------------------------------------------------
 
 
-def _detection_latency_ceiling(slos) -> float | None:
-    """The detection-latency SLO ceiling among declared objectives."""
-    if not slos:
-        return None
-    for objective in slos:
-        if (
-            getattr(objective, "series", "") == "validation_lag_p95"
-            and getattr(objective, "op", "") == "<="
-        ):
-            return float(objective.threshold)
-    return None
-
-
 class ValidatorPoolPresent(AuditRule):
     rule_id = "validator-pool-empty"
     description = "the pipeline declares at least one validation core"
@@ -378,34 +367,6 @@ class CanaryDeadlineOrdered(AuditRule):
                 "schedule, not the plane's health",
                 period=period,
                 deadline=deadline,
-            )
-        ]
-
-
-class WatchdogWithinSlo(AuditRule):
-    rule_id = "watchdog-exceeds-slo"
-    description = "the watchdog fires before the detection-latency SLO burns"
-    remediation = (
-        "lower the watchdog deadline below the detection-latency SLO ceiling"
-    )
-
-    def check(self, config) -> list[Finding]:
-        ft = getattr(config, "fault_tolerance", None)
-        watchdog = getattr(ft, "watchdog", None) if ft is not None else None
-        if watchdog is None:
-            return []
-        ceiling = _detection_latency_ceiling(getattr(config, "slos", None))
-        deadline = float(getattr(watchdog, "deadline", 0.0))
-        if ceiling is None or deadline <= ceiling:
-            return []
-        return [
-            self.finding(
-                "watchdog",
-                f"watchdog deadline {deadline:g}s exceeds the "
-                f"detection-latency SLO ceiling {ceiling:g}s — timeouts "
-                "would be declared after the SLO is already burned",
-                deadline=deadline,
-                slo_ceiling=ceiling,
             )
         ]
 
@@ -536,7 +497,6 @@ def pipeline_rules(known_closures=None) -> tuple:
         ValidatorPoolPresent(),
         SamplerTargetsRegistered(known_closures),
         CanaryDeadlineOrdered(),
-        WatchdogWithinSlo(),
         OverflowPolicyKnown(),
         OverflowPolicyGuarded(),
         QueueCapacityPositive(),
@@ -988,10 +948,8 @@ def audit_fleet(config) -> AuditReport:
 
 #: the drift rule ids a DriftMonitor can raise
 DRIFT_RULES = (
-    "drift-coverage-floor",
     "drift-validator-pool",
     "drift-ledger-residual",
-    "drift-canary-liveness",
 )
 
 
@@ -1002,11 +960,9 @@ class AuditConfig:
     #: virtual seconds between drift probes (matches the fault-tolerance
     #: plane's default check interval, so short CI runs still warm up)
     cadence: float = 25e-6
-    #: probes skipped before coverage/pool drift may flag (startup
-    #: transients: the first logs are still in flight)
+    #: probes skipped before pool drift may flag (startup transients:
+    #: the first logs are still in flight)
     warmup_probes: int = 2
-    #: declared organic coverage floor; None derives the sampler min_rate
-    coverage_floor: float | None = None
     #: declared validator pool size; None derives ``validation_cores``
     declared_pool: int | None = None
     #: consecutive stalled probes (work outstanding, nothing settling)
@@ -1015,14 +971,10 @@ class AuditConfig:
 
     def violations(self) -> list[str]:
         found = []
-        if self.cadence <= 0:
-            found.append("audit cadence must be positive")
+        if not 0 < self.cadence < math.inf:
+            found.append(f"audit cadence must be positive and finite, got {self.cadence}")
         if self.warmup_probes < 0:
             found.append("audit warmup_probes must be >= 0")
-        if self.coverage_floor is not None and not (
-            0.0 <= self.coverage_floor <= 1.0
-        ):
-            found.append("audit coverage_floor must be in [0, 1]")
         if self.declared_pool is not None and self.declared_pool < 1:
             found.append("audit declared_pool must be >= 1")
         if self.residual_probes < 1:
@@ -1050,7 +1002,6 @@ class DriftMonitor:
         config: AuditConfig,
         *,
         declared_pool: int,
-        coverage_floor: float,
         metrics=None,
         obs=None,
         exposure=None,
@@ -1065,13 +1016,7 @@ class DriftMonitor:
             if config.declared_pool is not None
             else declared_pool
         )
-        self._coverage_floor = (
-            config.coverage_floor
-            if config.coverage_floor is not None
-            else coverage_floor
-        )
         self._ledger = None
-        self._canary = None
         self._verdict_cores: set[int] = set()
         self.probes = 0
         self.violation_count = 0
@@ -1079,16 +1024,11 @@ class DriftMonitor:
         self._active: set[tuple] = set()
         self._stalled_probes = 0
         self._last_accounted = -1
-        self._canary_missed_seen = 0
 
     # -- wiring ---------------------------------------------------------
     def attach_ledger(self, ledger) -> None:
         """Watch a :class:`ValidationLedger` for conservation residuals."""
         self._ledger = ledger
-
-    def attach_canary(self, monitor) -> None:
-        """Watch a :class:`LivenessMonitor` for missed probes."""
-        self._canary = monitor
 
     def verdict(self, core_id: int) -> None:
         """A validator core produced a verdict (evidence it is alive)."""
@@ -1154,28 +1094,7 @@ class DriftMonitor:
         warm = self.probes > self.config.warmup_probes
         metrics = self._metrics
         validated = float(getattr(metrics, "validated", 0) or 0)
-        skipped = float(getattr(metrics, "skipped", 0) or 0)
         operations = float(getattr(metrics, "operations", 0) or 0)
-
-        # declared coverage floor vs observed organic coverage
-        decided = validated + skipped
-        if warm and decided >= 16:
-            coverage = validated / decided
-            if coverage < self._coverage_floor:
-                self._flag(
-                    "drift-coverage-floor",
-                    "sampler",
-                    f"observed organic coverage {coverage:.1%} is below the "
-                    f"declared floor {self._coverage_floor:.1%}",
-                    now,
-                    remediation=(
-                        "add validator capacity or lower the declared floor"
-                    ),
-                    coverage=round(coverage, 6),
-                    floor=self._coverage_floor,
-                )
-            else:
-                self._clear("drift-coverage-floor", "sampler", now)
 
         # declared validator pool vs cores that actually produced verdicts
         active = len(self._verdict_cores)
@@ -1221,22 +1140,6 @@ class DriftMonitor:
                         "check the watchdog deadline and validator liveness"
                     ),
                     outstanding=outstanding,
-                )
-
-        # canary liveness vs plan
-        if self._canary is not None:
-            missed = int(getattr(self._canary, "missed", 0))
-            if missed > self._canary_missed_seen:
-                self._canary_missed_seen = missed
-                self._flag(
-                    "drift-canary-liveness",
-                    "canary",
-                    f"{missed} canary probe(s) missed their detection "
-                    "deadline",
-                    now,
-                    remediation="the plane is not detecting — see canary "
-                    "events for the stall window",
-                    missed=missed,
                 )
 
     def finalize(self, now: float) -> dict:

@@ -30,7 +30,8 @@ seed yields the same canary stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from repro.closures.log import ClosureLog
 from repro.detection import CANARY_PREFIX, DetectionEvent, is_canary_closure
@@ -68,7 +69,7 @@ def canary_probe(nonce: int) -> tuple[str, int]:
 
 @dataclass(slots=True)
 class CanaryConfig:
-    """Injection cadence and liveness SLO for canary probes."""
+    """Injection cadence and detection deadline for canary probes."""
 
     #: virtual seconds between injected canaries (first at one period)
     period: float = 200e-6
@@ -84,10 +85,12 @@ class CanaryConfig:
 
     def violations(self) -> list[str]:
         found = []
-        if self.period <= 0:
-            found.append("canary period must be positive")
-        if self.deadline <= 0:
-            found.append("canary deadline must be positive")
+        if not 0 < self.period < math.inf:
+            found.append(f"canary period must be positive and finite, got {self.period}")
+        if not 0 < self.deadline < math.inf:
+            found.append(
+                f"canary deadline must be positive and finite, got {self.deadline}"
+            )
         return found
 
     def validate(self) -> None:
@@ -150,8 +153,8 @@ class LivenessMonitor:
     and :meth:`poll` periodically (and once at shutdown, via
     :meth:`finalize`).  ``poll`` scans the detection report for canary
     mismatches, settles detected probes, and converts overdue ones into
-    ``canary.missed`` events fed straight back into the report — where the
-    SLO/burn machinery and the CLI already look for incidents.
+    ``canary.missed`` events fed straight back into the report, which the
+    CLI turns into exit status 3 (``ExitCode.CANARY_MISSED``).
     """
 
     def __init__(self, config: CanaryConfig, report, obs=None):

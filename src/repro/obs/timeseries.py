@@ -22,8 +22,8 @@ Probes turn cumulative registry families into per-interval series values:
   sampler skip *rate*, not the cumulative skip count);
 * :class:`HistogramWindowProbe` — a percentile of only the observations
   recorded since the previous tick (bucket-count diff + interpolation),
-  which is what an SLO burn-rate wants — the cumulative p95 forgets
-  nothing and therefore never recovers.
+  so the series recovers after a stall — the cumulative p95 forgets
+  nothing and therefore never does.
 
 The artifact format is ``orthrus-timeseries/1`` (see DESIGN.md §9); it
 round-trips through :meth:`TimeSeriesRecorder.to_dict` /
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "SeriesBucket",
@@ -275,11 +275,8 @@ class TimeSeries:
         return self.buckets[-1].stat(stat)
 
     def window(self, start: float, end: float) -> SeriesBucket:
-        """Aggregate every bucket overlapping [start, end] into one.
-
-        Used by the SLO monitor: the returned bucket answers mean/p95/max
-        queries over the trailing window.
-        """
+        """Aggregate every bucket overlapping [start, end] into one: the
+        returned bucket answers mean/p95/max queries over the window."""
         pooled = SeriesBucket(start, end)
         for bucket in self.buckets:
             if bucket.t_end < start or bucket.t_start > end:
@@ -497,8 +494,8 @@ class TimeSeriesConfig:
     reservoir: int = 16
 
     def __post_init__(self):
-        if self.cadence <= 0:
-            raise ValueError("cadence must be > 0")
+        if not 0 < self.cadence < math.inf:
+            raise ValueError(f"cadence must be positive and finite, got {self.cadence}")
 
 
 class TimeSeriesRecorder:
@@ -511,10 +508,6 @@ class TimeSeriesRecorder:
         self._probes: dict[str, Any] = {}
         self._last_sample: float | None = None
         self.samples_taken = 0
-        #: called after every accepted sample with (recorder, now) — the
-        #: SLO monitor registers itself here so pipeline drivers only have
-        #: to drive one object.
-        self.listeners: list[Callable[["TimeSeriesRecorder", float], None]] = []
 
     def add_series(self, name: str, probe, unit: str = "") -> TimeSeries:
         if name in self._series:
@@ -540,11 +533,8 @@ class TimeSeriesRecorder:
         return self.config.cadence
 
     def sample(self, now: float, force: bool = False) -> bool:
-        """Take one sample if the cadence has elapsed (or ``force``).
-
-        Returns whether a sample was actually taken, so callers can gate
-        downstream work (SLO evaluation) on it.
-        """
+        """Take one sample if the cadence has elapsed (or ``force``);
+        returns whether a sample was actually taken."""
         last = self._last_sample
         if not force and last is not None and now - last < self.config.cadence:
             return False
@@ -556,8 +546,6 @@ class TimeSeriesRecorder:
             if value is None:
                 continue
             self._series[name].append(now, float(value))
-        for listener in self.listeners:
-            listener(self, now)
         return True
 
     # -- artifact -------------------------------------------------------
@@ -647,8 +635,8 @@ def install_span_probes(recorder: TimeSeriesRecorder) -> None:
 
 def install_canary_probes(recorder: TimeSeriesRecorder) -> None:
     """Canary liveness series: cumulative missed canaries (any non-zero
-    point is an SLO incident — wire ``canary_missed last <= 0`` into the
-    burn windows) and the issue rate for context."""
+    point is a ``canary.missed`` alarm; the ``timeline`` subcommand exits
+    3 on one) and the issue rate for context."""
     recorder.add_series(
         "canary_missed",
         GaugeProbe("orthrus_canary_missed_total"),

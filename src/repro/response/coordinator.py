@@ -261,11 +261,6 @@ class ResponseCoordinator:
         if not self.config.hold_evidence_for_probation:
             self._end_evidence_hold()
         now = self.runtime.heap.now()
-        # Telemetry anomaly flags (SloMonitor's EWMA/z-score hooks land on
-        # the runtime's DetectionReport) are incident evidence too: a
-        # validator-starvation regime explains late detections.
-        for regime, count in self.runtime.report.anomaly_regimes().items():
-            report.add(now, "anomaly", f"{count} {regime} telemetry flag(s)")
         report.add(
             now,
             "report",

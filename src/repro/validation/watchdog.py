@@ -23,6 +23,7 @@ reason, or degraded to a checksum fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,8 +59,10 @@ class WatchdogConfig:
 
     def violations(self) -> list[str]:
         found = []
-        if self.deadline <= 0:
-            found.append("watchdog deadline must be positive")
+        if not 0 < self.deadline < math.inf:
+            found.append(
+                f"watchdog deadline must be positive and finite, got {self.deadline}"
+            )
         if self.max_retries < 0:
             found.append("watchdog retry budget must be >= 0")
         if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:

@@ -17,8 +17,11 @@ before the plain and fault-tolerant planes became one validator loop
 
 ``PERMITTED`` lists, by config key, the only fields allowed to differ from
 the fixture and why: the canary-deadline bug fix, the two places where
-the validator loops had drifted apart and now share one decide step, and
-the plain plane's quarantined validator that kept validating.
+the validator loops had drifted apart and now share one decide step, the
+plain plane's quarantined validator that kept validating, and the one
+``anomaly.flag`` trace event the deleted EWMA hooks emitted.  The two
+``timeseries-slo`` keys keep their names so the fixture stays as
+recorded; they now run the time-series recorder alone.
 """
 
 import functools
@@ -181,6 +184,10 @@ _QUARANTINED_VALIDATOR = (
     "too, handing back the log it dequeued, instead of validating (and "
     "detecting) for the rest of the run"
 )
+_ANOMALY_FLAG = (
+    _DECISION_EVENT + "; and one trace event fewer: the single anomaly.flag "
+    "the EWMA anomaly hooks emitted here is gone with them (DESIGN §14.3)"
+)
 _PAST_DEADLINE = dict.fromkeys(
     ("skipped", "registry", "registry_series", "trace_events"), _CANARY_DEADLINE
 )
@@ -195,10 +202,10 @@ PERMITTED = {
     },
     "ft/canary": {"trace_events": _DECISION_EVENT, "registry": _CANARY_SIGNAL},
     "ft/chaos-all-observers": {
-        "trace_events": _DECISION_EVENT, "registry": _CANARY_SIGNAL,
+        "trace_events": _ANOMALY_FLAG, "registry": _CANARY_SIGNAL,
     },
     "ft/overload-ladder": {
-        "trace_events": _DECISION_EVENT, "registry": _CANARY_SIGNAL,
+        "trace_events": _ANOMALY_FLAG, "registry": _CANARY_SIGNAL,
     },
     "plain/canary-past-deadline": _PAST_DEADLINE,
     "plain/validator-quarantine": dict.fromkeys(

@@ -30,10 +30,8 @@ from repro.obs.audit import (
     render_audit,
 )
 from repro.obs.canary import CanaryConfig
-from repro.obs.slo import SloObjective
 from repro.response.coordinator import ResponseConfig
 from repro.runtime.degradation import FaultToleranceConfig
-from repro.validation.watchdog import WatchdogConfig
 
 
 def _finding(rule="r", severity=Severity.ERROR, subject="s", message="m"):
@@ -157,16 +155,6 @@ class TestPipelineRules:
         report = audit_pipeline(config)
         assert "canary-deadline-inverted" in {f.rule for f in report.errors}
 
-    def test_watchdog_deadline_vs_slo_ceiling(self):
-        config = PipelineConfig(
-            fault_tolerance=FaultToleranceConfig(
-                watchdog=WatchdogConfig(deadline=5e-3)
-            ),
-            slos=(SloObjective.parse("validation_lag_p95 p95 <= 200us"),),
-        )
-        report = audit_pipeline(config)
-        assert "watchdog-exceeds-slo" in {f.rule for f in report.errors}
-
     def test_unknown_overflow_policy(self):
         config = PipelineConfig(
             fault_tolerance=FaultToleranceConfig(overflow_policy="drop-newest")
@@ -257,12 +245,16 @@ class TestFleetRules:
 
 class TestAuditConfig:
     def test_violations_and_validate(self):
-        bad = AuditConfig(cadence=0.0, warmup_probes=-1, coverage_floor=2.0,
-                          declared_pool=0, residual_probes=0)
-        assert len(bad.violations()) == 5
+        bad = AuditConfig(cadence=0.0, warmup_probes=-1, declared_pool=0,
+                          residual_probes=0)
+        assert len(bad.violations()) == 4
         with pytest.raises(ConfigurationError):
             bad.validate()
         assert AuditConfig().violations() == []
+
+    @pytest.mark.parametrize("cadence", [float("nan"), float("inf")])
+    def test_non_finite_cadence_rejected(self, cadence):
+        assert AuditConfig(cadence=cadence).violations()
 
     def test_component_violations_protocol(self):
         assert component_violations(AuditConfig()) == []
@@ -271,9 +263,8 @@ class TestAuditConfig:
 
 
 class _FakeMetrics:
-    def __init__(self, validated=0, skipped=0, operations=0):
+    def __init__(self, validated=0, operations=0):
         self.validated = validated
-        self.skipped = skipped
         self.operations = operations
 
 
@@ -283,34 +274,28 @@ class _FakeLedger:
         self.accounted = accounted
 
 
-class _FakeCanary:
-    def __init__(self, missed=0):
-        self.missed = missed
-
-
 def _monitor(metrics=None, obs=None, **kwargs):
     config = kwargs.pop("config", AuditConfig(warmup_probes=0))
     return DriftMonitor(
         config,
         declared_pool=kwargs.pop("declared_pool", 2),
-        coverage_floor=kwargs.pop("coverage_floor", 0.5),
         metrics=metrics if metrics is not None else _FakeMetrics(),
         obs=obs,
     )
 
 
 class TestDriftMonitor:
-    def test_coverage_floor_violation_and_recovery(self):
+    def test_violation_and_recovery_transitions(self):
         obs = Observability()
-        metrics = _FakeMetrics(validated=2, skipped=30)
-        monitor = _monitor(metrics=metrics, obs=obs)
+        monitor = _monitor(metrics=_FakeMetrics(validated=20), obs=obs)
+        monitor.verdict(0)
         monitor.probe(now=1.0)
-        assert [f.rule for f in monitor.findings] == ["drift-coverage-floor"]
+        assert [f.rule for f in monitor.findings] == ["drift-validator-pool"]
         assert len(obs.tracer.of_kind("audit.violation")) == 1
         # staying in violation emits no duplicate transition events
         monitor.probe(now=2.0)
         assert len(obs.tracer.of_kind("audit.violation")) == 1
-        metrics.validated = 100
+        monitor.verdict(1)
         monitor.probe(now=3.0)
         assert len(obs.tracer.of_kind("audit.recover")) == 1
         # the terminal finding persists: the incident happened
@@ -318,13 +303,13 @@ class TestDriftMonitor:
 
     def test_violation_counter_increments_on_transition(self):
         obs = Observability()
-        monitor = _monitor(metrics=_FakeMetrics(validated=2, skipped=30), obs=obs)
+        monitor = _monitor(metrics=_FakeMetrics(validated=20), obs=obs)
         monitor.probe(now=1.0)
         monitor.probe(now=2.0)
         series = obs.registry.series("orthrus_audit_violations_total")
         assert len(series) == 1
         labels, child = series[0]
-        assert labels == {"rule": "drift-coverage-floor"}
+        assert labels == {"rule": "drift-validator-pool"}
         assert child.value == 1
         assert monitor.violation_count == 1
 
@@ -346,7 +331,7 @@ class TestDriftMonitor:
 
     def test_warmup_probes_suppress_early_flags(self):
         monitor = _monitor(
-            metrics=_FakeMetrics(validated=2, skipped=30),
+            metrics=_FakeMetrics(validated=20),
             config=AuditConfig(warmup_probes=2),
         )
         monitor.probe(now=1.0)
@@ -376,16 +361,6 @@ class TestDriftMonitor:
         monitor.probe(now=3.0)
         assert monitor.findings == []
 
-    def test_canary_liveness(self):
-        monitor = _monitor()
-        canary = _FakeCanary(missed=0)
-        monitor.attach_canary(canary)
-        monitor.probe(now=1.0)
-        assert monitor.findings == []
-        canary.missed = 2
-        monitor.probe(now=2.0)
-        assert [f.rule for f in monitor.findings] == ["drift-canary-liveness"]
-
     def test_finalize_reports_terminal_residual(self):
         monitor = _monitor()
         monitor.attach_ledger(_FakeLedger(outstanding=3, accounted=7))
@@ -405,7 +380,7 @@ class TestDriftMonitor:
         exposure = ExposureLedger()
         exposure.record("cache.get", "sampled-out", 2e-6, 3)
         monitor = DriftMonitor(
-            AuditConfig(), declared_pool=2, coverage_floor=0.5,
+            AuditConfig(), declared_pool=2,
             metrics=_FakeMetrics(), exposure=exposure,
         )
         payload = monitor.finalize(now=1.0)
@@ -417,7 +392,7 @@ class TestDriftMonitor:
         from repro.obs.observability import NULL_OBS
 
         families = len(NULL_OBS.registry.snapshot()["metrics"])
-        monitor = _monitor(metrics=_FakeMetrics(validated=2, skipped=30))
+        monitor = _monitor(metrics=_FakeMetrics(validated=20))
         monitor.probe(now=1.0)
         assert monitor.findings  # the finding is still recorded
         assert len(NULL_OBS.registry.snapshot()["metrics"]) == families

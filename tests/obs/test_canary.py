@@ -63,8 +63,11 @@ class TestScheduler:
         assert log.func(*log.args) != log.retval
 
     def test_config_validation(self):
+        for period in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                CanaryConfig(period=period)
         with pytest.raises(ConfigurationError):
-            CanaryConfig(period=0.0)
+            CanaryConfig(period=1e-4, deadline=float("nan"))
         # a non-positive deadline means "use the default of 3x the period"
         assert CanaryConfig(period=1e-4).deadline == pytest.approx(3e-4)
         assert CanaryConfig(period=1e-4, deadline=-1.0).deadline == \

@@ -156,17 +156,15 @@ class TestObservabilityFlags:
 
 
 class TestTimelineFlags:
-    def test_perf_timeline_out_writes_artifact_and_evaluates_slos(
-        self, tmp_path, capsys
-    ):
+    def test_perf_timeline_out_writes_artifact(self, tmp_path, capsys):
         artifact = tmp_path / "timeline.json"
         assert main([
             "perf", "--app", "memcached", "--ops", "300",
             "--timeline-out", str(artifact),
         ]) == 0
         out = capsys.readouterr().out
-        assert "timeline" in out
-        assert "slo detection-latency" in out
+        assert f"-> {artifact}" in out
+        assert "slo" not in out
 
         from repro.obs import load_timeline
 
@@ -174,25 +172,6 @@ class TestTimelineFlags:
         lag = series["validation_lag_p95"]
         assert lag.total_samples > 0
         assert lag.summary()["p95"] > 0
-
-    def test_custom_slo_spec_replaces_defaults(self, tmp_path, capsys):
-        artifact = tmp_path / "timeline.json"
-        assert main([
-            "latency", "--app", "memcached", "--ops", "300",
-            "--timeline-out", str(artifact),
-            "--slo", "validation_lag_p95 p95 <= 1ns",  # impossible: must breach
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "BREACHED" in out
-        assert "detection-latency" not in out
-
-    def test_bad_slo_spec_fails_fast(self, tmp_path):
-        with pytest.raises(SystemExit, match="bad SLO"):
-            main([
-                "perf", "--app", "memcached", "--ops", "100",
-                "--timeline-out", str(tmp_path / "t.json"),
-                "--slo", "nonsense",
-            ])
 
     def test_timeline_subcommand_renders_artifact(self, tmp_path, capsys):
         artifact = tmp_path / "timeline.json"
@@ -420,7 +399,7 @@ class TestSpanAndCanaryFlags:
             "latency", "--app", "memcached", "--ops", "400",
             "--canary-period", "50e-6", "--validator-faults", "hang=2",
             "--queue-capacity", "256", "--metrics-out", str(snap),
-        ]) == 0
+        ]) == 3
         assert "ALARM" in capsys.readouterr().out
         assert main(["obs-summary", str(snap)]) == 3
         out = capsys.readouterr().out
@@ -437,6 +416,32 @@ class TestSpanAndCanaryFlags:
         capsys.readouterr()
         assert main(["timeline", str(artifact)]) == 3
         assert "canary liveness: ALARM" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["perf", "latency"])
+    @pytest.mark.parametrize(
+        "faults, expected", [(["hang=2"], 3), ([], 0)], ids=["hung", "healthy"]
+    )
+    def test_run_exits_3_on_canary_miss(self, command, faults, expected, capsys):
+        argv = [command, "--app", "memcached", "--ops", "400",
+                "--canary-period", "50e-6", "--queue-capacity", "256"]
+        for spec in faults:
+            argv += ["--validator-faults", spec]
+        assert main(argv) == expected
+        out = capsys.readouterr().out
+        assert ("canary liveness    : ALARM" in out) == bool(expected)
+        assert "log conservation" in out
+
+    def test_canary_miss_still_prints_the_audit(self, capsys):
+        # the exit status picks the first nonzero code, but every report
+        # the flags asked for is still printed
+        assert main([
+            "latency", "--app", "memcached", "--ops", "400",
+            "--canary-period", "50e-6", "--validator-faults", "hang=2",
+            "--queue-capacity", "256", "--audit",
+        ]) == 3
+        out = capsys.readouterr().out
+        assert "drift-validator-pool" in out
+        assert "drift-canary-liveness" not in out
 
     def test_obs_summary_healthy_snapshot_exits_zero(self, tmp_path, capsys):
         snap = tmp_path / "m.json"
@@ -535,14 +540,13 @@ class TestDoctor:
         rc = main([
             "doctor", "--sampler-target", "bogus.closure",
             "--canary-period", "1e-3", "--canary-deadline", "1e-4",
-            "--watchdog-deadline", "5e-3",
-            "--slo", "validation_lag_p95 p95 <= 200us",
+            "--overflow-policy", "drop-newest",
         ])
         assert rc == 1
         out = capsys.readouterr().out
         assert "sampler-target-unknown" in out
         assert "canary-deadline-inverted" in out
-        assert "watchdog-exceeds-slo" in out
+        assert "overflow-policy-unknown" in out
 
     def test_empty_validator_pool_flagged(self, capsys):
         assert main(["doctor", "--cores", "0"]) == 1
@@ -587,6 +591,55 @@ class TestDoctor:
         spec.write_text(json.dumps({"pipeline": {"valdation_cores": 2}}))
         with pytest.raises(SystemExit, match="unknown pipeline key"):
             main(["doctor", "--config", str(spec)])
+
+
+class TestRemovedSloSurface:
+    """The SLO monitor is gone (DESIGN §14.3: one alarm per failure); its
+    flag and doctor key fail closed instead of being accepted and ignored."""
+
+    @pytest.mark.parametrize("command", ["perf", "latency", "doctor"])
+    def test_argparse_rejects_the_slo_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--slo", "validation_lag_p95 p95 <= 200us"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --slo" in capsys.readouterr().err
+
+    def test_doctor_rejects_the_slos_key(self, tmp_path):
+        spec = tmp_path / "c.json"
+        spec.write_text(json.dumps({"pipeline": {"slos": []}}))
+        with pytest.raises(SystemExit, match="unknown pipeline key.*slos"):
+            main(["doctor", "--config", str(spec)])
+
+
+class TestNonFiniteDurations:
+    """A duration flag that is zero, NaN or infinite fails before the run
+    with a one-line message (exit 1), never a traceback or a run that
+    silently cannot alarm."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["perf", "--canary-period", "nan"], "canary period"),
+            (["perf", "--watchdog-deadline", "nan"], "watchdog deadline"),
+            (["perf", "--audit", "--canary-period", "inf"], "canary period"),
+            (["latency", "--canary-deadline", "inf"], "canary deadline"),
+            (["perf", "--timeline-out", "{tmp}/t.json", "--timeline-cadence", "0"],
+             "--timeline-cadence"),
+            (["perf", "--timeline-out", "{tmp}/t.json", "--timeline-cadence", "nan"],
+             "--timeline-cadence"),
+            (["doctor", "--config", "{tmp}/nan.json"], "canary period"),
+        ],
+        ids=["canary-nan", "watchdog-nan", "audit-canary-inf",
+             "canary-deadline-inf", "cadence-zero", "cadence-nan", "doctor-nan"],
+    )
+    def test_fails_closed(self, argv, message, tmp_path, capsys):
+        (tmp_path / "nan.json").write_text('{"pipeline": {"canary": {"period": NaN}}}')
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        code = exc.value.code
+        assert isinstance(code, str) and "\n" not in code  # exit status 1
+        assert message in code and "finite" in code
+        assert capsys.readouterr().out == ""
 
 
 class TestAuditFlags:

@@ -28,6 +28,8 @@ class TestWatchdogConfig:
             {"backoff_base": -1e-6},
             {"backoff_base": 2e-6, "backoff_cap": 1e-6},
             {"offender_threshold": 0},
+            {"deadline": float("nan")},
+            {"deadline": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
