@@ -121,14 +121,18 @@ class FleetTimeline:
         self._series: dict[str, TimeSeries] = {}
 
     def fold(self, series_dicts: dict[str, dict]) -> None:
-        """Merge one shard's serialized series in (name-sorted order)."""
+        """Merge one shard's serialized series in (name-sorted order).
+
+        Each series is decoded here and read by nothing else, so its
+        buckets are absorbed as they are rather than copied by
+        :meth:`TimeSeries.merge`."""
         for name in sorted(series_dicts):
             incoming = TimeSeries.from_dict(series_dicts[name])
             mine = self._series.get(name)
             if mine is None:
                 self._series[name] = incoming
             else:
-                mine.merge(incoming)
+                mine._absorb(incoming, incoming.buckets)
             self.samples_taken += incoming.total_samples
 
     def series(self, name: str) -> TimeSeries | None:

@@ -19,9 +19,19 @@ behind Ceph's straw buckets and envoy's bounded-load ring):
    ``ceil(partitions / shards * cap_factor)``.
 
 The ranking of step 2 is computed lazily: a partition's first preference
-is one ``argmax`` over its row of weights, and the row is sorted only if
-that shard is already full (~3% of rows at 96 shards).  Rows are hashed a
-block at a time, so no ``partitions x shards`` matrix is ever resident.
+is one ``argmax`` over its row of weights (kept as ``first_choice``), and
+the rest of the row matters only if that shard is already full (~3% of
+rows at 96 shards): the row then goes to the highest-weight shard with
+headroom.  Rows are hashed a block at a time, so no ``partitions x
+shards`` matrix is ever resident, and a block in which no first choice can
+reach the cap is placed in bulk.
+
+A failover sub-ring (:meth:`ConsistentHashRing.without`) is derived rather
+than rebuilt: survivors keep their relative order, so a partition whose
+first choice survives keeps it, and only the rows whose first choice left
+— about ``1/S`` of them per removed shard — are hashed, over the
+survivors.  The capacity pass then runs as in a full build, hashing a
+block's rows only where one may overflow.
 
 Properties (enforced by ``tests/fleet/test_ring.py``):
 
@@ -56,7 +66,6 @@ __all__ = ["mix64", "name_token", "ConsistentHashRing", "DEFAULT_VNODES"]
 DEFAULT_VNODES = 256
 
 _U64 = np.uint64
-_MASK = _U64(0xFFFFFFFFFFFFFFFF)
 
 #: partition rows hashed (and held) at a time while assigning.  The weight
 #: block and mix64's temporaries are ``_BLOCK_ROWS * nodes`` words each, so
@@ -70,15 +79,18 @@ def mix64(x: np.ndarray | int) -> np.ndarray | int:
     """splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
 
     Vectorized over numpy uint64 arrays; scalar ints are handled too (the
-    single-key lookup path).  All arithmetic is mod 2^64.
+    single-key lookup path).  All arithmetic wraps mod 2^64 in ``uint64``,
+    so the mixer works in place on one copy of its input.
     """
     scalar = not isinstance(x, np.ndarray)
-    z = np.asarray(x, dtype=_U64)
+    z = np.array(x, dtype=_U64)
     with np.errstate(over="ignore"):
-        z = (z + _U64(0x9E3779B97F4A7C15)) & _MASK
-        z = ((z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)) & _MASK
-        z = ((z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)) & _MASK
-        z = z ^ (z >> _U64(31))
+        z += _U64(0x9E3779B97F4A7C15)
+        z ^= z >> _U64(30)
+        z *= _U64(0xBF58476D1CE4E5B9)
+        z ^= z >> _U64(27)
+        z *= _U64(0x94D049BB133111EB)
+        z ^= z >> _U64(31)
     return int(z) if scalar else z
 
 
@@ -90,6 +102,48 @@ def name_token(name: str, salt: int | str = 0) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+class _BlockWeights:
+    """A derived ring's weight rows for one block, hashed on demand.
+
+    A row can overflow only once its first choice is at the cap, and a
+    node reaches the cap inside the block mostly through its own first
+    choices: the rows of those nodes are hashed together up front, any
+    other row (pushed over by an earlier overflow's re-homing) alone."""
+
+    def __init__(self, part_tokens, node_tokens, block, after, cap):
+        self.part_tokens = part_tokens
+        self.node_tokens = node_tokens
+        rows = np.flatnonzero(after[block] > cap)
+        self.rows = dict(zip(rows.tolist(), mix64(part_tokens[rows, None] ^ node_tokens)))
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        weights = self.rows.get(row)
+        if weights is None:
+            weights = mix64(self.part_tokens[row] ^ self.node_tokens)
+        return weights
+
+
+def _place_block(block: list[int], weights, loads: np.ndarray, cap: int) -> list[int]:
+    """The greedy capacity pass over one block, row by row: a row takes
+    its first choice while it has room, else the highest-weight node that
+    still has room (lowest index among ties — the node a stable descending
+    ranking of the row would reach first).  ``weights[row]`` is the row's
+    weight vector; updates ``loads`` in place."""
+    counts = loads.tolist()
+    open_nodes = None
+    for row, choice in enumerate(block):
+        if counts[choice] >= cap:
+            if open_nodes is None:
+                open_nodes = np.flatnonzero(np.asarray(counts) < cap)
+            choice = int(open_nodes[weights[row][open_nodes].argmax()])
+            block[row] = choice
+        counts[choice] += 1
+        if counts[choice] == cap:
+            open_nodes = None
+    loads[:] = counts
+    return block
+
+
 class ConsistentHashRing:
     """Capacity-bounded rendezvous assignment of ring partitions to nodes.
 
@@ -97,6 +151,8 @@ class ConsistentHashRing:
     on the name set).  ``partitions`` defaults to the next power of two
     ≥ ``len(nodes) * vnodes``; pass it explicitly when comparing rings
     across membership changes, otherwise the partition grid itself moves.
+    ``_base`` is :meth:`without`'s: a ring on the same grid and salt whose
+    nodes include these, to derive the first choices from.
     """
 
     def __init__(
@@ -106,6 +162,8 @@ class ConsistentHashRing:
         partitions: int | None = None,
         salt: int | str = 0,
         cap_factor: float = 1.0,
+        *,
+        _base: "ConsistentHashRing | None" = None,
     ):
         names = sorted(set(nodes))
         if not names:
@@ -126,36 +184,60 @@ class ConsistentHashRing:
         self.salt = salt
         self.cap_factor = cap_factor
         self.capacity = math.ceil(partitions / len(names) * cap_factor)
-        self.owner_of_partition = self._assign_partitions()
+        #: each partition's highest-weight node (index into ``nodes``),
+        #: before the capacity cap; what :meth:`without` derives from
+        self.first_choice = np.empty(partitions, dtype=np.int32)
+        self.owner_of_partition = self._assign_partitions(_base)
 
-    def _assign_partitions(self) -> np.ndarray:
+    def _assign_partitions(self, base: "ConsistentHashRing | None") -> np.ndarray:
         part_tokens = mix64(np.arange(self.partitions, dtype=_U64))
         node_tokens = np.array(
             [name_token(name, self.salt) for name in self.nodes], dtype=_U64
         )
-        loads = [0] * len(self.nodes)
-        owner = np.empty(self.partitions, dtype=np.int32)
+        first = self.first_choice
+        if base is not None:
+            self._derive_first_choices(base, part_tokens, node_tokens)
         cap = self.capacity
+        loads = np.zeros(len(self.nodes), dtype=np.int64)
+        owner = np.empty(self.partitions, dtype=np.int32)
         for start in range(0, self.partitions, _BLOCK_ROWS):
-            weights = mix64(
-                part_tokens[start:start + _BLOCK_ROWS, None] ^ node_tokens[None, :]
-            )
-            # First preference: argmax returns the first maximum, i.e. the
-            # lowest node index among equal weights.
-            assigned = weights.argmax(axis=1).tolist()
-            for row, choice in enumerate(assigned):
-                if loads[choice] >= cap:
-                    # Overflow: rank this one row.  ``~w`` inverts the
-                    # order monotonically so a *stable* ascending argsort
-                    # yields descending weights with index-order
-                    # tie-breaking — the same node argmax puts first.
-                    for choice in np.argsort(~weights[row], kind="stable").tolist():
-                        if loads[choice] < cap:
-                            break
-                    assigned[row] = choice
-                loads[choice] += 1
-            owner[start:start + len(assigned)] = assigned
+            stop = start + _BLOCK_ROWS
+            weights = None
+            if base is None:
+                weights = mix64(part_tokens[start:stop, None] ^ node_tokens)
+                # argmax returns the first maximum: the lowest node index
+                # among equal weights.
+                first[start:stop] = weights.argmax(axis=1)
+            block = first[start:stop]
+            after = np.bincount(block, minlength=len(self.nodes)) + loads
+            if after.max() <= cap:
+                # Every row's first choice has room even after the whole
+                # block lands: no row of it can overflow.
+                owner[start:stop] = block
+                loads = after
+                continue
+            if weights is None:
+                weights = _BlockWeights(part_tokens[start:stop], node_tokens, block, after, cap)
+            owner[start:stop] = _place_block(block.tolist(), weights, loads, cap)
         return owner
+
+    def _derive_first_choices(self, base, part_tokens, node_tokens) -> None:
+        """First choices of a ring on a subset of ``base``'s nodes.
+
+        The survivors keep their relative order, so where ``base``'s first
+        choice survives it is still the argmax, lowest index among ties.
+        Only the rows whose first choice left are hashed, over the
+        survivors."""
+        index = np.full(len(base.nodes), -1, dtype=np.int32)
+        index[[base.nodes.index(name) for name in self.nodes]] = np.arange(
+            len(self.nodes), dtype=np.int32
+        )
+        first = self.first_choice
+        np.take(index, base.first_choice, out=first)
+        moved = np.flatnonzero(first < 0)
+        for start in range(0, len(moved), _BLOCK_ROWS):
+            rows = moved[start:start + _BLOCK_ROWS]
+            first[rows] = mix64(part_tokens[rows, None] ^ node_tokens).argmax(axis=1)
 
     # -- lookups ---------------------------------------------------------
     def partition_of(self, key_hashes: np.ndarray | int):
@@ -184,18 +266,32 @@ class ConsistentHashRing:
 
     # -- membership changes ----------------------------------------------
     def without(self, *removed: str) -> "ConsistentHashRing":
-        """The ring after quarantining nodes out (same partition grid)."""
-        remaining = [n for n in self.nodes if n not in set(removed)]
+        """The ring after quarantining nodes out (same partition grid).
+
+        Derived from this ring's first choices: only the partitions whose
+        first choice left are re-ranked, and the capacity pass then runs
+        exactly as a full build's would (DESIGN §12.1)."""
+        gone = set(removed)
+        unknown = sorted(gone.difference(self.nodes))
+        if unknown:
+            raise ValueError(f"not on the ring: {', '.join(unknown)}")
         return ConsistentHashRing(
-            remaining,
+            [n for n in self.nodes if n not in gone],
             vnodes=self.vnodes,
             partitions=self.partitions,
             salt=self.salt,
             cap_factor=self.cap_factor,
+            _base=self,
         )
 
     def with_nodes(self, *added: str) -> "ConsistentHashRing":
-        """The ring after adding nodes (same partition grid)."""
+        """The ring after adding nodes (same partition grid; a full
+        rebuild, since a new node can be any partition's first choice)."""
+        clashes = sorted(
+            {n for n in added if n in self.nodes or added.count(n) > 1}
+        )
+        if clashes:
+            raise ValueError(f"already on the ring or named twice: {', '.join(clashes)}")
         return ConsistentHashRing(
             list(self.nodes) + list(added),
             vnodes=self.vnodes,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -174,15 +175,39 @@ class SeriesBucket:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SeriesBucket":
-        bucket = cls(data["t_start"], data["t_end"])
+        bucket = cls.__new__(cls)
+        bucket.t_start = data["t_start"]
+        bucket.t_end = data["t_end"]
         bucket.count = data["count"]
         bucket.sum = data["sum"]
         if bucket.count:
             bucket.min = data["min"]
             bucket.max = data["max"]
+        else:
+            bucket.min = math.inf
+            bucket.max = -math.inf
         bucket.last = data["last"]
         bucket.samples = list(data["samples"])
         return bucket
+
+    @classmethod
+    def of_sample(cls, t: float, value: float) -> "SeriesBucket":
+        """The bucket ``SeriesBucket(t, t).add(t, value, reservoir)``
+        leaves, for any ``reservoir >= 1`` — NaN included: ``nan < inf``
+        is false, so ``min`` stays ``inf`` (and ``max`` stays ``-inf``)."""
+        bucket = cls.__new__(cls)
+        bucket.t_start = bucket.t_end = t
+        bucket.count = 1
+        bucket.sum = 0.0 + value
+        bucket.min = value if value < math.inf else math.inf
+        bucket.max = value if value > -math.inf else -math.inf
+        bucket.last = value
+        bucket.samples = [value]
+        return bucket
+
+
+#: the order merged buckets interleave in: by span, ties stable
+_BUCKET_ORDER = operator.attrgetter("t_start", "t_end")
 
 
 class TimeSeries:
@@ -211,16 +236,15 @@ class TimeSeries:
 
     def append(self, t: float, value: float) -> None:
         self.total_samples += 1
-        tail = self.buckets[-1] if self.buckets else None
-        if tail is None or tail.count >= self._per_bucket:
-            if len(self.buckets) >= self.capacity:
-                self._compact()
-                # after compaction the tail is half-full; keep filling it
-                self.buckets[-1].add(t, value, self.reservoir)
-                return
-            tail = SeriesBucket(t, t)
-            self.buckets.append(tail)
-        tail.add(t, value, self.reservoir)
+        buckets = self.buckets
+        if buckets and buckets[-1].count < self._per_bucket:
+            buckets[-1].add(t, value, self.reservoir)
+        elif len(buckets) >= self.capacity:
+            self._compact()
+            # after compaction the tail is half-full; keep filling it
+            self.buckets[-1].add(t, value, self.reservoir)
+        else:
+            buckets.append(SeriesBucket.of_sample(t, value))
 
     def merge(self, other: "TimeSeries") -> None:
         """Fold another series into this one (cross-shard fleet rollup).
@@ -231,14 +255,19 @@ class TimeSeries:
         Count/sum/min/max are preserved exactly — only percentile
         reservoirs thin — so ``summary()`` on the merged series equals
         ``summary()`` on a single series fed both sample streams for the
-        exact stats.
+        exact stats.  ``other`` is left untouched: its buckets are copied
+        (the fleet fold, which owns the series it decoded, absorbs them
+        through :meth:`_absorb` instead).
         """
-        if other.empty:
+        self._absorb(other, [b.copy() for b in other.buckets])
+
+    def _absorb(self, other: "TimeSeries", buckets: list[SeriesBucket]) -> None:
+        """:meth:`merge` taking ``buckets`` (``other``'s, or copies of them)
+        as they are: the caller owning ``other`` lends its buckets."""
+        if not buckets:
             return
-        merged = sorted(
-            self.buckets + [b.copy() for b in other.buckets],
-            key=lambda b: (b.t_start, b.t_end),
-        )
+        merged = self.buckets + buckets
+        merged.sort(key=_BUCKET_ORDER)
         self.buckets = merged
         self.total_samples += other.total_samples
         self._per_bucket = max(self._per_bucket, other._per_bucket)
@@ -246,13 +275,29 @@ class TimeSeries:
             self._compact()
 
     def _compact(self) -> None:
-        """Merge adjacent bucket pairs; doubles the per-bucket span."""
-        merged: list[SeriesBucket] = []
-        for i in range(0, len(self.buckets), 2):
-            first = self.buckets[i]
-            if i + 1 < len(self.buckets):
-                first.merge(self.buckets[i + 1], self.reservoir)
-            merged.append(first)
+        """Merge adjacent bucket pairs; doubles the per-bucket span.  Each
+        pair folds exactly as ``SeriesBucket.merge`` would fold it."""
+        buckets = self.buckets
+        reservoir = self.reservoir
+        merged = buckets[::2]
+        for first, later in zip(merged, buckets[1::2]):
+            first.t_end = later.t_end
+            first.count += later.count
+            first.sum += later.sum
+            if later.min < first.min:
+                first.min = later.min
+            if later.max > first.max:
+                first.max = later.max
+            first.last = later.last
+            pooled = first.samples + later.samples
+            if len(pooled) == 2 * reservoir:
+                # two full reservoirs: step 2.0, so the even thinning
+                # below picks exactly every other sample
+                pooled = pooled[::2]
+            elif len(pooled) > reservoir:
+                step = len(pooled) / reservoir
+                pooled = [pooled[int(i * step)] for i in range(reservoir)]
+            first.samples = pooled
         self.buckets = merged
         self._per_bucket *= 2
         self.compactions += 1
@@ -675,14 +720,31 @@ def write_timeline_json(recorder: TimeSeriesRecorder, path: str) -> None:
 
 
 def load_timeline(path: str) -> dict[str, TimeSeries]:
-    """Load an ``orthrus-timeseries/1`` artifact into named series."""
+    """Load an ``orthrus-timeseries/1`` artifact into named series.
+
+    A truncated or mistyped artifact raises one ``ValueError`` naming the
+    series entry and the key, translated here once per entry: the decoders
+    themselves stay free of per-bucket checks (the fleet fold decodes
+    every shard's buckets through them)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != "orthrus-timeseries/1":
         raise ValueError("not an orthrus-timeseries/1 artifact")
-    return {
-        entry["name"]: TimeSeries.from_dict(entry) for entry in payload["series"]
-    }
+    if not isinstance(payload.get("series"), list):
+        raise ValueError("artifact: key 'series' is missing or not a list")
+    loaded: dict[str, TimeSeries] = {}
+    for index, entry in enumerate(payload["series"]):
+        label = f"series[{index}]"
+        if isinstance(entry, dict) and isinstance(entry.get("name"), str):
+            label += f" {entry['name']!r}"
+        try:
+            series = TimeSeries.from_dict(entry)
+        except KeyError as exc:
+            raise ValueError(f"{label}: missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{label}: {exc}") from None
+        loaded[series.name] = series
+    return loaded
 
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"

@@ -6,8 +6,9 @@ is added or quarantined out.  Both are checked on the real assignment,
 not a model of it.
 
 The assignment itself is computed lazily (first preference by ``argmax``,
-a row ranked only on overflow, the grid hashed in blocks); the
-sort-every-row version it replaced lives on here — and only here — as
+a row ranked only on overflow, the grid hashed in blocks, a sub-ring's
+first choices derived from its base ring's); the sort-every-row version
+it replaced lives on here — and only here — as
 :func:`oracle_owner_of_partition`, and the differential tests hold the
 two to each other.
 """
@@ -131,6 +132,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             ConsistentHashRing(_names(4), cap_factor=0.5)
 
+    def test_removing_an_unknown_node_names_it(self):
+        ring = ConsistentHashRing(_names(4), vnodes=8)
+        with pytest.raises(ValueError, match="not on the ring: s9999, typo"):
+            ring.without("s0001", "typo", "s9999")
+
+    def test_adding_a_present_or_repeated_node_names_it(self):
+        ring = ConsistentHashRing(_names(4), vnodes=8)
+        with pytest.raises(ValueError, match="already on the ring or named twice: s0002$"):
+            ring.with_nodes("s0002", "s0100")
+        with pytest.raises(ValueError, match="named twice: s0100$"):
+            ring.with_nodes("s0100", "s0100")
+
 
 # ----------------------------------------------------------------------
 # differential tests against the sort-every-row oracle
@@ -236,6 +249,34 @@ class TestAgainstSortEveryRowOracle:
         patched = ConsistentHashRing(_names(24), **kwargs)
         assert np.array_equal(patched.owner_of_partition, default.owner_of_partition)
         assert_matches_oracle(patched)
+        removed = ("s0003", "s0011", "s0012")
+        sub = patched.without(*removed)
+        assert np.array_equal(
+            sub.owner_of_partition, default.without(*removed).owner_of_partition
+        )
+        assert_matches_oracle(sub)
+
+
+def test_sub_ring_hashes_only_the_rows_it_re_ranks(monkeypatch):
+    # Removing one of 96 shards moves only that shard's ~1/96 of first
+    # choices; the sub-ring must not re-hash the grid a full build hashes.
+    hashed = []
+
+    def counting_mix64(x):
+        hashed.append(np.size(x))
+        return mix64(x)
+
+    names = _names(96)
+    ring = ConsistentHashRing(names, vnodes=DEFAULT_VNODES)
+    monkeypatch.setattr(ring_mod, "mix64", counting_mix64)
+    rebuilt = ConsistentHashRing(names, vnodes=DEFAULT_VNODES)
+    full = sum(hashed)
+    hashed.clear()
+    sub = ring.without(names[40])
+    assert full >= ring.partitions * len(names)
+    assert sum(hashed) <= 0.10 * full, f"{sum(hashed)} of {full} weights hashed"
+    assert np.array_equal(rebuilt.owner_of_partition, ring.owner_of_partition)
+    assert_matches_oracle(sub)
 
 
 def test_benchmark_ring_never_holds_the_full_matrix():

@@ -196,6 +196,34 @@ class TestTimelineFlags:
         with pytest.raises(SystemExit, match="not an orthrus-timeseries"):
             main(["timeline", str(bad)])
 
+    _SERIES = {"name": "queue_depth", "capacity": 8, "reservoir": 4,
+               "per_bucket": 1, "total_samples": 1}
+    _BUCKET = {"t_start": 0.0, "t_end": 0.0, "count": 1, "sum": 2.0,
+               "min": 2.0, "max": 2.0, "last": 2.0}
+
+    @pytest.mark.parametrize("series,expected", [
+        (None, "artifact: key 'series' is missing or not a list"),
+        ([_SERIES], "series[0] 'queue_depth': missing key 'buckets'"),
+        ([{**_SERIES, "buckets": [_BUCKET]}],
+         "series[0] 'queue_depth': missing key 'samples'"),
+        ([{**_SERIES, "buckets": 3}], "series[0] 'queue_depth': 'int' object"),
+    ], ids=["no-series", "entry-without-buckets", "bucket-without-samples",
+            "buckets-not-a-list"])
+    def test_timeline_truncated_artifact_fails_in_one_line(
+        self, tmp_path, series, expected
+    ):
+        payload = {"format": "orthrus-timeseries/1", "cadence": 1.0,
+                   "samples_taken": 1}
+        if series is not None:
+            payload["series"] = series
+        path = tmp_path / "truncated.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["timeline", str(path)])
+        message = str(exc.value.code)
+        assert message.startswith(f"{path}: {expected}"), message
+        assert "\n" not in message
+
 
 class TestFaultToleranceFlags:
     def test_parser_accepts_ft_flags(self):
