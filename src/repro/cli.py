@@ -73,10 +73,13 @@ observational: run digests are byte-identical with it on or off.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
 import sys
+import types
+import typing
 
 from repro.errors import (
     ConfigurationError,
@@ -285,13 +288,6 @@ def _report_timeline(result, args) -> None:
         )
 
 
-def _response_config(args, auto_repair: bool = True) -> ResponseConfig | None:
-    """The --quarantine flag's ResponseConfig for the Orthrus arm (or None)."""
-    if not getattr(args, "quarantine", False):
-        return None
-    return ResponseConfig(auto_repair=auto_repair)
-
-
 def _print_response(result) -> None:
     """Response-layer rollup for a RunResult produced with --quarantine."""
     if result.incident is None:
@@ -311,21 +307,6 @@ def _print_response(result) -> None:
             f"repaired versions  : {incident.versions_repaired}"
             f"/{incident.versions_corrupted} corrupted"
         )
-
-
-def _canary_config(args) -> CanaryConfig | None:
-    """The --canary-period flag's CanaryConfig for the Orthrus arm."""
-    period = getattr(args, "canary_period", None)
-    deadline = getattr(args, "canary_deadline", None)
-    if period is None and deadline is None:
-        return None
-    try:
-        return CanaryConfig(
-            period=period if period is not None else 200e-6,
-            deadline=deadline if deadline is not None else 0.0,
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc))
 
 
 def _finish_canary(result) -> int:
@@ -352,48 +333,6 @@ def _finish_canary(result) -> int:
     organic = result.runtime.report.count_organic()
     print(f"organic detections : {organic}")
     return int(ExitCode.CANARY_MISSED) if summary["missed"] else int(ExitCode.OK)
-
-
-def _fault_tolerance_setup(args):
-    """(FaultToleranceConfig, ValidatorChaosConfig | None) when the
-    fault-tolerance flags ask for the fault-tolerant policies, else (None, None).
-
-    Any of --validator-faults / --degradation / --queue-capacity /
-    --overflow-policy opts the Orthrus arm into the fault-tolerant plane.
-    """
-    specs = getattr(args, "validator_faults", None) or []
-    enabled = (
-        bool(specs)
-        or getattr(args, "degradation", False)
-        or getattr(args, "queue_capacity", None) is not None
-        or getattr(args, "overflow_policy", None) is not None
-        or getattr(args, "watchdog_deadline", None) is not None
-    )
-    if not enabled:
-        return None, None
-    chaos = None
-    if specs:
-        try:
-            chaos = ValidatorChaosConfig.parse(specs, seed=args.seed)
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc))
-    kwargs = {}
-    if args.queue_capacity is not None:
-        kwargs["queue_capacity"] = args.queue_capacity
-    if args.overflow_policy is not None:
-        kwargs["overflow_policy"] = args.overflow_policy
-    if args.watchdog_deadline is not None:
-        deadline = args.watchdog_deadline
-        kwargs["watchdog"] = WatchdogConfig(deadline=deadline)
-        try:
-            kwargs["watchdog"].validate()
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc))
-        # Tight deadlines need a tick fast enough to notice them expire.
-        kwargs["check_interval"] = min(
-            FaultToleranceConfig().check_interval, deadline / 8
-        )
-    return FaultToleranceConfig(**kwargs), chaos
 
 
 def _finish_fault_tolerance(result, args) -> int:
@@ -449,15 +388,6 @@ def _finish_fault_tolerance(result, args) -> int:
     return int(ExitCode.OK)
 
 
-def _audit_enabled(args):
-    """True (enable the drift monitor with defaults) when either audit
-    flag asks for it, else None (the NULL fast path)."""
-    if getattr(args, "audit", False) or \
-            getattr(args, "audit_out", None) is not None:
-        return True
-    return None
-
-
 def _finish_audit(result, args) -> int:
     """Print/save the run's ``orthrus-audit/1`` drift payload.
 
@@ -465,7 +395,7 @@ def _finish_audit(result, args) -> int:
     ERROR-severity drift, else OK.  A no-op unless an audit flag was
     passed.
     """
-    if _audit_enabled(args) is None:
+    if not (getattr(args, "audit", False) or getattr(args, "audit_out", None)):
         return int(ExitCode.OK)
     payload = getattr(result, "audit", None)
     if payload is None:
@@ -485,82 +415,199 @@ def _finish_audit(result, args) -> int:
     return int(ExitCode.FAILURE) if errors else int(ExitCode.OK)
 
 
-#: keys the ``doctor`` config file may use per section — rejected keys
-#: fail loudly rather than silently auditing nothing
-_DOCTOR_PIPELINE_KEYS = frozenset((
-    "app_threads", "validation_cores", "seed", "sampler_targets",
-    "canary", "fault_tolerance", "quarantine", "audit",
-    "dynamic_scaling",
-))
-_DOCTOR_FLEET_KEYS = frozenset((
-    "hosts", "shards", "cores_per_host", "validators_per_shard",
-    "app_cores_per_shard", "vnodes", "min_coverage", "queue_capacity",
-    "canary_every", "watchdog_deadline", "slo_window", "quarantined",
-    "epochs", "seed", "faults", "failover_retry_budget",
-    "failover_backoff_epochs", "probation_epochs",
-))
+# ----------------------------------------------------------------------
+# config specs: run flags and doctor JSON decode through one path
+# ----------------------------------------------------------------------
+
+_JSON_TYPES = {dict: "object", list: "array", tuple: "array", str: "string",
+               bool: "boolean", int: "integer", float: "number",
+               type(None): "null"}
 
 
-def _pipeline_from_spec(spec: dict) -> PipelineConfig:
-    """A :class:`PipelineConfig` from a ``doctor`` JSON section."""
-    unknown = sorted(set(spec) - _DOCTOR_PIPELINE_KEYS)
+def _spec_error(path: str, expected: str, value) -> ConfigurationError:
+    return ConfigurationError(
+        f"{path}: expected {expected}, got {_JSON_TYPES[type(value)]}"
+    )
+
+
+@functools.cache
+def _field_hints(cls) -> dict:
+    """Field name → resolved type, for a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _decode_object(spec, path: str, hints: dict) -> dict:
+    """Keyword arguments from the object ``spec``: each key must be in
+    ``hints`` and its value of that type."""
+    if type(spec) is not dict:
+        raise _spec_error(path, "object", spec)
+    unknown = ", ".join(f"{path}.{key}" for key in sorted(set(spec) - set(hints)))
     if unknown:
-        raise SystemExit(
-            f"unknown pipeline key(s): {', '.join(unknown)} "
-            f"(expected: {', '.join(sorted(_DOCTOR_PIPELINE_KEYS))})"
+        raise ConfigurationError(
+            f"unknown {path.split('.')[0]} key(s): {unknown} "
+            f"(expected: {', '.join(sorted(hints))})"
         )
-    kwargs = {
-        key: spec[key]
-        for key in ("app_threads", "validation_cores", "seed", "dynamic_scaling")
-        if key in spec
-    }
-    if "sampler_targets" in spec:
-        kwargs["sampler_targets"] = tuple(spec["sampler_targets"])
-    if "canary" in spec:
-        kwargs["canary"] = CanaryConfig(**spec["canary"])
-    if "audit" in spec:
-        kwargs["audit"] = AuditConfig(**spec["audit"])
-    ft_spec = spec.get("fault_tolerance")
-    if ft_spec is not None:
-        ft_kwargs = {
-            key: ft_spec[key]
-            for key in ("queue_capacity", "overflow_policy")
-            if key in ft_spec
-        }
-        if "watchdog_deadline" in ft_spec:
-            ft_kwargs["watchdog"] = WatchdogConfig(
-                deadline=ft_spec["watchdog_deadline"]
+    return {k: _decode_value(v, hints[k], f"{path}.{k}") for k, v in spec.items()}
+
+
+def _decode_value(value, hint, path: str):
+    """``value`` (parsed JSON or flag) as type ``hint``: an int refuses
+    bool, float, str and null; a float also takes an int; a tuple takes a
+    list; a config dataclass takes an object of its fields (or of its
+    ``from_dict`` form)."""
+    if typing.get_origin(hint) is types.UnionType:  # X | None
+        inner = next(h for h in typing.get_args(hint) if h is not type(None))
+        return None if value is None else _decode_value(value, inner, path)
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        variadic = args[-1] is Ellipsis
+        if type(value) not in (list, tuple) or (
+            not variadic and len(value) != len(args)
+        ):
+            raise _spec_error(
+                path, "array" if variadic else f"array of {len(args)}", value
             )
-        kwargs["fault_tolerance"] = FaultToleranceConfig(**ft_kwargs)
-    if spec.get("quarantine"):
-        kwargs["response"] = ResponseConfig()
-    return PipelineConfig(**kwargs)
-
-
-def _fleet_from_spec(spec: dict) -> FleetConfig:
-    """A :class:`FleetConfig` from a ``doctor`` JSON section."""
-    unknown = sorted(set(spec) - _DOCTOR_FLEET_KEYS)
-    if unknown:
-        raise SystemExit(
-            f"unknown fleet key(s): {', '.join(unknown)} "
-            f"(expected: {', '.join(sorted(_DOCTOR_FLEET_KEYS))})"
-        )
-    kwargs = dict(spec)
-    if "quarantined" in kwargs:
-        kwargs["quarantined"] = tuple(
-            (int(host), int(core)) for host, core in kwargs["quarantined"]
-        )
-    if "faults" in kwargs:
+        items = args[:1] * len(value) if variadic else args
+        return tuple(_decode_value(v, h, f"{path}[{i}]")
+                     for i, (v, h) in enumerate(zip(value, items)))
+    if dataclasses.is_dataclass(hint):
+        from_dict = getattr(hint, "from_dict", None)
+        if from_dict is None:
+            value = _decode_object(value, path, _field_hints(hint))
+        elif type(value) is not dict:
+            raise _spec_error(path, "object", value)
         try:
-            kwargs["faults"] = FleetFaultPlan.from_dict(kwargs["faults"])
-        except FaultInjectionError as exc:
-            raise SystemExit(f"fleet.faults: {exc}")
-    return FleetConfig(**kwargs)
+            return hint(**value) if from_dict is None else from_dict(value)
+        except (ConfigurationError, FaultInjectionError) as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+    if hint is float and type(value) is int:
+        value = float(value)
+    if type(value) is not hint:
+        raise _spec_error(path, _JSON_TYPES[hint], value)
+    return value
 
 
-def cmd_doctor(args) -> int:
-    """Static validation-plane audit: cross-check declared configs for
-    contradictions *before* anything runs (ROADMAP item 5)."""
+#: the keys a pipeline spec may set: the doctor ``pipeline`` section and
+#: what run flags lower to.  ``quarantine`` attaches the response layer;
+#: ``validator_faults`` holds KIND=N chaos specs, seeded by ``seed``, and
+#: implies ``fault_tolerance``, whose fields _decode_fault_tolerance reads
+_PIPELINE_SPEC = {
+    "app_threads": int, "validation_cores": int, "seed": int,
+    "dynamic_scaling": bool, "drain_grace_fraction": float,
+    "sampler_targets": tuple[str, ...], "canary": CanaryConfig,
+    "audit": AuditConfig, "fault_tolerance": dict, "quarantine": bool,
+    "validator_faults": tuple[str, ...],
+}
+
+#: flag dest → the pipeline spec key it lowers to; a switch lowering to
+#: a section turns that section on with its defaults
+_PIPELINE_FLAGS = {
+    "threads": "app_threads",
+    "cores": "validation_cores",
+    "seed": "seed",
+    "grace": "drain_grace_fraction",
+    "sampler_target": "sampler_targets",
+    "canary_period": "canary.period",
+    "canary_deadline": "canary.deadline",
+    "queue_capacity": "fault_tolerance.queue_capacity",
+    "overflow_policy": "fault_tolerance.overflow_policy",
+    "watchdog_deadline": "fault_tolerance.watchdog_deadline",
+    "validator_faults": "validator_faults",
+    "quarantine": "quarantine",
+    "degradation": "fault_tolerance",
+    "audit": "audit",
+    "audit_out": "audit",
+}
+
+
+def _lower_flags(args, spec: dict) -> dict:
+    """Overlay the pipeline flags in ``args`` on ``spec`` (a doctor
+    ``pipeline`` section, or ``{}`` for a run) as spec entries, so a flag
+    and its JSON key build the same object."""
+    for dest, key in _PIPELINE_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is None or value is False:
+            continue
+        if key in ("fault_tolerance", "audit"):
+            spec.setdefault(key, {})
+            continue
+        section, _, leaf = key.rpartition(".")
+        target = spec.setdefault(section, {}) if section else spec
+        if type(target) is not dict:
+            raise _spec_error(f"pipeline.{section}", "object", target)
+        if type(value) is list and leaf in target:  # repeatable: append
+            value = _decode_value(
+                target[leaf], _PIPELINE_SPEC[leaf], f"pipeline.{leaf}"
+            ) + tuple(value)
+        target[leaf] = value
+    return spec
+
+
+def _decode_fault_tolerance(spec, path: str) -> FaultToleranceConfig:
+    """FaultToleranceConfig's fields plus a ``watchdog_deadline``
+    shorthand.  Unless the spec sets ``check_interval``, a watchdog it sets
+    is swept at min(default, deadline / 8): a tight deadline needs a tick
+    fast enough to notice it expire."""
+    hints = {**_field_hints(FaultToleranceConfig), "watchdog_deadline": float}
+    kwargs = _decode_object(spec, path, hints)
+    if "watchdog_deadline" in kwargs:
+        kwargs["watchdog"] = dataclasses.replace(
+            kwargs.get("watchdog", WatchdogConfig()),
+            deadline=kwargs.pop("watchdog_deadline"),
+        )
+    if "watchdog" in kwargs:
+        kwargs.setdefault("check_interval", min(
+            FaultToleranceConfig.check_interval, kwargs["watchdog"].deadline / 8
+        ))
+    return FaultToleranceConfig(**kwargs)
+
+
+def _decode_pipeline(spec, **fixed) -> PipelineConfig:
+    """The PipelineConfig a pipeline spec describes.  ``fixed`` holds a
+    command's attachments with no JSON form (obs, timeseries) and its
+    fixed choices; they override the spec."""
+    kwargs = _decode_object(spec, "pipeline", _PIPELINE_SPEC)
+    faults = kwargs.pop("validator_faults", ())
+    if faults:
+        kwargs.setdefault("fault_tolerance", {})
+        try:
+            kwargs["validator_faults"] = ValidatorChaosConfig.parse(
+                list(faults), seed=kwargs.get("seed", PipelineConfig.seed)
+            )
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"pipeline.validator_faults: {exc}") from None
+    if "fault_tolerance" in kwargs:
+        kwargs["fault_tolerance"] = _decode_fault_tolerance(
+            kwargs["fault_tolerance"], "pipeline.fault_tolerance"
+        )
+    if kwargs.pop("quarantine", False):
+        kwargs["response"] = ResponseConfig()
+    return PipelineConfig(**{**kwargs, **fixed})
+
+
+def _decode_fleet(spec, **fixed) -> FleetConfig:
+    """The FleetConfig a fleet spec describes: any field but ``costs``,
+    which has no JSON form.  ``fixed`` holds already-built fields."""
+    hints = {k: v for k, v in _field_hints(FleetConfig).items() if k != "costs"}
+    return FleetConfig(**{**_decode_object(spec, "fleet", hints), **fixed})
+
+
+def _run_config(spec: dict, **fixed) -> PipelineConfig:
+    """A run's PipelineConfig.  A run also refuses a watchdog that could
+    never fire, which ``doctor`` reports as a finding instead."""
+    try:
+        config = _decode_pipeline(spec, **fixed)
+        if config.fault_tolerance is not None:
+            config.fault_tolerance.watchdog.validate()
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc))
+    return config
+
+
+def _doctor_configs(args) -> tuple[PipelineConfig, FleetConfig | None]:
+    """What ``doctor`` audits: the --config sections with its flags lowered
+    on top, decoded as a run decodes its flags."""
     spec: dict = {}
     if args.config is not None:
         try:
@@ -581,36 +628,21 @@ def cmd_doctor(args) -> int:
                 f"{args.config}: unknown section(s) {', '.join(unknown)} "
                 "(expected 'pipeline' and/or 'fleet')"
             )
-    pipeline_spec = dict(spec.get("pipeline", {}))
-    if args.cores is not None:
-        pipeline_spec["validation_cores"] = args.cores
-    if args.sampler_target:
-        pipeline_spec["sampler_targets"] = list(
-            pipeline_spec.get("sampler_targets", ())
-        ) + list(args.sampler_target)
-    if args.canary_period is not None:
-        pipeline_spec.setdefault("canary", {})["period"] = args.canary_period
-    if args.canary_deadline is not None:
-        pipeline_spec.setdefault("canary", {})["deadline"] = args.canary_deadline
-    ft_flags = {
-        "watchdog_deadline": args.watchdog_deadline,
-        "queue_capacity": args.queue_capacity,
-        "overflow_policy": args.overflow_policy,
-    }
-    for key, value in ft_flags.items():
-        if value is not None:
-            pipeline_spec.setdefault("fault_tolerance", {})[key] = value
     try:
-        pipeline = _pipeline_from_spec(pipeline_spec)
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        raise SystemExit(f"bad pipeline spec: {exc}")
+        pipeline_spec = _decode_value(spec.get("pipeline", {}), dict, "pipeline")
+        pipeline = _decode_pipeline(_lower_flags(args, pipeline_spec))
+        fleet = _decode_fleet(spec["fleet"]) if "fleet" in spec else None
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc))
+    return pipeline, fleet
+
+
+def cmd_doctor(args) -> int:
+    """Static validation-plane audit: cross-check declared configs for
+    contradictions *before* anything runs (ROADMAP item 5)."""
+    pipeline, fleet_config = _doctor_configs(args)
     report = audit_pipeline(pipeline)
-    fleet_spec = spec.get("fleet")
-    if fleet_spec is not None:
-        try:
-            fleet_config = _fleet_from_spec(fleet_spec)
-        except (TypeError, ValueError) as exc:
-            raise SystemExit(f"bad fleet spec: {exc}")
+    if fleet_config is not None:
         report.merge(audit_fleet(fleet_config))
     elif args.config is None:
         # Bare `doctor`: vet the stock fleet defaults too, so one
@@ -639,20 +671,11 @@ def _arm_configs(args):
     The vanilla and RBV arms run bare; every observer, policy and fault
     flag applies to the Orthrus arm alone.
     """
-    base = dict(app_threads=args.threads, validation_cores=args.cores, seed=args.seed)
     obs = _make_obs(args)  # opens the export paths first: fail before any run
-    ft, chaos = _fault_tolerance_setup(args)
-    orthrus = PipelineConfig(
-        **base,
-        obs=obs,
-        response=_response_config(args),
-        timeseries=_timeseries_config(args),
-        fault_tolerance=ft,
-        validator_faults=chaos,
-        canary=_canary_config(args),
-        audit=_audit_enabled(args),
-    )
-    return lambda: PipelineConfig(**base), orthrus
+    spec = _lower_flags(args, {})
+    base = {key: spec[key] for key in ("app_threads", "validation_cores", "seed")}
+    orthrus = _run_config(spec, obs=obs, timeseries=_timeseries_config(args))
+    return lambda: _run_config(base), orthrus
 
 
 def _finish_orthrus_arm(result, config: PipelineConfig, args) -> int:
@@ -711,6 +734,7 @@ def cmd_coverage(args) -> int:
     scenario, orthrus, _vanilla, rbv, default_size = _resolve(args.app)
     size = args.ops or default_size
     obs = _make_obs(args)
+    spec = _lower_flags(args, {})
     campaign = FaultInjectionCampaign(
         scenario,
         workload_size=size,
@@ -721,13 +745,10 @@ def cmd_coverage(args) -> int:
         # whole campaign (per-trial traces interleave in trial order).
         # auto_repair stays off under --quarantine: repairing before the
         # digest is taken would reclassify genuine SDC trials as masked.
-        make_pipeline=lambda: PipelineConfig(
-            app_threads=args.threads,
-            validation_cores=args.cores,
-            seed=args.seed,
-            drain_grace_fraction=args.grace,
+        make_pipeline=lambda: _run_config(
+            spec,
             obs=obs,
-            response=_response_config(args, auto_repair=False),
+            response=ResponseConfig(auto_repair=False) if args.quarantine else None,
         ),
         runner=orthrus,
         rbv_runner=rbv if args.rbv else None,
@@ -771,6 +792,12 @@ def cmd_respond(args) -> int:
         )
     scenario = _APPS[args.app][0]()
     obs = _make_obs(args)
+    # the optional stress arm (decoded before any run, so a bad flag fails
+    # first) replays the scenario through the fault-tolerant plane, scoring
+    # how detection holds up when the detectors themselves fail
+    stress_config = _run_config(_lower_flags(args, {}))
+    if stress_config.fault_tolerance is None and stress_config.audit is None:
+        stress_config = None
     closure = _RESPOND_CLOSURES[args.app]
     fault = (
         value_fault(closure)
@@ -812,28 +839,12 @@ def cmd_respond(args) -> int:
     )
     if args.probation:
         print(f"readmitted cores   : {result.readmitted or 'none'}")
-    # Optional chaos arm: replay the same scenario through the
-    # fault-tolerant validation plane so the incident episode also scores
-    # how detection holds up when the detectors themselves fail.
-    ft, chaos = _fault_tolerance_setup(args)
-    audit = _audit_enabled(args)
     stress = None
     ft_rc = 0
-    if ft is not None or chaos is not None or audit is not None:
+    if stress_config is not None:
         print("validation-plane stress arm:")
-        stress = run_orthrus_server(
-            scenario,
-            args.ops or 200,
-            PipelineConfig(
-                app_threads=args.threads,
-                validation_cores=args.cores,
-                seed=args.seed,
-                fault_tolerance=ft,
-                validator_faults=chaos,
-                audit=audit,
-            ),
-        )
-        if ft is not None or chaos is not None:
+        stress = run_orthrus_server(scenario, args.ops or 200, stress_config)
+        if stress_config.fault_tolerance is not None:
             ft_rc = _finish_fault_tolerance(stress, args)
         # evaluated unconditionally: a SAFE_HOLD must not skip the audit report
         audit_rc = _finish_audit(stress, args)
@@ -917,7 +928,10 @@ def _canary_status_from_registry(registry) -> int:
     return int(ExitCode.CANARY_MISSED) if missed else int(ExitCode.OK)
 
 
-def cmd_fleet(args) -> int:
+def _fleet_config(args) -> FleetConfig:
+    """The FleetConfig ``fleet`` runs: its field flags decoded as a doctor
+    ``fleet`` section is, plus the quarantine and chaos flags, which keep
+    their own parsers."""
     quarantined = []
     for spec in args.quarantine or ():
         try:
@@ -944,34 +958,20 @@ def cmd_fleet(args) -> int:
             ))
     except FaultInjectionError as exc:
         raise SystemExit(str(exc))
-    config = FleetConfig(
-        hosts=args.hosts,
-        shards=args.shards,
-        cores_per_host=args.cores_per_host,
-        validators_per_shard=args.validators,
-        app_cores_per_shard=args.app_cores,
-        vnodes=args.vnodes,
-        keys=args.keys,
-        users=args.users,
-        ops_per_user=args.ops_per_user,
-        scale=args.scale,
-        epochs=args.epochs,
-        load_factor=args.load_factor,
-        mercurial_rate=args.mercurial_rate,
-        corruption_rate=args.corruption_rate,
-        min_coverage=args.min_coverage,
-        queue_capacity=args.fleet_queue_capacity,
-        quarantined=tuple(quarantined),
-        watchdog_deadline=args.watchdog_deadline,
-        slo_window=args.slo_window,
-        ground_shards=args.ground_shards,
-        faults=None if faults.empty else faults,
-        failover_retry_budget=args.failover_retry_budget,
-        failover_backoff_epochs=args.failover_backoff,
-        probation_epochs=args.probation_epochs,
-        seed=args.seed,
-    )
-    if config.faults is not None:
+    spec = {field: getattr(args, field) for _, field, _ in _FLEET_FLAGS if field}
+    try:
+        return _decode_fleet(
+            {**spec, "quarantined": quarantined},
+            faults=None if faults.empty else faults,
+        )
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc))
+
+
+def cmd_fleet(args) -> int:
+    config = _fleet_config(args)
+    faults = config.faults
+    if faults is not None:
         print(
             f"chaos plan         : {len(faults.crashes)} crash(es), "
             f"{len(faults.partitions)} partition(s), "
@@ -1224,6 +1224,114 @@ def cmd_bench_compare(args) -> int:
     return int(ExitCode.FAILURE) if failures else int(ExitCode.OK)
 
 
+#: every ``fleet`` flag, in --help order.  A row naming a FleetConfig
+#: field takes that field's type and default and lands on its name;
+#: the others spell out their own.
+_FLEET_FLAGS = (
+    ("--hosts", "hosts", {}),
+    ("--shards", "shards", {}),
+    ("--cores-per-host", "cores_per_host",
+     dict(metavar="N", help="cores per host (default: %(default)s)")),
+    ("--validators", "validators_per_shard",
+     dict(metavar="N", help="validator cores per shard (default: %(default)s)")),
+    ("--app-cores", "app_cores_per_shard",
+     dict(metavar="N", help="application cores per shard (default: %(default)s)")),
+    ("--vnodes", "vnodes",
+     dict(metavar="N", help="ring partitions per shard (default: %(default)s)")),
+    ("--keys", "keys", dict(help="versioned keys placed on the ring")),
+    ("--users", "users", dict(help="simulated users")),
+    ("--ops-per-user", "ops_per_user", {}),
+    ("--scale", "scale",
+     dict(help="multiplier on keys/users (CI smoke passes 0.1)")),
+    ("--epochs", "epochs", dict(help="validation epochs to simulate")),
+    ("--workers", None, dict(
+        type=int, default=1, metavar="N",
+        help="OS processes to fan host groups across (digest is "
+        "byte-identical for any value)")),
+    ("--load-factor", "load_factor", dict(
+        help="demand multiplier vs provisioned validator capacity "
+        "(overload knob; high values walk shards to SAFE_HOLD)")),
+    ("--min-coverage", "min_coverage", dict(
+        metavar="FRAC",
+        help="must-validate floor per shard: the fraction of offered logs "
+        "the sampler may never shed (the rest queues under overload)")),
+    ("--queue-capacity", "queue_capacity", dict(
+        metavar="LOGS",
+        help="per-shard validation queue depth before overflow drops")),
+    ("--mercurial-rate", "mercurial_rate",
+     dict(metavar="P", help="probability any core is silently defective")),
+    ("--corruption-rate", "corruption_rate",
+     dict(metavar="P", help="per-op corruption probability on a defective core")),
+    ("--quarantine", None, dict(
+        action="append", default=None, metavar="HOST:CORE",
+        help="pre-quarantine a core (repeatable; topology checks reject "
+        "a shard whose whole validator pool is quarantined)")),
+    ("--watchdog-deadline", "watchdog_deadline", dict(metavar="SIM_S")),
+    ("--slo-window", "slo_window", dict(
+        metavar="SIM_S", help="SLO window the watchdog deadline must fit inside")),
+    ("--ground-shards", "ground_shards", dict(
+        metavar="N",
+        help="shards that also run the real DES memcached/lsmtree server")),
+    ("--host-crash", None, dict(
+        action="append", default=None, metavar="HOST@EPOCH[+RESTART]",
+        help="crash a host at an epoch, optionally restarting after "
+        "RESTART epochs (repeatable; its shards re-home via the ring "
+        "and re-admit through a probation window)")),
+    ("--partition", None, dict(
+        action="append", default=None, metavar="A-B@EPOCH+DURATION",
+        help="sever the link between a host pair for a window "
+        "(repeatable; RBV spill reroutes or falls back to checksum-only)")),
+    ("--degrade-link", None, dict(
+        action="append", default=None, metavar="A-B@EPOCH+DURATION[:FACTOR]",
+        help="slow the link between a host pair by FACTOR "
+        "(default 4.0) for a window (repeatable)")),
+    ("--straggle", None, dict(
+        action="append", default=None, metavar="H1,H2@EPOCH+DURATION[:FACTOR]",
+        help="run a host group at FACTOR validator capacity "
+        "(default 0.5) for a window (repeatable)")),
+    ("--chaos-crashes", None, dict(
+        type=int, default=0, metavar="N",
+        help="additionally generate N seeded host crashes "
+        "(deterministic in --chaos-seed)")),
+    ("--chaos-partitions", None, dict(
+        type=int, default=0, metavar="N",
+        help="additionally generate N seeded spill-link partitions")),
+    ("--chaos-seed", None, dict(
+        type=int, default=0,
+        help="seed for the generated chaos batch (default: %(default)s)")),
+    ("--failover-retry-budget", "failover_retry_budget", dict(
+        metavar="N",
+        help="re-dispatch attempts for a dead host's re-homed backlog "
+        "(capped-exponential backoff; default: %(default)s)")),
+    ("--failover-backoff", "failover_backoff_epochs", dict(
+        metavar="EPOCHS",
+        help="base backoff before the first re-dispatch attempt "
+        "(default: %(default)s)")),
+    ("--probation-epochs", "probation_epochs", dict(
+        metavar="EPOCHS",
+        help="clean epochs a restarted host idles before re-admission "
+        "(default: %(default)s)")),
+    ("--group-timeout", None, dict(
+        type=float, default=None, metavar="S",
+        help="per-host-group wall-clock deadline for the supervised "
+        "fan-out (default: none)")),
+    ("--seed", "seed", {}),
+    ("--json", None, dict(
+        default=None, metavar="PATH",
+        help="save the orthrus-fleet/1 rollup (digest, coverage, census)")),
+    ("--events-out", None, dict(
+        default=None, metavar="PATH",
+        help="save the merged, totally-ordered event stream as JSON lines")),
+    ("--metrics-out", None, dict(
+        default=None, metavar="PATH",
+        help="save the merged fleet registry (orthrus-metrics/1; "
+        "Prometheus text when PATH ends in .prom)")),
+    ("--timeline-out", None, dict(
+        default=None, metavar="PATH",
+        help="save the merged fleet timeline (orthrus-timeseries/1)")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
@@ -1440,155 +1548,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet-scale sharded simulation with deterministic "
         "cross-shard merge",
     )
-    fleet.add_argument("--hosts", type=int, default=8)
-    fleet.add_argument("--shards", type=int, default=16)
-    fleet.add_argument(
-        "--cores-per-host", type=int, default=32, metavar="N",
-        help="cores per host (default: %(default)s)",
-    )
-    fleet.add_argument(
-        "--validators", type=int, default=4, metavar="N",
-        help="validator cores per shard (default: %(default)s)",
-    )
-    fleet.add_argument(
-        "--app-cores", type=int, default=4, metavar="N",
-        help="application cores per shard (default: %(default)s)",
-    )
-    fleet.add_argument(
-        "--vnodes", type=int, default=256, metavar="N",
-        help="ring partitions per shard (default: %(default)s)",
-    )
-    fleet.add_argument("--keys", type=int, default=200_000,
-                       help="versioned keys placed on the ring")
-    fleet.add_argument("--users", type=int, default=20_000,
-                       help="simulated users")
-    fleet.add_argument("--ops-per-user", type=float, default=10.0)
-    fleet.add_argument(
-        "--scale", type=float, default=1.0,
-        help="multiplier on keys/users (CI smoke passes 0.1)",
-    )
-    fleet.add_argument("--epochs", type=int, default=96,
-                       help="validation epochs to simulate")
-    fleet.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="OS processes to fan host groups across (digest is "
-        "byte-identical for any value)",
-    )
-    fleet.add_argument(
-        "--load-factor", type=float, default=1.0,
-        help="demand multiplier vs provisioned validator capacity "
-        "(overload knob; high values walk shards to SAFE_HOLD)",
-    )
-    fleet.add_argument(
-        "--min-coverage", type=float, default=0.05, metavar="FRAC",
-        help="must-validate floor per shard: the fraction of offered logs "
-        "the sampler may never shed (the rest queues under overload)",
-    )
-    fleet.add_argument(
-        "--queue-capacity", dest="fleet_queue_capacity", type=int,
-        default=512, metavar="LOGS",
-        help="per-shard validation queue depth before overflow drops",
-    )
-    fleet.add_argument(
-        "--mercurial-rate", type=float, default=1e-3, metavar="P",
-        help="probability any core is silently defective",
-    )
-    fleet.add_argument(
-        "--corruption-rate", type=float, default=1e-3, metavar="P",
-        help="per-op corruption probability on a defective core",
-    )
-    fleet.add_argument(
-        "--quarantine", action="append", default=None, metavar="HOST:CORE",
-        help="pre-quarantine a core (repeatable; topology checks reject "
-        "a shard whose whole validator pool is quarantined)",
-    )
-    fleet.add_argument(
-        "--watchdog-deadline", type=float, default=500e-6, metavar="SIM_S",
-    )
-    fleet.add_argument(
-        "--slo-window", type=float, default=2e-3, metavar="SIM_S",
-        help="SLO window the watchdog deadline must fit inside",
-    )
-    fleet.add_argument(
-        "--ground-shards", type=int, default=4, metavar="N",
-        help="shards that also run the real DES memcached/lsmtree server",
-    )
-    fleet.add_argument(
-        "--host-crash", action="append", default=None,
-        metavar="HOST@EPOCH[+RESTART]",
-        help="crash a host at an epoch, optionally restarting after "
-        "RESTART epochs (repeatable; its shards re-home via the ring "
-        "and re-admit through a probation window)",
-    )
-    fleet.add_argument(
-        "--partition", action="append", default=None,
-        metavar="A-B@EPOCH+DURATION",
-        help="sever the link between a host pair for a window "
-        "(repeatable; RBV spill reroutes or falls back to checksum-only)",
-    )
-    fleet.add_argument(
-        "--degrade-link", action="append", default=None,
-        metavar="A-B@EPOCH+DURATION[:FACTOR]",
-        help="slow the link between a host pair by FACTOR "
-        "(default 4.0) for a window (repeatable)",
-    )
-    fleet.add_argument(
-        "--straggle", action="append", default=None,
-        metavar="H1,H2@EPOCH+DURATION[:FACTOR]",
-        help="run a host group at FACTOR validator capacity "
-        "(default 0.5) for a window (repeatable)",
-    )
-    fleet.add_argument(
-        "--chaos-crashes", type=int, default=0, metavar="N",
-        help="additionally generate N seeded host crashes "
-        "(deterministic in --chaos-seed)",
-    )
-    fleet.add_argument(
-        "--chaos-partitions", type=int, default=0, metavar="N",
-        help="additionally generate N seeded spill-link partitions",
-    )
-    fleet.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed for the generated chaos batch (default: %(default)s)",
-    )
-    fleet.add_argument(
-        "--failover-retry-budget", type=int, default=4, metavar="N",
-        help="re-dispatch attempts for a dead host's re-homed backlog "
-        "(capped-exponential backoff; default: %(default)s)",
-    )
-    fleet.add_argument(
-        "--failover-backoff", type=int, default=1, metavar="EPOCHS",
-        help="base backoff before the first re-dispatch attempt "
-        "(default: %(default)s)",
-    )
-    fleet.add_argument(
-        "--probation-epochs", type=int, default=4, metavar="EPOCHS",
-        help="clean epochs a restarted host idles before re-admission "
-        "(default: %(default)s)",
-    )
-    fleet.add_argument(
-        "--group-timeout", type=float, default=None, metavar="S",
-        help="per-host-group wall-clock deadline for the supervised "
-        "fan-out (default: none)",
-    )
-    fleet.add_argument("--seed", type=int, default=1)
-    fleet.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="save the orthrus-fleet/1 rollup (digest, coverage, census)",
-    )
-    fleet.add_argument(
-        "--events-out", default=None, metavar="PATH",
-        help="save the merged, totally-ordered event stream as JSON lines",
-    )
-    fleet.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="save the merged fleet registry (orthrus-metrics/1; "
-        "Prometheus text when PATH ends in .prom)",
-    )
-    fleet.add_argument(
-        "--timeline-out", default=None, metavar="PATH",
-        help="save the merged fleet timeline (orthrus-timeseries/1)",
-    )
+    fields = {f.name: f for f in dataclasses.fields(FleetConfig)}
+    for flag, field, kwargs in _FLEET_FLAGS:
+        if field is not None:
+            kwargs = dict(kwargs, dest=field, type=_field_hints(FleetConfig)[field],
+                          default=fields[field].default)
+        fleet.add_argument(flag, **kwargs)
     audit_flags(fleet)
 
     obs_summary = sub.add_parser(

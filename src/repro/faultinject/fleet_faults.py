@@ -237,6 +237,8 @@ class FleetFaultPlan:
             raise FaultInjectionError(
                 "generated chaos needs hosts >= 1 and epochs >= 4"
             )
+        if partitions and hosts < 2:  # a lone host has no link to cut
+            raise FaultInjectionError("partitions need hosts >= 2")
         rng = derived_rng(seed, "fleet-chaos")
         crash_list = []
         victims = rng.sample(range(hosts), min(crashes, max(0, hosts - 1)))
@@ -249,7 +251,7 @@ class FleetFaultPlan:
         partition_list = []
         for _ in range(partitions):
             a = rng.randrange(hosts)
-            b = (a + 1) % hosts if hosts > 1 else a
+            b = (a + 1) % hosts
             at = rng.randrange(max(1, epochs // 8), max(2, epochs // 2))
             duration = max(2, epochs // 4)
             partition_list.append(

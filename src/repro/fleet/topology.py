@@ -87,7 +87,7 @@ class FleetConfig:
     #: confirmed detections attributed to a core before quarantine
     detection_threshold: int = 3
     #: (host_id, local_core_id) pairs quarantined before the run starts
-    quarantined: tuple = ()
+    quarantined: tuple[tuple[int, int], ...] = ()
 
     # --- validation plane ----------------------------------------------
     #: fraction of each epoch's logs that is coverage-critical (must

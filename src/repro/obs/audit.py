@@ -177,6 +177,8 @@ class AuditRule:
     severity = Severity.ERROR
     description = ""
     remediation = ""
+    #: fleet scalar rules: a violation leaves no host/shard views to check
+    shape = False
 
     def check(self, target) -> list[Finding]:
         raise NotImplementedError
@@ -517,88 +519,44 @@ def audit_pipeline(config, known_closures=None) -> AuditReport:
 # ----------------------------------------------------------------------
 
 
-class HostsPositive(AuditRule):
-    rule_id = "no-hosts"
-    remediation = "set hosts >= 1"
+class FieldThreshold(AuditRule):
+    """One fleet scalar checked against a threshold (a row of
+    :data:`FLEET_FIELD_RULES`)."""
+
+    def __init__(self, rule_id, field_name, ok, message, remediation, shape):
+        self.rule_id, self.field_name, self.ok = rule_id, field_name, ok
+        self.message, self.remediation, self.shape = message, remediation, shape
 
     def check(self, config) -> list[Finding]:
-        if config.hosts >= 1:
+        value = getattr(config, self.field_name)
+        if self.ok(value):
             return []
-        return [
-            self.finding("fleet", f"hosts must be >= 1, got {config.hosts}")
-        ]
+        return [self.finding("fleet", self.message.format(value=value))]
 
 
-class ShardsPositive(AuditRule):
-    rule_id = "no-shards"
-    remediation = "set shards >= 1"
-
-    def check(self, config) -> list[Finding]:
-        if config.shards >= 1:
-            return []
-        return [
-            self.finding("fleet", f"shards must be >= 1, got {config.shards}")
-        ]
-
-
-class CoresPositive(AuditRule):
-    rule_id = "no-cores"
-    remediation = "set cores_per_host >= 1"
-
-    def check(self, config) -> list[Finding]:
-        if config.cores_per_host >= 1:
-            return []
-        return [self.finding("fleet", "cores_per_host must be >= 1")]
-
-
-class ValidatorsPositive(AuditRule):
-    rule_id = "no-validators"
-    remediation = "set validators_per_shard >= 1"
-
-    def check(self, config) -> list[Finding]:
-        if config.validators_per_shard >= 1:
-            return []
-        return [self.finding("fleet", "validators_per_shard must be >= 1")]
-
-
-class AppCoresPositive(AuditRule):
-    rule_id = "no-app-cores"
-    remediation = "set app_cores_per_shard >= 1"
-
-    def check(self, config) -> list[Finding]:
-        if config.app_cores_per_shard >= 1:
-            return []
-        return [self.finding("fleet", "app_cores_per_shard must be >= 1")]
-
-
-class EpochsSufficient(AuditRule):
-    rule_id = "too-few-epochs"
-    remediation = "run at least two epochs"
-
-    def check(self, config) -> list[Finding]:
-        if config.epochs >= 2:
-            return []
-        return [self.finding("fleet", "epochs must be >= 2")]
-
-
-class EpochSpanPositive(AuditRule):
-    rule_id = "bad-epoch"
-    remediation = "set epoch_s > 0"
-
-    def check(self, config) -> list[Finding]:
-        if config.epoch_s > 0:
-            return []
-        return [self.finding("fleet", "epoch_s must be > 0")]
-
-
-class MinCoverageInRange(AuditRule):
-    rule_id = "bad-min-coverage"
-    remediation = "keep min_coverage inside [0, 1]"
-
-    def check(self, config) -> list[Finding]:
-        if 0.0 <= config.min_coverage <= 1.0:
-            return []
-        return [self.finding("fleet", "min_coverage must be in [0, 1]")]
+#: (rule id, field, predicate, message, remediation, shape): a shape
+#: rule's violation makes the host/shard views meaningless
+FLEET_FIELD_RULES = tuple(FieldThreshold(*row) for row in (
+    ("no-hosts", "hosts", lambda v: v >= 1,
+     "hosts must be >= 1, got {value}", "set hosts >= 1", True),
+    ("no-shards", "shards", lambda v: v >= 1,
+     "shards must be >= 1, got {value}", "set shards >= 1", True),
+    ("no-cores", "cores_per_host", lambda v: v >= 1,
+     "cores_per_host must be >= 1", "set cores_per_host >= 1", True),
+    ("no-validators", "validators_per_shard", lambda v: v >= 1,
+     "validators_per_shard must be >= 1", "set validators_per_shard >= 1",
+     True),
+    ("no-app-cores", "app_cores_per_shard", lambda v: v >= 1,
+     "app_cores_per_shard must be >= 1", "set app_cores_per_shard >= 1",
+     True),
+    ("too-few-epochs", "epochs", lambda v: v >= 2,
+     "epochs must be >= 2", "run at least two epochs", False),
+    ("bad-epoch", "epoch_s", lambda v: v > 0,
+     "epoch_s must be > 0", "set epoch_s > 0", False),
+    ("bad-min-coverage", "min_coverage", lambda v: 0.0 <= v <= 1.0,
+     "min_coverage must be in [0, 1]", "keep min_coverage inside [0, 1]",
+     False),
+))
 
 
 class FleetWatchdogWithinSlo(AuditRule):
@@ -622,6 +580,7 @@ class FleetWatchdogWithinSlo(AuditRule):
 
 class QuarantineWithinTopology(AuditRule):
     rule_id = "quarantine-out-of-range"
+    shape = True
     remediation = "quarantine only (host, core) pairs inside the topology"
 
     def check(self, config) -> list[Finding]:
@@ -862,14 +821,7 @@ class ChaosLeavesSurvivors(AuditRule):
 
 
 FLEET_SCALAR_RULES = (
-    HostsPositive(),
-    ShardsPositive(),
-    CoresPositive(),
-    ValidatorsPositive(),
-    AppCoresPositive(),
-    EpochsSufficient(),
-    EpochSpanPositive(),
-    MinCoverageInRange(),
+    *FLEET_FIELD_RULES,
     FleetWatchdogWithinSlo(),
     QuarantineWithinTopology(),
 )
@@ -887,55 +839,41 @@ FLEET_STRUCTURAL_RULES = (
     ValidatorPoolUsable(),
 )
 
-#: scalar rules whose violation makes the host/shard views meaningless —
-#: structural rules are skipped only when one of THESE fires, so e.g. a
+#: structural rules are skipped only when a shape rule fires, so e.g. a
 #: watchdog/SLO contradiction cannot hide a quarantined validator pool
 _FLEET_SHAPE_RULES = frozenset(
-    rule.rule_id
-    for rule in (
-        HostsPositive(),
-        ShardsPositive(),
-        CoresPositive(),
-        ValidatorsPositive(),
-        AppCoresPositive(),
-        QuarantineWithinTopology(),
-    )
+    rule.rule_id for rule in FLEET_SCALAR_RULES if rule.shape
 )
 
 
+def _fleet_config_rules(config) -> tuple:
+    """The scalar rules, plus the fault-plan rules whenever the config
+    carries a chaos plan, so the topology constructor fails closed on
+    chaos contradictions too."""
+    if getattr(config, "faults", None) is None:
+        return FLEET_SCALAR_RULES
+    return FLEET_SCALAR_RULES + FLEET_CHAOS_RULES
+
+
 def audit_fleet_config(config) -> list[Finding]:
-    """Scalar fleet invariants (no topology needed).  Fault-plan rules
-    ride along whenever the config carries a chaos plan, so the topology
-    constructor fails closed on chaos contradictions too."""
-    findings = []
-    for rule in FLEET_SCALAR_RULES:
-        findings.extend(rule.check(config))
-    if getattr(config, "faults", None) is not None:
-        for rule in FLEET_CHAOS_RULES:
-            findings.extend(rule.check(config))
-    return findings
+    """Scalar and fault-plan fleet invariants (no topology needed)."""
+    return [f for rule in _fleet_config_rules(config) for f in rule.check(config)]
 
 
 def audit_fleet_topology(topology) -> list[Finding]:
     """Structural fleet invariants over materialized host/shard views."""
-    findings = []
-    for rule in FLEET_STRUCTURAL_RULES:
-        findings.extend(rule.check(topology))
-    return findings
+    return [f for rule in FLEET_STRUCTURAL_RULES for f in rule.check(topology)]
 
 
 def audit_fleet(config) -> AuditReport:
     """Statically audit one fleet config (the ``doctor`` entry point).
 
-    Structural rules need materialized views; they only run when the
-    scalar pass is clean enough to build them safely.
+    Structural rules need materialized views; they only run when no
+    shape rule fired, so the views can be built safely.
     """
     report = AuditReport(targets=["fleet"])
-    report.run(FLEET_SCALAR_RULES, config)
-    if getattr(config, "faults", None) is not None:
-        report.run(FLEET_CHAOS_RULES, config)
-    shape_ok = not any(f.rule in _FLEET_SHAPE_RULES for f in report.errors)
-    if shape_ok:
+    report.run(_fleet_config_rules(config), config)
+    if not any(f.rule in _FLEET_SHAPE_RULES for f in report.errors):
         from repro.fleet.topology import FleetTopology
 
         report.run(FLEET_STRUCTURAL_RULES, FleetTopology.unchecked(config))

@@ -284,6 +284,20 @@ class TestFaultToleranceFlags:
         assert data["fault_tolerance"]["conserved"] is True
         assert data["fault_tolerance"]["terminal_level"] == "normal"
 
+    def test_respond_validator_faults_alone_runs_stress_arm(self, tmp_path, capsys):
+        # --validator-faults by itself implies the fault-tolerant plane.
+        out_json = tmp_path / "incident.json"
+        assert main([
+            "respond", "--app", "memcached",
+            "--validator-faults", "crash=0.25", "--json", str(out_json),
+        ]) == 0
+        assert "validation-plane stress arm" in capsys.readouterr().out
+        assert "fault_tolerance" in json.loads(out_json.read_text())
+
+    def test_respond_without_stress_flags_skips_stress_arm(self, capsys):
+        assert main(["respond", "--app", "memcached", "--ops", "80"]) == 0
+        assert "validation-plane stress arm" not in capsys.readouterr().out
+
     def test_safe_hold_terminal_state_exits_nonzero(self, capsys):
         from argparse import Namespace
 
@@ -619,6 +633,79 @@ class TestDoctor:
         spec.write_text(json.dumps({"pipeline": {"valdation_cores": 2}}))
         with pytest.raises(SystemExit, match="unknown pipeline key"):
             main(["doctor", "--config", str(spec)])
+
+
+#: malformed doctor specs → the dotted key the one-line error must name
+HOSTILE_SPECS = [
+    ({"fleet": {"hosts": "a"}}, "fleet.hosts"),
+    ({"fleet": {"hosts": 2.5}}, "fleet.hosts"),
+    ({"fleet": {"hosts": True}}, "fleet.hosts"),
+    ({"fleet": {"epochs": None}}, "fleet.epochs"),
+    ({"pipeline": {"validation_cores": "x"}}, "pipeline.validation_cores"),
+    ({"pipeline": {"fault_tolerance": {"bogus": 1}}},
+     "pipeline.fault_tolerance.bogus"),
+    ({"pipeline": {"canary": {"bogus": 1}}}, "pipeline.canary.bogus"),
+    ({"pipeline": {"audit": {"bogus": 1}}}, "pipeline.audit.bogus"),
+    ({"pipeline": {"fault_tolerance": {"watchdog": {"bogus": 1}}}},
+     "pipeline.fault_tolerance.watchdog.bogus"),
+    ({"pipeline": []}, "pipeline"),
+    ({"pipeline": None}, "pipeline"),
+    ({"fleet": None}, "fleet"),
+    ({"fleet": {"quarantined": [[0, 1, 2]]}}, "fleet.quarantined[0]"),
+    ({"fleet": {"quarantined": [3]}}, "fleet.quarantined[0]"),
+    ({"fleet": {"quarantined": 3}}, "fleet.quarantined"),
+    ({"pipeline": {"sampler_targets": "mc.get"}}, "pipeline.sampler_targets"),
+    ({"fleet": {"faults": 3}}, "fleet.faults"),
+    ({"fleet": {"faults": {"bogus": []}}}, "fleet.faults"),
+]
+
+
+class TestDoctorDecoder:
+    """Every doctor spec decodes through the dataclass-driven decoder a run
+    uses: strict keys at every level, typed values, one-line errors."""
+
+    @pytest.mark.parametrize(
+        "spec, key", HOSTILE_SPECS,
+        ids=[json.dumps(spec) for spec, _ in HOSTILE_SPECS],
+    )
+    def test_hostile_spec_fails_closed_in_one_line(self, spec, key, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(spec))
+        with pytest.raises(SystemExit) as exc:
+            main(["doctor", "--config", str(path)])
+        code = exc.value.code
+        assert isinstance(code, str) and "\n" not in code  # exit status 1
+        assert key in code.replace(":", " ").split()
+        assert capsys.readouterr().out == ""
+
+    def test_bad_epoch_is_reachable(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"fleet": {"epoch_s": 0}}))
+        assert main(["doctor", "--config", str(path)]) == 1
+        assert "bad-epoch" in capsys.readouterr().out
+
+    def test_every_fleet_field_with_a_json_form_decodes(self):
+        import dataclasses
+
+        from repro.cli import _decode_fleet
+        from repro.fleet import FleetConfig
+
+        spec = {
+            f.name: getattr(FleetConfig(), f.name)
+            for f in dataclasses.fields(FleetConfig) if f.name != "costs"
+        }
+        assert _decode_fleet(json.loads(json.dumps(spec))) == FleetConfig()
+
+    def test_fleet_with_no_flags_decodes_the_stock_config(self):
+        from repro.cli import _fleet_config
+        from repro.fleet import FleetConfig
+
+        assert _fleet_config(build_parser().parse_args(["fleet"])) == FleetConfig()
+
+    def test_partitions_on_one_host_fail_before_any_config(self, capsys):
+        with pytest.raises(SystemExit, match="partitions need hosts >= 2"):
+            main(["fleet", "--hosts", "1", "--chaos-partitions", "1"])
+        assert capsys.readouterr().out == ""
 
 
 class TestRemovedSloSurface:
