@@ -9,9 +9,10 @@ that crash, hang, slow down or lose verdicts (armed via
 
 The supervisor's contract is *conservation*: every closure log reaches
 exactly one terminal state — validated, skipped, dropped with a reason, or
-settled by the CRC checksum fallback — whichever validator faults fire.
-Under total validation-plane death the watchdog tick settles pending logs
-as checksum fallbacks, so safe-mode holds always release.
+settled by the CRC checksum fallback — whichever validator faults fire,
+through the session's one door (``DriverSession.settle``).  Under total
+validation-plane death the watchdog tick settles pending logs as checksum
+fallbacks, so safe-mode holds always release.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.runtime.degradation import (
 )
 from repro.sim.events import Store
 from repro.validation.queues import QueueSet
-from repro.validation.watchdog import ValidationLedger, ValidationWatchdog
+from repro.validation.watchdog import ValidationWatchdog
 
 #: wake-channel token: "one accepted push happened, somebody dequeue"
 _TOKEN = object()
@@ -135,24 +136,24 @@ class QueueAdmission:
         if outcome.dropped is not None:
             if outcome.reason == "evicted-oldest":
                 pending_bytes[0] -= outcome.dropped.admitted_bytes
-            self.plane.supervisor.settle_drop(outcome.dropped, outcome.reason, now)
+            self.session.settle(outcome.dropped, "dropped", now, outcome.reason)
         return outcome
 
     def submit(self, log):
         """The enqueue for application threads and canaries alike
         (QueueSet stamps ``enqueue_time`` and emits the push telemetry at
         accept), honoring block-producer backpressure."""
-        env, supervisor = self.session.env, self.plane.supervisor
-        supervisor.ledger.enqueue(log.seq)
+        session, env = self.session, self.session.env
+        session.ledger.enqueue(log.seq)
         # Measured once: a re-dispatch or a hand-off re-enqueues the same log.
         log.admitted_bytes = log.approx_bytes()
         while True:
             outcome = self.enqueue(log, env.now)
             if not outcome.would_block:
                 return
-            if not supervisor.alive:
+            if not session.serving:
                 # Nobody will ever free queue space: shed explicitly.
-                supervisor.settle_drop(log, "no-capacity", env.now)
+                session.settle(log, "dropped", env.now, "no-capacity")
                 return
             yield env.timeout(self.ft.block_poll)
 
@@ -163,19 +164,17 @@ class QueueAdmission:
 
 
 class Supervisor:
-    """Deadline supervision (DESIGN §10.3): the conservation ledger, the
-    watchdog and its tick (re-dispatch, the ladder's observations, the
-    total-death sweep), offender quarantine, the CRC fallback, and the
-    drain that stops the plane once the ledger settles.  Under it the
-    validator loop advances time first and replays only if the verdict
-    survives.  ``alive``: the validator cores started and still serving —
-    :func:`run_orthrus_server` adds each core it starts; a core leaves when
-    it crashes, hangs or is quarantined."""
+    """Deadline supervision (DESIGN §10.3): the watchdog and its tick
+    (re-dispatch, the ladder's observations, the total-death sweep),
+    offender quarantine, the CRC fallback, and the drain that stops the
+    plane once the session's ledger settles.  Under it the validator loop
+    advances time first and replays only if the verdict survives; the
+    total-death sweep fires once ``session.serving`` is empty."""
 
     def __init__(self, session: DriverSession, ft: FaultToleranceConfig, plane: Plane):
         self.session, self.ft, self.plane = session, ft, plane
+        session.supervised = True
         runtime = session.runtime
-        self.ledger = ValidationLedger()
         self.quarantine = (
             runtime.responder.quarantine
             if runtime.responder is not None
@@ -189,7 +188,6 @@ class Supervisor:
         self.watchdog = ValidationWatchdog(
             ft.watchdog, obs=session.obs, on_offender=self.on_offender
         )
-        self.alive: set[int] = set()
         self.redispatch_pending = 0
 
     def on_offender(self, core_id: int, when: float) -> None:
@@ -208,7 +206,7 @@ class Supervisor:
                 + (" -> quarantined" if newly else ""),
             )
         if newly:
-            self.alive.discard(core_id)
+            self.session.serving.discard(core_id)
             # Hand the quarantined core's backlog to the healthy queues;
             # its bytes are already pending, so count them once.
             admission = self.plane.admission
@@ -216,18 +214,12 @@ class Supervisor:
                 self.session.pending_bytes[0] -= orphan.admitted_bytes
                 admission.enqueue(orphan, when)
 
-    # -- terminal-state settlement (the conservation contract) -----------
-    def settle_drop(self, log, reason: str, now: float) -> None:
-        """Account a dropped log: window closed, waiter released."""
-        self.ledger.dropped(log.seq, reason)
-        self.session.settle_unvalidated(log, reason, now, self.session.runtime.validator.drop)
-
     def checksum_fallback(self, log, now: float) -> None:
         """Degraded validation: verify the §3.4 CRC boundary checksums of
-        the log's output versions instead of re-executing.  Honest reduced
-        coverage — accounted separately from both validation and drops."""
-        session = self.session
-        runtime, obs = session.runtime, session.obs
+        the log's output versions instead of re-executing, then settle it
+        as a fallback.  Honest reduced coverage — accounted separately from
+        both validation and drops."""
+        runtime = self.session.runtime
         for vid in log.output_versions:
             if not runtime.heap.has_version(vid):
                 continue
@@ -245,22 +237,7 @@ class Supervisor:
                         app_core=log.core_id,
                     )
                 )
-        self.ledger.fallback(log.seq)
-        runtime.reclaimer.closure_finished(log.seq)
-        if session.exposure is not None and not is_canary_log(log):
-            # CRC checks catch bit-flips but not mercurial compute errors:
-            # partial coverage, honestly accounted as exposure.  A canary is
-            # not user data, so it opens no exposure (DESIGN §11.3).
-            session.exposure.record(log.closure_name, "checksum-only", session.stale_s)
-        if obs.enabled:
-            obs.registry.counter(
-                "orthrus_checksum_fallbacks_total",
-                help="logs settled by CRC fallback instead of re-execution",
-            ).inc()
-            obs.spans.record(
-                "fallback", log.seq, now, now, closure=log.closure_name
-            )
-        session.release(log)
+        self.session.settle(log, "fallback", now)
 
     def sweep(self, now: float, settle_queued) -> None:
         """Settle everything still queued (``settle_queued(log)``) and
@@ -273,11 +250,11 @@ class Supervisor:
 
     # -- watchdog / degradation tick -------------------------------------
     def redispatch_later(self, log, delay: float):
-        env = self.session.env
+        env, enqueue = self.session.env, self.plane.admission.enqueue
         yield env.timeout(delay)
+        while enqueue(log, env.now).would_block:  # block-producer: wait for room
+            yield env.timeout(self.ft.block_poll)
         self.redispatch_pending -= 1
-        if not self.ledger.is_terminal(log.seq):  # else settled while backing off
-            self.plane.admission.enqueue(log, env.now)
 
     def ticker(self):
         session, watchdog, ladder = self.session, self.watchdog, self.plane.ladder
@@ -322,7 +299,7 @@ class Supervisor:
                         closure=log.closure_name,
                     )
                 env.process(self.redispatch_later(log, delay))
-            if not self.alive and (queues.pending or watchdog.in_flight):
+            if not session.serving and (queues.pending or watchdog.in_flight):
                 # Total validation-plane death: settle everything via the
                 # CRC fallback so blocked producers are released.
                 self.sweep(now, lambda log: self.checksum_fallback(log, now))
@@ -356,28 +333,32 @@ class Supervisor:
         env = session.env
         hard_stop = session.deadline[0] + 64 * self.ft.check_interval
         while env.now < hard_stop:
-            settled = self.ledger.outstanding == 0 and self.redispatch_pending == 0
+            settled = session.ledger.outstanding == 0 and self.redispatch_pending == 0
             recovered = (
                 ladder is None
                 or ladder.level is DegradationLevel.NORMAL
-                or not self.alive
+                or not session.serving
             )
             if settled and recovered:
                 break
             yield env.timeout(self.ft.check_interval)
         session.quiesced = True
         self.plane.admission.queues.shutdown()
-        self.sweep(env.now, lambda log: self.settle_drop(log, "shutdown-drain", env.now))
+        self.sweep(env.now, lambda log: session.settle(
+            log, "dropped", env.now, "shutdown-drain"
+        ))
+        while self.redispatch_pending:  # each re-enqueue now drops as "shutdown"
+            yield env.timeout(self.ft.check_interval)
 
     def report(self) -> FaultToleranceReport:
         ladder, watchdog, plane = self.plane.ladder, self.watchdog, self.plane
-        chaos = self.session.config.validator_faults
+        ledger, chaos = self.session.ledger, self.session.config.validator_faults
         faulted: dict[str, list[int]] = {}
         for fault in plane.faults.faults:
             faulted.setdefault(fault.kind.value, []).append(fault.core_id)
         return FaultToleranceReport(
-            ledger=self.ledger.summary(),
-            conserved=self.ledger.conserved,
+            ledger=ledger.summary(),
+            conserved=ledger.conserved,
             dispatches=watchdog.dispatches_total,
             timeouts=watchdog.timeouts_total,
             redispatches=watchdog.redispatches_total,

@@ -337,6 +337,7 @@ def run_phoenix(
     env.run(until=env.process(coordinator()))
     if orthrus:
         metrics.detections = runtime.detections
+        result.ledger = session.ledger.summary()
     result.rbv_detections = rbv_detections[0]
     result.responses = [job.result]
     result.digest = job.state_digest() if not result.crashed else None

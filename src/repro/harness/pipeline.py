@@ -9,7 +9,7 @@ which wires the scenario into the discrete-event engine:
   bookkeeping costs (:mod:`repro.sim.costs`);
 * **observer processes** (telemetry, liveness canaries, audit probes) and
   finalisation are the session's too, as are the validator-side stages —
-  sampler decision, validation cost, verdict accounting, settlement — so
+  sampler decision, validation cost, the one door out (``settle``) — so
   each exists exactly once (DESIGN.md §10.5 has the stage table);
 * **a validation plane** is one validator loop (:func:`validator_process`)
   over policies chosen once at set-up (:class:`Plane`).  The *plain* plane
@@ -61,6 +61,7 @@ from repro.runtime.sampling import (
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.events import Environment, SimClock, Store
 from repro.sim.metrics import RunMetrics
+from repro.validation.watchdog import ValidationLedger
 
 _SENTINEL = object()
 
@@ -138,8 +139,6 @@ class PipelineConfig:
     #: no app registers would be waited on forever)
     sampler_targets: tuple = ()
     seed: int = 1
-    rbv_batch_size: int | None = None
-    rbv_state_check_every: int = 64
 
     def make_sampler(self):
         if self.sampler is not None:
@@ -182,6 +181,9 @@ class RunResult:
     #: ``orthrus-audit/1`` payload (drift-probe findings + exposure
     #: ledger) when the run was configured with ``PipelineConfig.audit``
     audit: Any = None
+    #: the conservation ledger's summary (``ValidationLedger.summary()``)
+    #: on every Orthrus run, on either plane; None for vanilla and RBV
+    ledger: Any = None
 
     @property
     def detections(self) -> int:
@@ -213,10 +215,10 @@ class DriverSession:
     The session owns set-up (:meth:`open`), the application threads, the
     observer processes (telemetry, canaries, audit probes), the
     validator-side stages the one validator loop runs — sampler decision,
-    validation cost, re-execution, verdict accounting, unvalidated
-    settlement — and finalisation.  The :class:`Plane` policies supply
-    only what truly differs: how a log is admitted, whether dispatches are
-    supervised, and how the plane drains.  Per-event code binds what it
+    validation cost, re-execution, the one door out (:meth:`settle`) —
+    and finalisation.  The :class:`Plane` policies supply only what truly
+    differs: how a log is admitted, whether dispatches are supervised, and
+    how the plane drains.  Per-event code binds what it
     needs to locals before its loop; nothing here is reached through the
     session on a per-instruction path.
     """
@@ -241,6 +243,11 @@ class DriverSession:
         #: the plane has nothing further to watch: set by the coordinator
         #: once the apps finish (plain) or the ledger settles (supervised)
         self.quiesced = False
+        #: each log entering the plane leaves it once, by :meth:`settle`
+        self.ledger = ValidationLedger()
+        #: validator cores started and still serving (:class:`ValidatorPool`)
+        self.serving: set[int] = set()
+        self.supervised = False  # set by the fault-tolerant ``Supervisor``
         self.server: Any = None
         #: the server's ``resident_bytes_extra``, resolved once at open
         self._extra_bytes: Callable[[], int] | None = None
@@ -560,78 +567,95 @@ class DriverSession:
             self.runtime.responder.on_outcome(outcome)
         return outcome
 
-    def record_verdict(self, log: ClosureLog, outcome, core_id: int,
-                       dispatched_at: float, **validate_args) -> None:
-        """A verdict landed now: account it, close the span chain, release
-        the waiter.  Canaries stay out of the sampler's feedback loop, the
-        latency-driven scaling stats and the coverage metrics."""
-        now = self.env.now
-        log.validated_time = now
-        if not is_canary_log(log):
-            self.sampler.on_validated(log, now)
-            latency = now - log.enqueue_time
-            self.metrics.validation_latency.add(latency)
-            self.runtime.latency.record(log.closure_name, latency)
-            self.metrics.validated += 1
-        if self.obs.enabled:
-            # The causal chain tiles: dispatch covers the fixed dispatch
-            # cost, validate the re-execution + comparison (+ any
-            # cross-NUMA penalty) up to the verdict instant.
-            validate_from = dispatched_at + self._dispatch_s
-            self.obs.spans.record(
-                "dispatch", log.seq, dispatched_at, validate_from,
-                closure=log.closure_name, core=core_id,
-            )
-            self.runtime.record_verdict_spans(
-                log, outcome, validate_from, core=core_id, **validate_args
-            )
+    def settle(self, log: ClosureLog, state: str, now: float, reason: str = "",
+               outcome=None, core_id: int = -1, dispatched_at: float = 0.0,
+               **validate_args) -> None:
+        """The one door out of the validation plane: ``state`` is one of
+        the ledger's terminal states — validated, skipped, dropped,
+        fallback — on either plane (DESIGN §10.2 has the table): ledger,
+        window close, coverage, exposure, terminal span, release (a skip's
+        the loop does, once the skip's cost has elapsed).  ``reason`` is a
+        skip's or a drop's; a verdict brings its outcome, core, dispatch
+        instant and ``validate`` span args.  A canary gets its ledger
+        entry, its spans and its release, and nothing else (§11.3)."""
+        obs, metrics, exposure, seq = self.obs, self.metrics, self.exposure, log.seq
+        user = not is_canary_log(log)
+        if state == "validated":
+            self.ledger.validated(seq)
+            log.validated_time = now
+            if user:
+                self.sampler.on_validated(log, now)
+                latency = now - log.enqueue_time
+                metrics.validation_latency.add(latency)
+                self.runtime.latency.record(log.closure_name, latency)
+                metrics.validated += 1
+            if obs.enabled:
+                # The causal chain tiles: dispatch covers the fixed dispatch
+                # cost, validate the re-execution + comparison (+ any
+                # cross-NUMA penalty) up to the verdict instant.
+                validate_from = dispatched_at + self._dispatch_s
+                obs.spans.record(
+                    "dispatch", seq, dispatched_at, validate_from,
+                    closure=log.closure_name, core=core_id,
+                )
+                self.runtime.record_verdict_spans(
+                    log, outcome, validate_from, core=core_id, **validate_args
+                )
+        elif state == "skipped":  # canaries bypass the sampler and the ladder
+            self.ledger.skipped(seq)
+            metrics.skipped += 1
+            self.runtime.validator.skip(log)
+            if exposure is not None:
+                exposure.record(
+                    log.closure_name,
+                    "coverage-shed" if reason == "coverage-shed" else "sampled-out",
+                    self.stale_s,
+                )
+            if obs.enabled:
+                obs.spans.record(
+                    "skip", seq, now, now, closure=log.closure_name, reason=reason
+                )
+            return
+        elif state == "dropped":
+            self.ledger.dropped(seq, reason)
+            deadline = reason == "deadline"
+            if obs.enabled:
+                if deadline:
+                    obs.registry.counter(
+                        "orthrus_deadline_drops_total",
+                        help="logs dropped past the timely-detection window",
+                    ).inc()
+                    obs.spans.record(
+                        "queue.wait", seq, log.enqueue_time, now,
+                        closure=log.closure_name,
+                    )
+                obs.spans.record(
+                    "drop", seq, now, now, closure=log.closure_name, reason=reason
+                )
+            if user:  # a deadline drop counts as a skip (on the plain plane, closes as one)
+                if deadline:
+                    metrics.skipped += 1
+                if deadline and not self.supervised:
+                    self.runtime.validator.skip(log)
+                else:
+                    self.runtime.validator.drop(log, reason)
+                if exposure is not None:  # queue time burned + staleness window
+                    waited = max(0.0, now - log.enqueue_time) if log.enqueue_time else 0.0
+                    exposure.record(log.closure_name, reason, waited + self.stale_s)
+        else:  # the CRC checksum fallback
+            self.ledger.fallback(seq)
+            self.runtime.reclaimer.closure_finished(seq)
+            if user and exposure is not None:
+                # CRC checks catch bit-flips but not mercurial compute
+                # errors: partial coverage, honestly accounted as exposure.
+                exposure.record(log.closure_name, "checksum-only", self.stale_s)
+            if obs.enabled:
+                obs.registry.counter(
+                    "orthrus_checksum_fallbacks_total",
+                    help="logs settled by CRC fallback instead of re-execution",
+                ).inc()
+                obs.spans.record("fallback", seq, now, now, closure=log.closure_name)
         self.release(log)
-
-    def skip(self, log: ClosureLog, now: float, reason: str,
-             exposure_reason: str = "sampled-out") -> None:
-        """The sampler (or the ladder's coverage-only rung) passed on
-        ``log``: close its window and meter the exposure it opens."""
-        self.runtime.validator.skip(log)
-        if self.exposure is not None:
-            self.exposure.record(log.closure_name, exposure_reason, self.stale_s)
-        if self.obs.enabled:
-            self.obs.spans.record(
-                "skip", log.seq, now, now, closure=log.closure_name, reason=reason
-            )
-
-    def settle_unvalidated(self, log: ClosureLog, reason: str, now: float,
-                           close) -> None:
-        """``log`` leaves the plane without a verdict: ``close(log,
-        reason)`` closes its version window, the exposure ledger meters the
-        queue time already burned plus the span until the key's next
-        validation opportunity, and the waiter is released.  A canary only
-        releases its waiter: it is not user data, so it is neither coverage
-        lost nor exposure (DESIGN §11.3)."""
-        if not is_canary_log(log):
-            close(log, reason)
-            if self.exposure is not None:
-                waited = max(0.0, now - log.enqueue_time) if log.enqueue_time else 0.0
-                self.exposure.record(log.closure_name, reason, waited + self.stale_s)
-        self.release(log)
-
-    def drop_past_deadline(self, log: ClosureLog, now: float, close) -> None:
-        """``log`` was dequeued after the timely-detection window closed:
-        drop it unvalidated, as a terminating production instance would."""
-        obs = self.obs
-        if obs.enabled:
-            obs.registry.counter(
-                "orthrus_deadline_drops_total",
-                help="logs dropped past the timely-detection window",
-            ).inc()
-            obs.spans.record(
-                "queue.wait", log.seq, log.enqueue_time, now, closure=log.closure_name
-            )
-            obs.spans.record(
-                "drop", log.seq, now, now, closure=log.closure_name, reason="deadline"
-            )
-        if not is_canary_log(log):
-            self.metrics.skipped += 1
-        self.settle_unvalidated(log, "deadline", now, close)
 
     def release(self, log: ClosureLog) -> None:
         event = self.done_events.pop(log.seq, None)
@@ -673,10 +697,12 @@ class StoreAdmission:
 
     def __init__(self, session: DriverSession):
         self.env, self.obs, self.pending_bytes = session.env, session.obs, session.pending_bytes
+        self.ledger = session.ledger
         self.store = Store(self.env)
         self.wait, self.hand_back = self.store.get, self.store.unget
 
     def enqueue(self, log):
+        self.ledger.enqueue(log.seq)
         log.enqueue_time = self.env.now
         log.admitted_bytes = log.approx_bytes()
         self.pending_bytes[0] += log.admitted_bytes
@@ -739,19 +765,15 @@ def validator_process(session: DriverSession, core, plane: Plane,
     Logs dequeued past the session's deadline (the end of the
     timely-detection window) are dropped unvalidated.
     """
-    env, metrics, costs = session.env, session.metrics, session.config.costs
+    env, costs, scheduler = session.env, session.config.costs, session.runtime.scheduler
     pending_bytes, deadline = session.pending_bytes, session.deadline
-    scheduler, validator = session.runtime.scheduler, session.runtime.validator
-    decide, reexecute, record_verdict = session.decide, session.reexecute, session.record_verdict
+    decide, reexecute, settle = session.decide, session.reexecute, session.settle
     compare_cycles, validation_cycles = session.compare_cycles, session.validation_cycles
     admission, supervisor, ladder = plane.admission, plane.supervisor, plane.ladder
     wait, claim = admission.wait, admission.claim
+    watchdog = supervisor.watchdog if supervisor is not None else None
     faults = plane.faults
     armed = len(faults) > 0
-    # Unvalidated logs close their window as a skip, or as a ledgered drop.
-    ledger, watchdog, close = None, None, lambda log, _reason: validator.skip(log)
-    if supervisor is not None:
-        ledger, watchdog, close = supervisor.ledger, supervisor.watchdog, validator.drop
     skip_s = costs.seconds(costs.skip_cycles)
     core_id = core.core_id
     while True:
@@ -778,9 +800,7 @@ def validator_process(session: DriverSession, core, plane: Plane,
             continue  # orphan token: its log was evicted, handed off or stolen
         pending_bytes[0] -= log.admitted_bytes
         if now > deadline[0]:
-            if ledger is not None:
-                ledger.dropped(log.seq, "deadline")
-            session.drop_past_deadline(log, now, close)
+            settle(log, "dropped", now, "deadline")
             continue
         if kind is ValidatorFaultKind.HANG:
             # Block forever holding the dispatched log.
@@ -814,13 +834,8 @@ def validator_process(session: DriverSession, core, plane: Plane,
         )
         if decision is not None and (not decision.validate or shed_for_coverage):
             # Counted when decided: a supervised run may stop mid-skip.
-            if ledger is not None:
-                ledger.skipped(log.seq)
-            metrics.skipped += 1
-            if shed_for_coverage:
-                session.skip(log, now, "coverage-shed", "coverage-shed")
-            else:
-                session.skip(log, now, decision.reason)
+            settle(log, "skipped", now,
+                   "coverage-shed" if shed_for_coverage else decision.reason)
             yield env.timeout(skip_s)
             session.release(log)
         elif supervisor is None:
@@ -830,7 +845,8 @@ def validator_process(session: DriverSession, core, plane: Plane,
             outcome = reexecute(log, core)
             busy = validation_cycles(log, core, outcome.val_cycles, compare)
             yield env.timeout(costs.seconds(busy))
-            record_verdict(log, outcome, core_id, now)
+            settle(log, "validated", env.now, outcome=outcome, core_id=core_id,
+                   dispatched_at=now)
         else:
             # Supervised: advance by about what the APP run cost under the
             # watchdog's deadline; the verdict can be lost or duplicated
@@ -844,11 +860,9 @@ def validator_process(session: DriverSession, core, plane: Plane,
             # completion the watchdog already re-dispatched is a duplicate.
             if (kind is not ValidatorFaultKind.VERDICT_LOSS
                     and watchdog.completed(log.seq, env.now)):
-                outcome = reexecute(log, core)
-                ledger.validated(log.seq)
-                record_verdict(log, outcome, core_id, now, level=(
-                    ladder.level.label if ladder is not None else "normal"
-                ))
+                settle(log, "validated", env.now, outcome=reexecute(log, core),
+                       core_id=core_id, dispatched_at=now,
+                       level=ladder.level.label if ladder is not None else "normal")
         on_step()
 
 
@@ -872,9 +886,8 @@ class ValidatorPool:
             self.spawn(core_id)
 
     def spawn(self, core_id: int) -> None:
-        session, supervisor = self.session, self.plane.supervisor
-        if supervisor is not None:
-            supervisor.alive.add(core_id)
+        session = self.session
+        session.serving.add(core_id)
         self.validators.append(session.env.process(validator_process(
             session, session.runtime.machine.core(core_id), self.plane,
             session.track_memory, self.retire,
@@ -882,9 +895,7 @@ class ValidatorPool:
 
     def retire(self, core_id: int) -> None:
         """A started validator stopped serving (each does so at most once)."""
-        supervisor = self.plane.supervisor
-        if supervisor is not None:
-            supervisor.alive.discard(core_id)
+        self.session.serving.discard(core_id)
         if self.reserve:
             self.spawn(self.reserve.pop(0))
 
@@ -892,7 +903,11 @@ class ValidatorPool:
         session = self.session
         while self.reserve and not session.apps_done:
             yield session.env.timeout(5e-6)
-            if session.runtime.latency.closures_needing_help():
+            # Re-checked after the wait: a retirement may have spent the
+            # reserve, and once the apps are done the plain plane's drain
+            # has sent one sentinel per validator — none for a late start.
+            if (self.reserve and not session.apps_done
+                    and session.runtime.latency.closures_needing_help()):
                 self.spawn(self.reserve.pop(0))
 
 
@@ -942,7 +957,7 @@ def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
     if supervisor is not None and session.drift is not None:
         # The conservation ledger is the residual-drift signal: work
         # outstanding while nothing settles means the plane is wedged.
-        session.drift.attach_ledger(supervisor.ledger)
+        session.drift.attach_ledger(session.ledger)
     app_threads = session.start_apps(plane.admission.submit)
     pool = ValidatorPool(session, plane)
     if config.dynamic_scaling:
@@ -965,6 +980,7 @@ def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
 
     env.run(until=env.process(coordinator()))
     result = session.finish()
+    result.ledger = session.ledger.summary()
     if supervisor is not None:
         result.ft = supervisor.report()
     return result
@@ -991,7 +1007,7 @@ def run_rbv_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     primary_runtime, primary = session.runtime, session.server
     primary_machine = primary_runtime.machine
     costs = config.costs
-    batch_size = config.rbv_batch_size or costs.rbv_batch_size
+    batch_size = costs.rbv_batch_size
     replica_machine = Machine(
         cores_per_node=config.app_threads + 1, numa_nodes=1, seed=config.seed + 7919
     )

@@ -314,30 +314,14 @@ class OrthrusRuntime:
         if self.responder is not None:
             self.responder.on_log(log)
         if self.mode == "inline":
-            val_core = self.scheduler.validation_core_for(core.core_id)
-            outcome = self.validator.validate(log, val_core)
-            self.sampler.on_validated(log, self.clock.now())
-            self.latency.record(log.closure_name, outcome.latency)
-            self.outcomes.append(outcome)
-            self.record_verdict_spans(log, outcome, validate_from=log.end_time)
-            if self.responder is not None:
-                self.responder.on_outcome(outcome)
+            self._validate(log, validate_from=log.end_time)
         elif self.mode == "queued":
             pushed = self.queues.push(log, self.clock.now())
             if pushed.would_block:
                 # block-producer backpressure: the library runtime has no
                 # producer thread to park, so the closure's own thread pays
                 # for an inline validation instead of losing the log.
-                val_core = self.scheduler.validation_core_for(core.core_id)
-                outcome = self.validator.validate(log, val_core)
-                self.sampler.on_validated(log, self.clock.now())
-                self.latency.record(log.closure_name, outcome.latency)
-                self.outcomes.append(outcome)
-                self.record_verdict_spans(
-                    log, outcome, validate_from=log.end_time
-                )
-                if self.responder is not None:
-                    self.responder.on_outcome(outcome)
+                self._validate(log, validate_from=log.end_time)
             elif pushed.dropped is not None:
                 # reject drops the incoming log, drop-oldest the evicted
                 # head; either way the window closes with a reason.
@@ -348,6 +332,20 @@ class OrthrusRuntime:
         # harness, or an RBV baseline that validates whole requests) owns
         # the log via the _on_log hook; nothing is queued here.
         return retval
+
+    def _validate(self, log: ClosureLog, validate_from: float) -> None:
+        """The library's one verdict path: re-execute ``log`` on the
+        validation core paired with its app core, feed the sampler and the
+        scaling stats, keep the outcome, close the span chain and tell the
+        responder."""
+        val_core = self.scheduler.validation_core_for(log.core_id)
+        outcome = self.validator.validate(log, val_core)
+        self.sampler.on_validated(log, self.clock.now())
+        self.latency.record(log.closure_name, outcome.latency)
+        self.outcomes.append(outcome)
+        self.record_verdict_spans(log, outcome, validate_from=validate_from)
+        if self.responder is not None:
+            self.responder.on_outcome(outcome)
 
     def record_verdict_spans(
         self,
@@ -409,15 +407,7 @@ class OrthrusRuntime:
                         closure=log.closure_name, reason=decision.reason,
                     )
                 continue
-            app_core_id = log.core_id
-            val_core = self.scheduler.validation_core_for(app_core_id)
-            outcome = self.validator.validate(log, val_core)
-            self.sampler.on_validated(log, self.clock.now())
-            self.latency.record(log.closure_name, outcome.latency)
-            self.outcomes.append(outcome)
-            self.record_verdict_spans(log, outcome, validate_from=now)
-            if self.responder is not None:
-                self.responder.on_outcome(outcome)
+            self._validate(log, validate_from=now)
             if self.timeseries is not None:
                 self.timeseries.sample(self.clock.now())
         return processed

@@ -119,9 +119,6 @@ class ValidationWatchdog:
     def in_flight(self) -> int:
         return len(self._inflight)
 
-    def inflight_dispatches(self) -> list[Dispatch]:
-        return list(self._inflight.values())
-
     def dispatched(self, log: ClosureLog, core_id: int, now: float) -> Dispatch:
         """Register a dispatch; the log must not already be in flight."""
         if log.seq in self._inflight:
@@ -262,12 +259,6 @@ class ValidationLedger:
         """A log entered the validation plane (idempotent: re-dispatches of
         the same seq do not double-count)."""
         self._seen.add(seq)
-
-    def is_terminal(self, seq: int) -> bool:
-        return seq in self._terminal
-
-    def state(self, seq: int) -> str | None:
-        return self._terminal.get(seq)
 
     def _settle(self, seq: int, state: str) -> None:
         if seq not in self._seen:

@@ -18,8 +18,9 @@ before the plain and fault-tolerant planes became one validator loop
 ``PERMITTED`` lists, by config key, the only fields allowed to differ from
 the fixture and why: the canary-deadline bug fix, the two places where
 the validator loops had drifted apart and now share one decide step, the
-plain plane's quarantined validator that kept validating, and the one
-``anomaly.flag`` trace event the deleted EWMA hooks emitted.  The two
+plain plane's quarantined validator that kept validating, the one
+``anomaly.flag`` trace event the deleted EWMA hooks emitted, and the
+``drop`` marker every queue drop now ends its span chain with.  The two
 ``timeseries-slo`` keys keep their names so the fixture stays as
 recorded; they now run the time-series recorder alone.
 """
@@ -188,6 +189,12 @@ _ANOMALY_FLAG = (
     _DECISION_EVENT + "; and one trace event fewer: the single anomaly.flag "
     "the EWMA anomaly hooks emitted here is gone with them (DESIGN §14.3)"
 )
+_QUEUE_DROP_MARKER = (
+    "a log dropped from a bounded queue now ends its span chain in a "
+    "zero-length drop marker (reason=), as a deadline drop always did: one "
+    "span per queue drop, and the orthrus_span_stage_seconds{stage=drop} "
+    "series those spans feed"
+)
 _PAST_DEADLINE = dict.fromkeys(
     ("skipped", "registry", "registry_series", "trace_events"), _CANARY_DEADLINE
 )
@@ -205,7 +212,10 @@ PERMITTED = {
         "trace_events": _ANOMALY_FLAG, "registry": _CANARY_SIGNAL,
     },
     "ft/overload-ladder": {
-        "trace_events": _ANOMALY_FLAG, "registry": _CANARY_SIGNAL,
+        "trace_events": _ANOMALY_FLAG,
+        "registry": _CANARY_SIGNAL + "; and " + _QUEUE_DROP_MARKER,
+        "spans": _QUEUE_DROP_MARKER,
+        "registry_series": _QUEUE_DROP_MARKER,
     },
     "plain/canary-past-deadline": _PAST_DEADLINE,
     "plain/validator-quarantine": dict.fromkeys(
