@@ -212,24 +212,48 @@ def cmd_list(_args) -> int:
     return int(ExitCode.OK)
 
 
+def _write_or_exit(path: str, content):
+    """Write ``content`` to ``path`` — text, or a ``writer(path)`` callable,
+    whose result is returned — ending the command with one line, not a
+    traceback, when the path is unwritable."""
+    try:
+        if callable(content):
+            return content(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {path}: {exc}")
+
+
+def _check_writable(*paths) -> None:
+    """Fail before a run, not at export time — a bad path after a long
+    campaign would throw the whole run away."""
+    for path in paths:
+        if path is not None:
+            _write_or_exit(path, lambda p: open(p, "a", encoding="utf-8").close())
+
+
+def _write_metrics(registry, path: str) -> None:
+    """A metrics snapshot: Prometheus text for ``*.prom``, else JSON."""
+    if path.endswith(".prom"):
+        _write_or_exit(path, to_prometheus(registry))
+    else:
+        _write_or_exit(path, functools.partial(write_metrics_json, registry))
+    print(f"metrics snapshot   : {path}")
+
+
+def _json_text(payload, **options) -> str:
+    return json.dumps(payload, indent=2, **options) + "\n"
+
+
 def _make_obs(args) -> Observability | None:
     """An Observability handle when export flags ask for one, else None
     (the pipeline then runs fully uninstrumented)."""
-    timeline_out = getattr(args, "timeline_out", None)
-    spans_out = getattr(args, "spans_out", None)
-    if args.metrics_out is None and args.trace_out is None and \
-            timeline_out is None and spans_out is None:
+    paths = (args.metrics_out, args.trace_out, getattr(args, "timeline_out", None),
+             getattr(args, "spans_out", None))
+    if all(path is None for path in paths):
         return None
-    for path in (args.metrics_out, args.trace_out, timeline_out, spans_out):
-        if path is None:
-            continue
-        # Fail before the run, not at export time — a bad path after a
-        # long campaign would throw the whole run away.
-        try:
-            with open(path, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            raise SystemExit(f"cannot write {path}: {exc}")
+    _check_writable(*paths)
     return Observability(trace=args.trace_out is not None)
 
 
@@ -240,18 +264,13 @@ def _export_obs(obs: Observability | None, args, run_metrics=None) -> None:
     if run_metrics is not None:
         run_metrics.export_to(obs.registry)
     if args.metrics_out is not None:
-        if args.metrics_out.endswith(".prom"):
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(to_prometheus(obs.registry))
-        else:
-            write_metrics_json(obs.registry, args.metrics_out)
-        print(f"metrics snapshot   : {args.metrics_out}")
+        _write_metrics(obs.registry, args.metrics_out)
     if args.trace_out is not None:
-        written = write_trace_jsonl(obs.tracer, args.trace_out)
+        written = _write_or_exit(args.trace_out, functools.partial(write_trace_jsonl, obs.tracer))
         print(f"trace events       : {written} -> {args.trace_out}")
     spans_out = getattr(args, "spans_out", None)
     if spans_out is not None:
-        written = write_spans_chrome(obs.spans, spans_out)
+        written = _write_or_exit(spans_out, functools.partial(write_spans_chrome, obs.spans))
         print(f"causal spans       : {written} -> {spans_out} "
               "(chrome trace; open in Perfetto)")
 
@@ -278,10 +297,7 @@ def _report_timeline(result, args) -> None:
         print(f"timeline           : (the {type(result).__name__} runner "
               "does not attach the recorder; no artifact written)")
     if timeline_out is not None and timeline is not None:
-        try:
-            write_timeline_json(timeline, timeline_out)
-        except OSError as exc:
-            raise SystemExit(f"cannot write {timeline_out}: {exc}")
+        _write_or_exit(timeline_out, functools.partial(write_timeline_json, timeline))
         print(
             f"timeline           : {timeline.samples_taken} samples, "
             f"{len(timeline.summary())} series -> {timeline_out}"
@@ -375,12 +391,7 @@ def _finish_fault_tolerance(result, args) -> int:
         f"terminal {ft.terminal_level}"
     )
     if getattr(args, "ft_json", None) is not None:
-        try:
-            with open(args.ft_json, "w", encoding="utf-8") as fh:
-                json.dump(ft.summary(), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write {args.ft_json}: {exc}")
+        _write_or_exit(args.ft_json, _json_text(ft.summary()))
         print(f"fault-tolerance out: {args.ft_json}")
     if ft.terminal_level == "safe-hold":
         print("verdict            : run ended in SAFE_HOLD")
@@ -404,12 +415,7 @@ def _finish_audit(result, args) -> int:
     print(render_audit(payload))
     out = getattr(args, "audit_out", None)
     if out is not None:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write {out}: {exc}")
+        _write_or_exit(out, _json_text(payload, sort_keys=True))
         print(f"audit artifact     : {out}")
     errors = payload.get("summary", {}).get("errors", 0)
     return int(ExitCode.FAILURE) if errors else int(ExitCode.OK)
@@ -650,12 +656,7 @@ def cmd_doctor(args) -> int:
         report.merge(audit_fleet(FleetConfig()))
     payload = report.to_json()
     if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write {args.out}: {exc}")
+        _write_or_exit(args.out, _json_text(payload, sort_keys=True))
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -853,11 +854,7 @@ def cmd_respond(args) -> int:
         payload = json.loads(report.to_json())
         if stress is not None and stress.ft is not None:
             payload["fault_tolerance"] = stress.ft.summary()
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, indent=2) + "\n")
-        except OSError as exc:
-            raise SystemExit(f"cannot write {args.json}: {exc}")
+        _write_or_exit(args.json, _json_text(payload))
         print(f"incident report    : {args.json}")
     _export_obs(obs, args)
     rc = (
@@ -970,6 +967,7 @@ def _fleet_config(args) -> FleetConfig:
 
 def cmd_fleet(args) -> int:
     config = _fleet_config(args)
+    _check_writable(args.json, args.events_out, args.metrics_out, args.timeline_out)
     faults = config.faults
     if faults is not None:
         print(
@@ -1000,25 +998,17 @@ def cmd_fleet(args) -> int:
     print(report.render())
     audit_rc = _finish_audit(report, args)
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_or_exit(args.json, _json_text(report.to_json(), sort_keys=True))
         print(f"fleet rollup       : {args.json}")
     if args.events_out is not None:
-        with open(args.events_out, "w", encoding="utf-8") as fh:
-            for event in report.events:
-                fh.write(json.dumps(event, sort_keys=True))
-                fh.write("\n")
+        _write_or_exit(args.events_out, "".join(
+            json.dumps(event, sort_keys=True) + "\n" for event in report.events
+        ))
         print(f"fleet events       : {len(report.events)} -> {args.events_out}")
     if args.metrics_out is not None:
-        if args.metrics_out.endswith(".prom"):
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(to_prometheus(report.registry))
-        else:
-            write_metrics_json(report.registry, args.metrics_out)
-        print(f"metrics snapshot   : {args.metrics_out}")
+        _write_metrics(report.registry, args.metrics_out)
     if args.timeline_out is not None:
-        write_timeline_json(report.timeline, args.timeline_out)
+        _write_or_exit(args.timeline_out, functools.partial(write_timeline_json, report.timeline))
         print(f"timeline artifact  : {args.timeline_out}")
     if report.degraded:
         # partial results outrank SAFE_HOLD: the operator must know the

@@ -185,22 +185,9 @@ class ExecutionContext:
                 self._verified.add(obj_id)
                 actual = checksum_of(version.value)
                 ok = actual == version.checksum
-                obs = self.obs
-                if obs.enabled:
-                    obs.registry.counter(
-                        "orthrus_checksum_verifications_total",
-                        {"closure": self.log.closure_name, "result": "ok" if ok else "mismatch"},
-                        help="first-load CRC probes at the control/data boundary",
-                    ).inc()
-                    obs.tracer.emit(
-                        "checksum.verify",
-                        ts=self.log.start_time,
-                        closure=self.log.closure_name,
-                        seq=self.log.seq,
-                        obj=obj_id,
-                        version=version.version_id,
-                        ok=ok,
-                    )
+                self.obs.lifecycle.checksum_verified(
+                    self.log, obj_id, version.version_id, ok
+                )
                 if not ok:
                     self._detect_checksum(obj_id, version.version_id)
             return version.value

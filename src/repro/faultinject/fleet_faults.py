@@ -26,6 +26,7 @@ ring re-homing, backlog re-dispatch, probation — live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.determinism import derived_rng, stable_digest
@@ -40,6 +41,20 @@ __all__ = [
 ]
 
 
+def _check(what, hosts=(), at_epoch=0, duration=1, factor=1.0, restart=None) -> None:
+    """Every spec type's range checks, however it was built (flag, doctor
+    JSON, generator): no negative host, epoch or restart, no empty window,
+    only positive, finite factors."""
+    if min(hosts, default=0) < 0 or at_epoch < 0 or (restart or 0) < 0:
+        raise FaultInjectionError(
+            f"{what}: hosts, epochs and restarts must be >= 0"
+        )
+    if duration < 1:
+        raise FaultInjectionError(f"{what}: duration must be >= 1 epoch")
+    if not 0 < factor < math.inf:
+        raise FaultInjectionError(f"{what}: factor must be positive and finite")
+
+
 @dataclass(frozen=True)
 class HostCrash:
     """One host outage: dies at ``at_epoch``, optionally restarts."""
@@ -48,6 +63,9 @@ class HostCrash:
     at_epoch: int
     #: epochs the host stays down; None = dead for the rest of the run
     restart_after: int | None = None
+
+    def __post_init__(self):
+        _check(self, (self.host,), self.at_epoch, restart=self.restart_after)
 
     @classmethod
     def parse(cls, spec: str) -> "HostCrash":
@@ -89,6 +107,9 @@ class LinkPartition:
     at_epoch: int
     duration: int
 
+    def __post_init__(self):
+        _check(self, (self.host_a, self.host_b), self.at_epoch, self.duration)
+
     @classmethod
     def parse(cls, spec: str) -> "LinkPartition":
         a, b, at, duration, _ = _parse_link(spec, "partition")
@@ -110,6 +131,10 @@ class LinkDegradation:
     at_epoch: int
     duration: int
     factor: float = 4.0
+
+    def __post_init__(self):
+        _check(self, (self.host_a, self.host_b), self.at_epoch, self.duration,
+               self.factor)
 
     @classmethod
     def parse(cls, spec: str) -> "LinkDegradation":
@@ -138,6 +163,9 @@ class StragglerWindow:
     at_epoch: int
     duration: int
     factor: float = 0.5
+
+    def __post_init__(self):
+        _check(self, self.hosts, self.at_epoch, self.duration, self.factor)
 
     @classmethod
     def parse(cls, spec: str) -> "StragglerWindow":

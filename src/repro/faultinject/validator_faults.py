@@ -101,9 +101,9 @@ class ValidatorChaosConfig:
                     raise ConfigurationError(
                         f"bad validator fault amount in {spec!r}"
                     ) from None
-            if amount <= 0:
+            if not 0 < amount < math.inf:
                 raise ConfigurationError(
-                    f"validator fault amount must be positive in {spec!r}"
+                    f"validator fault amount must be positive and finite in {spec!r}"
                 )
             parsed.append((kind, amount))
         return ValidatorChaosConfig(

@@ -258,25 +258,14 @@ class Supervisor:
 
     def ticker(self):
         session, watchdog, ladder = self.session, self.watchdog, self.plane.ladder
-        env, obs, queues = session.env, session.obs, self.plane.admission.queues
+        env, lifecycle, queues = session.env, session.obs.lifecycle, self.plane.admission.queues
         prev_drops = prev_attempts = prev_timeouts = prev_dispatches = 0
         while not session.quiesced:
             yield env.timeout(self.ft.check_interval)
             now = env.now
             for dispatch in watchdog.expired(now):
                 log = dispatch.log
-                if obs.enabled:
-                    # The dead time on the faulted core, from dispatch to
-                    # the watchdog noticing.
-                    obs.spans.record(
-                        "stalled",
-                        log.seq,
-                        dispatch.dispatched_at,
-                        now,
-                        closure=log.closure_name,
-                        core=dispatch.core_id,
-                        attempt=dispatch.attempt,
-                    )
+                lifecycle.stalled(dispatch, now)
                 delay = watchdog.plan_redispatch(dispatch, now)
                 if delay is None:
                     # Retry budget exhausted: degrade, don't strand.
@@ -288,16 +277,7 @@ class Supervisor:
                     # unprotected until its re-enqueue (a canary protects
                     # nothing, DESIGN §11.3).
                     session.exposure.record(log.closure_name, "redispatch", delay)
-                if obs.enabled:
-                    # Backoff before the re-enqueue; the next queue.wait
-                    # starts where this ends.
-                    obs.spans.record(
-                        "redispatch",
-                        log.seq,
-                        now,
-                        now + delay,
-                        closure=log.closure_name,
-                    )
+                lifecycle.redispatched(log, now, delay)
                 env.process(self.redispatch_later(log, delay))
             if not session.serving and (queues.pending or watchdog.in_flight):
                 # Total validation-plane death: settle everything via the

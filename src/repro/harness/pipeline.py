@@ -385,7 +385,7 @@ class DriverSession:
         ]
 
     def app_thread(self, thread_id: int, submit):
-        env, runtime, obs = self.env, self.runtime, self.obs
+        env, runtime, lifecycle = self.env, self.runtime, self.obs.lifecycle
         metrics, result, costs = self.metrics, self.result, self.config.costs
         server, ops, responses = self.server, self.ops, self._responses
         request_logs, done_events = self._request_logs, self.done_events
@@ -416,29 +416,19 @@ class DriverSession:
                 if must_hold(log.closure_name):
                     hold.append(event)
                 yield from submit(log)
-                if obs.enabled:
-                    # Closure execution plus the control path plus any
-                    # producer stall, up to the simulated enqueue — so
-                    # queue.wait tiles against it exactly.
-                    obs.spans.record(
-                        "closure.run", log.seq, log.start_time, env.now,
-                        closure=log.closure_name, core=thread_id,
-                    )
+                # Closure execution plus the control path plus any producer
+                # stall, up to the simulated enqueue — so queue.wait tiles
+                # against it exactly.
+                lifecycle.handed_off(log, env.now, core=thread_id)
             if hold:
                 # Safe mode (static, or engaged by the degradation ladder):
                 # withhold externalizing results until their logs settle
                 # (§3.5).
                 yield env.all_of(hold)
-            metrics.request_latency.add(env.now - began)
+            latency = env.now - began
+            metrics.request_latency.add(latency)
             metrics.operations += 1
-            if obs.enabled:
-                obs.registry.counter(
-                    "orthrus_requests_total", help="completed application requests"
-                ).inc()
-                obs.registry.histogram(
-                    "orthrus_request_latency_seconds",
-                    help="request begin to response (incl. safe-mode holds)",
-                ).record(env.now - began)
+            lifecycle.served(latency)
             track_memory()
 
     # -- observer processes ------------------------------------------------
@@ -481,11 +471,7 @@ class DriverSession:
                     monitor.issue(log, env.now)
                     done_events[log.seq] = env.event()
                     yield from submit_canary(log)
-                    if obs.enabled:
-                        obs.spans.record(
-                            "closure.run", log.seq, log.start_time, env.now,
-                            closure=log.closure_name,
-                        )
+                    obs.lifecycle.handed_off(log, env.now)
 
             def canary_poller():
                 step = config.canary.deadline / 4
@@ -516,11 +502,7 @@ class DriverSession:
         about plane liveness — and stay out of its load signal.
         """
         if is_canary_log(log):
-            if self.obs.enabled:
-                self.obs.spans.record(
-                    "queue.wait", log.seq, log.enqueue_time, now,
-                    closure=log.closure_name,
-                )
+            self.obs.lifecycle.waited(log, now)
             return None
         budget = self.config.memory_budget_bytes
         return observe_and_decide(
@@ -578,7 +560,8 @@ class DriverSession:
         skip's or a drop's; a verdict brings its outcome, core, dispatch
         instant and ``validate`` span args.  A canary gets its ledger
         entry, its spans and its release, and nothing else (§11.3)."""
-        obs, metrics, exposure, seq = self.obs, self.metrics, self.exposure, log.seq
+        lifecycle, metrics, exposure = self.obs.lifecycle, self.metrics, self.exposure
+        seq = log.seq
         user = not is_canary_log(log)
         if state == "validated":
             self.ledger.validated(seq)
@@ -589,56 +572,36 @@ class DriverSession:
                 metrics.validation_latency.add(latency)
                 self.runtime.latency.record(log.closure_name, latency)
                 metrics.validated += 1
-            if obs.enabled:
-                # The causal chain tiles: dispatch covers the fixed dispatch
-                # cost, validate the re-execution + comparison (+ any
-                # cross-NUMA penalty) up to the verdict instant.
-                validate_from = dispatched_at + self._dispatch_s
-                obs.spans.record(
-                    "dispatch", seq, dispatched_at, validate_from,
-                    closure=log.closure_name, core=core_id,
-                )
-                self.runtime.record_verdict_spans(
-                    log, outcome, validate_from, core=core_id, **validate_args
-                )
+            # The causal chain tiles: dispatch covers the fixed dispatch
+            # cost, validate the re-execution + comparison (+ any cross-NUMA
+            # penalty) up to the verdict instant.
+            validate_from = dispatched_at + self._dispatch_s
+            lifecycle.dispatched(log, dispatched_at, validate_from, core_id)
+            lifecycle.verdict(log, outcome.passed, validate_from, now,
+                              core=core_id, **validate_args)
         elif state == "skipped":  # canaries bypass the sampler and the ladder
             self.ledger.skipped(seq)
             metrics.skipped += 1
-            self.runtime.validator.skip(log)
+            self.runtime.validator.skip(log, now)
             if exposure is not None:
                 exposure.record(
                     log.closure_name,
                     "coverage-shed" if reason == "coverage-shed" else "sampled-out",
                     self.stale_s,
                 )
-            if obs.enabled:
-                obs.spans.record(
-                    "skip", seq, now, now, closure=log.closure_name, reason=reason
-                )
+            lifecycle.sampled_out(log, now, reason)
             return
         elif state == "dropped":
             self.ledger.dropped(seq, reason)
             deadline = reason == "deadline"
-            if obs.enabled:
-                if deadline:
-                    obs.registry.counter(
-                        "orthrus_deadline_drops_total",
-                        help="logs dropped past the timely-detection window",
-                    ).inc()
-                    obs.spans.record(
-                        "queue.wait", seq, log.enqueue_time, now,
-                        closure=log.closure_name,
-                    )
-                obs.spans.record(
-                    "drop", seq, now, now, closure=log.closure_name, reason=reason
-                )
+            lifecycle.abandoned(log, now, reason)
             if user:  # a deadline drop counts as a skip (on the plain plane, closes as one)
                 if deadline:
                     metrics.skipped += 1
                 if deadline and not self.supervised:
-                    self.runtime.validator.skip(log)
+                    self.runtime.validator.skip(log, now)
                 else:
-                    self.runtime.validator.drop(log, reason)
+                    self.runtime.validator.drop(log, reason, now)
                 if exposure is not None:  # queue time burned + staleness window
                     waited = max(0.0, now - log.enqueue_time) if log.enqueue_time else 0.0
                     exposure.record(log.closure_name, reason, waited + self.stale_s)
@@ -649,12 +612,7 @@ class DriverSession:
                 # CRC checks catch bit-flips but not mercurial compute
                 # errors: partial coverage, honestly accounted as exposure.
                 exposure.record(log.closure_name, "checksum-only", self.stale_s)
-            if obs.enabled:
-                obs.registry.counter(
-                    "orthrus_checksum_fallbacks_total",
-                    help="logs settled by CRC fallback instead of re-execution",
-                ).inc()
-                obs.spans.record("fallback", seq, now, now, closure=log.closure_name)
+            lifecycle.fell_back(log, now)
         self.release(log)
 
     def release(self, log: ClosureLog) -> None:
@@ -696,8 +654,8 @@ class StoreAdmission:
     sentinel per validator.  The paper figures and Phoenix run it."""
 
     def __init__(self, session: DriverSession):
-        self.env, self.obs, self.pending_bytes = session.env, session.obs, session.pending_bytes
-        self.ledger = session.ledger
+        self.env, self.pending_bytes = session.env, session.pending_bytes
+        self.ledger, self.lifecycle = session.ledger, session.obs.lifecycle
         self.store = Store(self.env)
         self.wait, self.hand_back = self.store.get, self.store.unget
 
@@ -712,19 +670,9 @@ class StoreAdmission:
     submit_canary = enqueue
 
     def submit(self, log):
+        """``enqueue`` and, for organic logs only, the ``enqueued`` transition."""
         waits = self.enqueue(log)
-        obs = self.obs
-        if obs.enabled:
-            # QueueSet emits these under bounded admission; the bare Store
-            # cannot, so this does — for organic logs only.
-            obs.registry.counter(
-                "orthrus_queue_pushes_total", {"queue": "store"},
-                help="closure logs enqueued for validation",
-            ).inc()
-            obs.tracer.emit(
-                "queue.push", ts=self.env.now, queue="store", seq=log.seq,
-                closure=log.closure_name, depth=len(self.store),
-            )
+        self.lifecycle.enqueued(log, "store", self.store, self.env.now)
         return waits
 
     @staticmethod
@@ -772,7 +720,7 @@ def validator_process(session: DriverSession, core, plane: Plane,
     admission, supervisor, ladder = plane.admission, plane.supervisor, plane.ladder
     wait, claim = admission.wait, admission.claim
     watchdog = supervisor.watchdog if supervisor is not None else None
-    faults = plane.faults
+    faults, lifecycle = plane.faults, session.obs.lifecycle
     armed = len(faults) > 0
     skip_s = costs.seconds(costs.skip_cycles)
     core_id = core.core_id
@@ -805,11 +753,7 @@ def validator_process(session: DriverSession, core, plane: Plane,
         if kind is ValidatorFaultKind.HANG:
             # Block forever holding the dispatched log.
             retire(core_id)
-            if session.obs.enabled:
-                session.obs.spans.record(
-                    "queue.wait", log.seq, log.enqueue_time, now,
-                    closure=log.closure_name,
-                )
+            lifecycle.waited(log, now)
             watchdog.dispatched(log, core_id, now)
             yield env.event()
             return  # pragma: no cover — the event never fires

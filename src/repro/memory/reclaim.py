@@ -36,9 +36,10 @@ class ReclamationManager:
         self._completed_since_reclaim = 0
         self._paused = 0
         self.reclaim_passes = 0
-        self._obs = obs if obs is not None else NULL_OBS
-        if self._obs.enabled:
-            self._obs.registry.gauge(
+        obs = obs if obs is not None else NULL_OBS
+        self._lifecycle = obs.lifecycle
+        if obs.enabled:
+            obs.registry.gauge(
                 "orthrus_reclaim_open_windows",
                 help="closures whose active window is still open",
             ).set_function(lambda: float(len(self._active)))
@@ -99,22 +100,7 @@ class ReclamationManager:
         self.reclaim_passes += 1
         watermark = self.watermark
         reclaimed = self._heap.reclaim_before(watermark)
-        obs = self._obs
-        if obs.enabled:
-            obs.registry.counter(
-                "orthrus_reclaim_passes_total", help="batched reclamation passes"
-            ).inc()
-            obs.registry.counter(
-                "orthrus_versions_reclaimed_total",
-                help="stale versions freed by reclamation",
-            ).inc(reclaimed)
-            obs.tracer.emit(
-                "reclaim.batch",
-                ts=self._heap.now(),
-                reclaimed=reclaimed,
-                watermark=watermark,
-                open_windows=len(self._active),
-            )
+        self._lifecycle.reclaimed(reclaimed, watermark, self._active, self._heap)
         return reclaimed
 
     # ------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """The per-run observability handle threaded through the pipeline.
 
 One :class:`Observability` object bundles a :class:`MetricsRegistry`, a
-:class:`Tracer` and a :class:`~repro.obs.spans.SpanTracer`; the runtime,
-validator, queues, samplers and reclamation manager all hold a reference
-and guard every instrumentation site with a single ``if obs.enabled:``
-check.  :data:`NULL_OBS` is the shared disabled instance — the default
-everywhere — so an uninstrumented run pays one attribute read per site
-and allocates nothing.
+:class:`Tracer`, a :class:`~repro.obs.spans.SpanTracer` and the
+:class:`~repro.obs.lifecycle.Lifecycle` recorder, through which every
+closure-log transition is written.  :data:`NULL_OBS` is the shared disabled
+instance — the default everywhere — whose recorder does nothing, so an
+uninstrumented run allocates nothing; ``enabled`` is read by set-up code.
 
 Usage::
 
@@ -20,6 +19,7 @@ Usage::
 
 from __future__ import annotations
 
+from repro.obs.lifecycle import NULL_LIFECYCLE, Lifecycle
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NULL_SPANS, SpanTracer
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -28,7 +28,7 @@ __all__ = ["Observability", "NULL_OBS"]
 
 
 class Observability:
-    """Metrics registry + tracer + span tracer for one run."""
+    """Metrics registry + tracer + span tracer + lifecycle recorder for one run."""
 
     def __init__(
         self,
@@ -43,17 +43,18 @@ class Observability:
         self.spans = (
             SpanTracer(max_spans, registry=self.registry) if spans else NULL_SPANS
         )
+        self.lifecycle = Lifecycle(self.registry, self.tracer, self.spans)
 
     def snapshot(self) -> dict:
         return self.registry.snapshot()
 
 
 class _NullObservability:
-    """Disabled observability: real (inert) registry, no-op tracer.
+    """Disabled observability: real (inert) registry, no-op tracer, span
+    tracer and lifecycle recorder.
 
-    The registry exists so unguarded writes do not crash, but every
-    instrumentation site checks :attr:`enabled` first, so in practice
-    nothing is ever recorded here.
+    The registry exists for set-up code that reads it; every transition
+    goes through the no-op recorder, so nothing is ever recorded here.
     """
 
     enabled = False
@@ -62,6 +63,7 @@ class _NullObservability:
         self.registry = MetricsRegistry()
         self.tracer = NULL_TRACER
         self.spans = NULL_SPANS
+        self.lifecycle = NULL_LIFECYCLE
 
     def snapshot(self) -> dict:
         return self.registry.snapshot()

@@ -17,9 +17,9 @@ whose chain ends in a ``verdict`` marker, the stage durations sum to
 exactly ``verdict_time - start_time`` — the invariant the latency
 attribution engine (:mod:`repro.obs.latency`) checks and exploits.
 
-Like the tracer, the span layer lives behind the ``obs.enabled`` /
-``NULL_OBS`` guard: :data:`NULL_SPANS` records nothing, and drivers pay a
-single attribute check on the disabled path.  :func:`write_spans_chrome`
+Lifecycle spans are recorded by :mod:`repro.obs.lifecycle` (DESIGN §7.1
+names the method behind each stage; the response layer adds its own
+markers); :data:`NULL_SPANS` records nothing.  :func:`write_spans_chrome`
 exports the chain as a Chrome trace-event file (one timeline row per
 stage) that loads directly into Perfetto / ``chrome://tracing``.
 """

@@ -1,37 +1,19 @@
 """Structured runtime tracing (the "T" of the obs layer).
 
 The tracer is an append-only, in-memory buffer of flat, typed events
-covering the closure lifecycle:
-
-===================  ==========================================================
-kind                 emitted when / key fields
-===================  ==========================================================
-``closure.run``      an annotated closure finishes its APP execution
-                     (closure, caller, seq, core, end_time, cycles)
-``queue.push``       its log enters a validation queue (queue, seq, depth)
-``queue.pop``        the log is dequeued for validation (queue, seq, depth)
-``sampler.decision`` the sampler chooses validate/skip
-                     (seq, validate, reason, rate)
-``validator.validate``  re-execution completed (seq, core, passed, latency)
-``validator.skip``   the log was dropped unvalidated (seq)
-``checksum.verify``  a first-load CRC probe ran (seq, obj, version, ok)
-``reclaim.batch``    a reclamation pass ran (reclaimed, watermark,
-                     open_windows)
-===================  ==========================================================
+covering the closure lifecycle.  Which transition emits which kind, with
+which fields, on which plane, is :mod:`repro.obs.lifecycle`'s to say —
+DESIGN §7.1 has the table.
 
 Timestamps are the runtime's clock (virtual seconds under the simulation
 drivers, logical ticks under the default clock).  Every event is
 additionally tagged with ``event_seq`` — the tracer's monotonically
 increasing emission counter — because concurrent queues can tie on the
 clock; sorting a merged JSON-lines trace by ``event_seq`` restores the
-total emission order.  Events are emitted in clock order per closure, so
-a JSON-lines export replays the lifecycle:
-``closure.run`` → ``queue.push`` → ``queue.pop`` → ``sampler.decision`` →
-``validator.validate``/``validator.skip``.
+total emission order.
 
 :class:`NullTracer` is the disabled implementation: a shared singleton
-whose ``emit`` is a no-op, so instrumented code pays one attribute check
-(``tracer.enabled`` / ``obs.enabled``) and nothing else.
+whose ``emit`` is a no-op.
 """
 
 from __future__ import annotations

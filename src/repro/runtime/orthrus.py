@@ -275,38 +275,12 @@ class OrthrusRuntime:
         if log.deletes:
             log.deletes = [ctx.canon_obj(oid) for oid in log.deletes]
         log.end_time = self.clock.now()
-        obs = self.obs
-        if obs.enabled:
-            labels = {"closure": meta.name, "caller": caller}
-            obs.registry.counter(
-                "orthrus_closures_total", labels, help="APP closure executions"
-            ).inc()
-            obs.registry.counter(
-                "orthrus_closure_cycles_total", labels,
-                help="cycles the APP executions consumed",
-            ).inc(log.app_cycles)
-            obs.tracer.emit(
-                "closure.run",
-                ts=start,
-                closure=meta.name,
-                caller=caller,
-                seq=log.seq,
-                core=core.core_id,
-                end_time=log.end_time,
-                cycles=log.app_cycles,
-            )
-            if self.mode != "external":
-                # External drivers (the DES harness) record the span
-                # themselves — their closure.run extends to the simulated
-                # enqueue point, which this runtime cannot see.
-                obs.spans.record(
-                    "closure.run",
-                    log.seq,
-                    start,
-                    log.end_time,
-                    closure=meta.name,
-                    core=core.core_id,
-                )
+        lifecycle = self.obs.lifecycle
+        lifecycle.ran(log, core.core_id)
+        if self.mode != "external":
+            # External drivers (the DES harness) hand the log off themselves
+            # — at the simulated enqueue point, which this runtime cannot see.
+            lifecycle.handed_off(log, log.end_time, core=core.core_id)
         if not self._hold_versions:
             self.reclaimer.closure_finished(log.seq)
         if self._on_log is not None:
@@ -324,8 +298,11 @@ class OrthrusRuntime:
                 self._validate(log, validate_from=log.end_time)
             elif pushed.dropped is not None:
                 # reject drops the incoming log, drop-oldest the evicted
-                # head; either way the window closes with a reason.
-                self.validator.drop(pushed.dropped, pushed.reason)
+                # head; either way its chain ends in a drop marker and the
+                # window closes with a reason.
+                now = self.clock.now()
+                lifecycle.abandoned(pushed.dropped, now, pushed.reason)
+                self.validator.drop(pushed.dropped, pushed.reason, now)
         if self.timeseries is not None:
             self.timeseries.sample(self.clock.now())
         # mode == "external": an external driver (the discrete-event
@@ -340,44 +317,13 @@ class OrthrusRuntime:
         responder."""
         val_core = self.scheduler.validation_core_for(log.core_id)
         outcome = self.validator.validate(log, val_core)
-        self.sampler.on_validated(log, self.clock.now())
+        now = self.clock.now()
+        self.sampler.on_validated(log, now)
         self.latency.record(log.closure_name, outcome.latency)
         self.outcomes.append(outcome)
-        self.record_verdict_spans(log, outcome, validate_from=validate_from)
+        self.obs.lifecycle.verdict(log, outcome.passed, validate_from, now)
         if self.responder is not None:
             self.responder.on_outcome(outcome)
-
-    def record_verdict_spans(
-        self,
-        log: ClosureLog,
-        outcome: ValidationOutcome,
-        validate_from: float,
-        **validate_args: Any,
-    ) -> None:
-        """Close a log's causal chain: a ``validate`` interval ending at
-        the verdict plus the zero-length ``verdict`` marker.  The DES
-        drivers pass the validating core (and degradation level) as
-        ``validate_args``."""
-        obs = self.obs
-        if not obs.enabled:
-            return
-        now = self.clock.now()
-        obs.spans.record(
-            "validate",
-            log.seq,
-            validate_from,
-            now,
-            closure=log.closure_name,
-            **validate_args,
-        )
-        obs.spans.record(
-            "verdict",
-            log.seq,
-            now,
-            now,
-            closure=log.closure_name,
-            passed=outcome.passed,
-        )
 
     # ------------------------------------------------------------------
     # validation pumping (queued mode)
@@ -389,23 +335,19 @@ class OrthrusRuntime:
         active window without re-execution (§3.5).
         """
         processed = 0
-        obs = self.obs
+        obs, lifecycle = self.obs, self.obs.lifecycle
         while max_logs is None or processed < max_logs:
-            log = self._pop_any()
+            now = self.clock.now()
+            log = self._pop_any(now)
             if log is None:
                 break
             processed += 1
-            now = self.clock.now()
             decision = observe_and_decide(
                 self.sampler, log, now, self.queues.queue_delay(now), obs
             )
             if not decision.validate:
-                self.validator.skip(log)
-                if obs.enabled:
-                    obs.spans.record(
-                        "skip", log.seq, now, now,
-                        closure=log.closure_name, reason=decision.reason,
-                    )
+                self.validator.skip(log, now)
+                lifecycle.sampled_out(log, now, decision.reason)
                 continue
             self._validate(log, validate_from=now)
             if self.timeseries is not None:
@@ -416,7 +358,7 @@ class OrthrusRuntime:
         """Validate everything still pending (end-of-run flush)."""
         return self.pump(max_logs=None)
 
-    def _pop_any(self) -> ClosureLog | None:
+    def _pop_any(self, now: float) -> ClosureLog | None:
         # Round-robin across queues: always starting at queue 0 would drain
         # it first and starve later queues in multi-queue configurations.
         queues = self.queues.queues
@@ -426,21 +368,7 @@ class OrthrusRuntime:
             log = queues[index].pop()
             if log is not None:
                 self._pop_cursor = (index + 1) % n
-                obs = self.obs
-                if obs.enabled:
-                    obs.registry.counter(
-                        "orthrus_queue_pops_total",
-                        {"queue": str(index)},
-                        help="closure logs dequeued per validation queue",
-                    ).inc()
-                    obs.tracer.emit(
-                        "queue.pop",
-                        ts=self.clock.now(),
-                        queue=index,
-                        seq=log.seq,
-                        closure=log.closure_name,
-                        depth=len(queues[index]),
-                    )
+                self.obs.lifecycle.dequeued(log, index, queues[index], now)
                 return log
         return None
 
@@ -449,12 +377,7 @@ class OrthrusRuntime:
     # ------------------------------------------------------------------
     def _on_detection(self, event: DetectionEvent) -> None:
         self.report.record(event)
-        if self.obs.enabled:
-            self.obs.registry.counter(
-                "orthrus_detections_total",
-                {"kind": event.kind, "closure": event.closure},
-                help="SDC detections by kind",
-            ).inc()
+        self.obs.lifecycle.detected(event)
         # Response runs before the abort policy so the incident record is
         # complete even when the strict deployment stops the application.
         if self.responder is not None:

@@ -69,45 +69,18 @@ def observe_and_decide(
 ) -> SampleDecision:
     """The sampler stage of a validation plane, with its telemetry.
 
-    The single definition the DES validator loops and
+    The single definition the DES validator loop and
     :meth:`OrthrusRuntime.pump` share: feed the load signal (``delay``, or
     ``memory = (used_bytes, budget_bytes)`` when the trigger is switched to
-    memory pressure for Fig 10), take the reasoned decision, and emit the
-    one transition every plane reports the same way — the queue-delay
-    sample, the decision counter, the ``sampler.decision`` event and the
-    ``queue.wait`` span that ends at this dequeue.
+    memory pressure for Fig 10), take the reasoned decision, and record the
+    ``decided`` transition, which ends the log's ``queue.wait``.
     """
     if memory is not None:
         sampler.observe_memory(*memory)
     else:
         sampler.observe_delay(delay)
     decision = sampler_decision(sampler, log, now)
-    if obs.enabled:
-        obs.registry.histogram(
-            "orthrus_queue_delay_seconds",
-            help="queueing delay at each validator dequeue (the sampler's load signal)",
-        ).record(delay)
-        obs.registry.counter(
-            "orthrus_sampler_decisions_total",
-            {
-                "decision": "validate" if decision.validate else "skip",
-                "reason": decision.reason,
-            },
-            help="sampler verdicts by outcome and reason",
-        ).inc()
-        obs.tracer.emit(
-            "sampler.decision",
-            ts=now,
-            closure=log.closure_name,
-            caller=log.caller,
-            seq=log.seq,
-            validate=decision.validate,
-            reason=decision.reason,
-            rate=getattr(sampler, "rate", 1.0),
-        )
-        obs.spans.record(
-            "queue.wait", log.seq, log.enqueue_time, now, closure=log.closure_name
-        )
+    obs.lifecycle.decided(log, decision, delay, now, sampler)
     return decision
 
 

@@ -187,12 +187,13 @@ class QueueSet:
         self.policy = policy
         self.accepted_total = 0
         self._next = 0
-        self._obs = obs if obs is not None else NULL_OBS
-        if self._obs.enabled:
+        obs = obs if obs is not None else NULL_OBS
+        self._lifecycle = obs.lifecycle
+        if obs.enabled:
             # Callback gauges: depth is sampled at export time, so the
             # push/pop hot path pays nothing for them.
             for queue in self.queues:
-                self._obs.registry.gauge(
+                obs.registry.gauge(
                     "orthrus_queue_depth",
                     {"queue": str(queue.queue_id)},
                     help="pending closure logs per validation queue",
@@ -219,37 +220,11 @@ class QueueSet:
         validation core different from any application core)."""
         queue = self.queues[queue_id] if queue_id is not None else self._pick()
         outcome = queue.push(log, now)
-        obs = self._obs
         if outcome.accepted:
             self.accepted_total += 1
-            if obs.enabled:
-                obs.registry.counter(
-                    "orthrus_queue_pushes_total",
-                    {"queue": str(queue.queue_id)},
-                    help="closure logs enqueued per validation queue",
-                ).inc()
-                obs.tracer.emit(
-                    "queue.push",
-                    ts=now,
-                    queue=queue.queue_id,
-                    seq=log.seq,
-                    closure=log.closure_name,
-                    depth=len(queue),
-                )
-        if outcome.dropped is not None and obs.enabled:
-            obs.registry.counter(
-                "orthrus_queue_drops_total",
-                {"queue": str(queue.queue_id), "reason": outcome.reason},
-                help="closure logs dropped by bounded validation queues",
-            ).inc()
-            obs.tracer.emit(
-                "queue.drop",
-                ts=now,
-                queue=queue.queue_id,
-                seq=outcome.dropped.seq,
-                closure=outcome.dropped.closure_name,
-                reason=outcome.reason,
-            )
+            self._lifecycle.enqueued(log, queue.queue_id, queue, now)
+        if outcome.dropped is not None:
+            self._lifecycle.fell_out(outcome.dropped, queue.queue_id, outcome.reason, now)
         return outcome
 
     def pop(self, queue_id: int, allow_steal: bool = True) -> ClosureLog | None:
@@ -266,12 +241,8 @@ class QueueSet:
         if victim is None or len(victim) == 0:
             return None
         stolen = victim.steal()
-        if stolen is not None and self._obs.enabled:
-            self._obs.registry.counter(
-                "orthrus_queue_steals_total",
-                {"thief": str(queue_id), "victim": str(victim.queue_id)},
-                help="logs stolen between validation queues",
-            ).inc()
+        if stolen is not None:
+            self._lifecycle.stolen(queue_id, victim.queue_id)
         return stolen
 
     def shutdown(self) -> None:

@@ -184,15 +184,16 @@ class Validator:
         self._clock = clock
         self._detector = detector
         self._reclaimer = reclaimer
-        self._obs = obs if obs is not None else NULL_OBS
+        obs = obs if obs is not None else NULL_OBS
+        self._lifecycle = obs.lifecycle
         self.validated_count = 0
         self.mismatch_count = 0
         #: latency of the most recent validation — the cheap point-in-time
         #: lag signal the time-series recorder samples between histogram
         #: windows (a starved validator shows up here immediately).
         self.last_latency = 0.0
-        if self._obs.enabled:
-            self._obs.registry.gauge(
+        if obs.enabled:
+            obs.registry.gauge(
                 "orthrus_validation_lag_seconds",
                 help="latency of the most recent validation (completion to verdict)",
             ).set_function(lambda: self.last_latency)
@@ -224,38 +225,9 @@ class Validator:
             self._reclaimer.closure_finished(log.seq)
         latency = now - log.end_time
         self.last_latency = latency
-        obs = self._obs
-        if obs.enabled:
-            labels = {"closure": log.closure_name, "caller": log.caller}
-            registry = obs.registry
-            registry.counter(
-                "orthrus_validations_total", labels,
-                help="closure logs re-executed by the validator",
-            ).inc()
-            registry.counter(
-                "orthrus_validation_cycles_total", labels,
-                help="cycles spent re-executing closures",
-            ).inc(val_cycles)
-            if not result.matches:
-                registry.counter(
-                    "orthrus_validation_mismatches_total", labels,
-                    help="validations that diverged from the APP run",
-                ).inc()
-            registry.histogram(
-                "orthrus_validation_latency_seconds", labels,
-                help="closure completion to validation completion",
-            ).record(latency)
-            obs.tracer.emit(
-                "validator.validate",
-                ts=now,
-                closure=log.closure_name,
-                caller=log.caller,
-                seq=log.seq,
-                core=core.core_id,
-                passed=result.matches,
-                latency=latency,
-                cycles=val_cycles,
-            )
+        self._lifecycle.validated(
+            log, core.core_id, result.matches, latency, val_cycles, now
+        )
         return ValidationOutcome(
             log=log,
             passed=result.matches,
@@ -264,46 +236,20 @@ class Validator:
             latency=latency,
         )
 
-    def drop(self, log: ClosureLog, reason: str) -> None:
-        """A bounded queue or watchdog shed ``log`` unvalidated.
+    def drop(self, log: ClosureLog, reason: str, now: float) -> None:
+        """A bounded queue or watchdog shed ``log`` unvalidated at ``now``.
 
         Unlike :meth:`skip` (a sampler *decision*), a drop is overload
         shedding — accounted by reason so the conservation invariant stays
         checkable.  Closes the log's version window either way.
         """
-        obs = self._obs
-        if obs.enabled:
-            obs.registry.counter(
-                "orthrus_validation_drops_total",
-                {"closure": log.closure_name, "reason": reason},
-                help="logs dropped unvalidated by the fault-tolerance layer",
-            ).inc()
-            obs.tracer.emit(
-                "validator.drop",
-                ts=self._clock.now(),
-                closure=log.closure_name,
-                caller=log.caller,
-                seq=log.seq,
-                reason=reason,
-            )
+        self._lifecycle.dropped(log, reason, now)
         if self._reclaimer is not None:
             self._reclaimer.closure_finished(log.seq)
 
-    def skip(self, log: ClosureLog) -> None:
-        """Drop a log unvalidated (sampler decision); closes its window."""
-        obs = self._obs
-        if obs.enabled:
-            obs.registry.counter(
-                "orthrus_validation_skips_total",
-                {"closure": log.closure_name, "caller": log.caller},
-                help="closure logs dropped unvalidated",
-            ).inc()
-            obs.tracer.emit(
-                "validator.skip",
-                ts=self._clock.now(),
-                closure=log.closure_name,
-                caller=log.caller,
-                seq=log.seq,
-            )
+    def skip(self, log: ClosureLog, now: float) -> None:
+        """Drop a log unvalidated at ``now`` (sampler decision); closes its
+        window."""
+        self._lifecycle.skipped(log, now)
         if self._reclaimer is not None:
             self._reclaimer.closure_finished(log.seq)

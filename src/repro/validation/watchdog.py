@@ -99,7 +99,7 @@ class ValidationWatchdog:
     ):
         self.config = config if config is not None else WatchdogConfig()
         self.config.validate()
-        self._obs = obs if obs is not None else NULL_OBS
+        self._lifecycle = (obs if obs is not None else NULL_OBS).lifecycle
         self._on_offender = on_offender
         self._inflight: dict[int, Dispatch] = {}
         self._attempts: dict[int, int] = {}
@@ -138,11 +138,7 @@ class ValidationWatchdog:
         self.dispatches_total += 1
         if attempt > 1:
             self.redispatches_total += 1
-            if self._obs.enabled:
-                self._obs.registry.counter(
-                    "orthrus_watchdog_redispatches_total",
-                    help="validations re-dispatched after a deadline timeout",
-                ).inc()
+            self._lifecycle.retried()
         return dispatch
 
     def completed(self, seq: int, now: float) -> bool:
@@ -151,11 +147,7 @@ class ValidationWatchdog:
         and must be discarded — another core owns the log now)."""
         if self._inflight.pop(seq, None) is None:
             self.duplicates_total += 1
-            if self._obs.enabled:
-                self._obs.registry.counter(
-                    "orthrus_watchdog_duplicates_total",
-                    help="late verdicts discarded after re-dispatch",
-                ).inc()
+            self._lifecycle.duplicated()
             return False
         self._attempts.pop(seq, None)
         return True
@@ -164,38 +156,20 @@ class ValidationWatchdog:
         """Pop every dispatch past its deadline; account per-core timeouts
         and report repeat offenders."""
         late = [d for d in self._inflight.values() if now >= d.deadline_at]
+        lifecycle = self._lifecycle
         for dispatch in late:
             del self._inflight[dispatch.log.seq]
             self.timeouts_total += 1
             core_id = dispatch.core_id
             count = self.timeouts_by_core.get(core_id, 0) + 1
             self.timeouts_by_core[core_id] = count
-            if self._obs.enabled:
-                self._obs.registry.counter(
-                    "orthrus_watchdog_timeouts_total",
-                    {"core": str(core_id)},
-                    help="dispatched validations that missed their deadline",
-                ).inc()
-                self._obs.tracer.emit(
-                    "watchdog.timeout",
-                    ts=now,
-                    seq=dispatch.log.seq,
-                    closure=dispatch.log.closure_name,
-                    core=core_id,
-                    attempt=dispatch.attempt,
-                )
+            lifecycle.timed_out(dispatch, now)
             if (
                 count >= self.config.offender_threshold
                 and core_id not in self._offenders_reported
             ):
                 self._offenders_reported.add(core_id)
-                if self._obs.enabled:
-                    self._obs.tracer.emit(
-                        "watchdog.offender",
-                        ts=now,
-                        core=core_id,
-                        timeouts=count,
-                    )
+                lifecycle.offender(core_id, count, now)
                 if self._on_offender is not None:
                     self._on_offender(core_id, now)
         return late

@@ -657,6 +657,40 @@ HOSTILE_SPECS = [
     ({"pipeline": {"sampler_targets": "mc.get"}}, "pipeline.sampler_targets"),
     ({"fleet": {"faults": 3}}, "fleet.faults"),
     ({"fleet": {"faults": {"bogus": []}}}, "fleet.faults"),
+    # out-of-range chaos specs fail in the spec types, however built
+    ({"fleet": {"hosts": 4, "shards": 4, "epochs": 4,
+                "faults": {"crashes": [[1, -2, None]]}}}, "fleet.faults"),
+    ({"fleet": {"faults": {"crashes": [[1, 1, -1]]}}}, "fleet.faults"),
+    ({"fleet": {"faults": {"crashes": [[-1, 1, None]]}}}, "fleet.faults"),
+    ({"fleet": {"faults": {"partitions": [[0, 1, -1, 2]]}}}, "fleet.faults"),
+    ({"fleet": {"faults": {"partitions": [[0, 1, 1, 0]]}}}, "fleet.faults"),
+    ({"fleet": {"faults": {"degradations": [[0, 1, 1, 2, float("nan")]]}}},
+     "fleet.faults"),
+    ({"fleet": {"faults": {"degradations": [[0, 1, 1, 2, 0.0]]}}}, "fleet.faults"),
+    ({"fleet": {"faults": {"stragglers": [[[0], 1, 2, float("inf")]]}}},
+     "fleet.faults"),
+    ({"fleet": {"faults": {"stragglers": [[[-1], 1, 2, 0.5]]}}}, "fleet.faults"),
+    ({"pipeline": {"validator_faults": ["crash=nan"]}}, "pipeline.validator_faults"),
+    ({"pipeline": {"validator_faults": ["hang=1e999"]}}, "pipeline.validator_faults"),
+]
+
+_FLEET = ["fleet", "--hosts", "4", "--shards", "4", "--epochs", "4"]
+#: hostile run flags: each exits 1 with one line before the run prints anything
+HOSTILE_FLAGS = [
+    ["perf", "--app", "memcached", "--ops", "50", "--validator-faults", "crash=nan"],
+    ["perf", "--app", "memcached", "--ops", "50", "--validator-faults", "crash=inf"],
+    ["perf", "--app", "memcached", "--ops", "50", "--validator-faults", "crash=1e999"],
+    [*_FLEET, "--host-crash", "1@-2"],
+    [*_FLEET, "--host-crash", "1@1+-1"],
+    [*_FLEET, "--partition", "0-1@-1+2"],
+    [*_FLEET, "--partition", "0-1@1+-2"],
+    [*_FLEET, "--partition", "0-1@1+0"],
+    [*_FLEET, "--degrade-link", "0-1@1+2:nan"],
+    [*_FLEET, "--straggle", "0,1@1+2:-0.5"],
+    [*_FLEET, "--json", "{tmp}/missing/x.json"],
+    [*_FLEET, "--events-out", "{tmp}/missing/x.jsonl"],
+    [*_FLEET, "--metrics-out", "{tmp}/missing/x.prom"],
+    [*_FLEET, "--timeline-out", "{tmp}/missing/x.json"],
 ]
 
 
@@ -676,6 +710,14 @@ class TestDoctorDecoder:
         code = exc.value.code
         assert isinstance(code, str) and "\n" not in code  # exit status 1
         assert key in code.replace(":", " ").split()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", HOSTILE_FLAGS, ids=" ".join)
+    def test_hostile_flags_fail_closed_in_one_line(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        code = exc.value.code
+        assert isinstance(code, str) and "\n" not in code  # exit status 1
         assert capsys.readouterr().out == ""
 
     def test_bad_epoch_is_reachable(self, tmp_path, capsys):
