@@ -6,41 +6,24 @@ hardware) while being the only mechanism that catches control-path payload
 corruption.
 """
 
-import dataclasses
-
-from conftest import pct, print_table, scaled
+from figures import ablation_checksum, bench_scale, pct, print_table, scaled
 
 from repro.harness.pipeline import PipelineConfig, run_orthrus_server
 from repro.harness.scenarios import memcached_scenario
 from repro.machine.faults import Fault, FaultKind
 from repro.machine.instruction import Site
 from repro.machine.units import Unit
-from repro.sim.costs import DEFAULT_COSTS
-from repro.sim.metrics import slowdown
 
 
 def test_ablation_checksum_cost(benchmark):
-    n_ops = scaled(3000)
-    scenario = memcached_scenario()
-
-    def run_pair():
-        with_crc = run_orthrus_server(
-            scenario, n_ops, PipelineConfig(seed=1, costs=DEFAULT_COSTS)
-        )
-        without_crc = run_orthrus_server(
-            scenario, n_ops,
-            PipelineConfig(seed=1, costs=DEFAULT_COSTS.without_checksums()),
-        )
-        return with_crc, without_crc
-
-    with_crc, without_crc = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    cost = slowdown(without_crc.metrics.throughput, with_crc.metrics.throughput)
+    fig = benchmark.pedantic(ablation_checksum, args=(bench_scale(),), rounds=1, iterations=1)
+    cost = fig["cost"]
     print_table(
         "Ablation A1: checksum cost",
         ["Config", "Throughput (kop/s)"],
         [
-            ["with CRC-16", f"{with_crc.metrics.throughput / 1e3:.0f}"],
-            ["without", f"{without_crc.metrics.throughput / 1e3:.0f}"],
+            ["with CRC-16", f"{fig['with_crc.throughput'] / 1e3:.0f}"],
+            ["without", f"{fig['without_crc.throughput'] / 1e3:.0f}"],
             ["overhead", pct(cost)],
         ],
     )
@@ -56,5 +39,5 @@ def test_ablation_checksum_is_load_bearing():
     )
     config = PipelineConfig(seed=2)
     config.deferred_faults = ((0, fault),)
-    protected = run_orthrus_server(scenario, scaled(600), config)
+    protected = run_orthrus_server(scenario, scaled(600, bench_scale()), config)
     assert protected.runtime.report.count("checksum") > 0

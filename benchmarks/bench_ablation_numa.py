@@ -10,31 +10,11 @@ Paper-expected shape: same-node placement yields lower validation latency;
 functional results are placement-independent.
 """
 
-from conftest import print_table, scaled
-
-from repro.harness.pipeline import PipelineConfig, run_orthrus_server
-from repro.harness.scenarios import memcached_scenario
-from repro.machine.cpu import Machine
+from figures import ablation_numa, bench_scale, print_table
 
 
 def test_ablation_numa_placement(benchmark):
-    n_ops = scaled(2500)
-
-    def run_pair():
-        # Same socket: 4-core nodes put apps (cores 0-1) and validators
-        # (cores 2-3) on node 0.
-        same = PipelineConfig(app_threads=2, validation_cores=2, seed=1)
-        same.machine = Machine(cores_per_node=4, numa_nodes=2, seed=1)
-        same_result = run_orthrus_server(memcached_scenario(), n_ops, same)
-
-        # Cross socket: 2-core nodes put the same validator core ids (2-3)
-        # on node 1, behind the interconnect.
-        cross = PipelineConfig(app_threads=2, validation_cores=2, seed=1)
-        cross.machine = Machine(cores_per_node=2, numa_nodes=2, seed=1)
-        cross_result = run_orthrus_server(memcached_scenario(), n_ops, cross)
-        return same_result, cross_result
-
-    same, cross = benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    fig = benchmark.pedantic(ablation_numa, args=(bench_scale(),), rounds=1, iterations=1)
 
     print_table(
         "Ablation A5: NUMA placement of validation cores",
@@ -42,20 +22,17 @@ def test_ablation_numa_placement(benchmark):
         [
             [
                 "same socket",
-                f"{same.metrics.validation_latency.mean * 1e6:.2f} us",
-                f"{same.metrics.validation_latency.p95 * 1e6:.2f} us",
+                f"{fig['same.val_mean'] * 1e6:.2f} us",
+                f"{fig['same.val_p95'] * 1e6:.2f} us",
             ],
             [
                 "cross socket",
-                f"{cross.metrics.validation_latency.mean * 1e6:.2f} us",
-                f"{cross.metrics.validation_latency.p95 * 1e6:.2f} us",
+                f"{fig['cross.val_mean'] * 1e6:.2f} us",
+                f"{fig['cross.val_p95'] * 1e6:.2f} us",
             ],
         ],
     )
-    assert (
-        cross.metrics.validation_latency.mean
-        > same.metrics.validation_latency.mean
-    )
+    assert fig["cross.val_mean"] > fig["same.val_mean"]
     # Functional results are placement-independent.
-    assert same.responses == cross.responses
-    assert same.detections == cross.detections == 0
+    assert fig["same.responses"] == fig["cross.responses"]
+    assert fig["same.detections"] == fig["cross.detections"] == 0

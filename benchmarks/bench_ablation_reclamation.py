@@ -7,61 +7,46 @@ linearly on write-heavy workloads.
 
 import math
 
-from conftest import pct, print_table, scaled
+from figures import ablation_reclamation, bench_scale, pct, print_table
 
-from repro.harness.pipeline import PipelineConfig, run_orthrus_server
-from repro.harness.scenarios import lsmtree_scenario
 from repro.memory.heap import VersionedHeap
 from repro.memory.reclaim import ReclamationManager
-from repro.sim.metrics import slowdown
 
 
 def test_ablation_reclamation(benchmark):
     """Write-stress LSMTree with prompt vs disabled reclamation."""
-    n_ops = scaled(1500)
-    scenario = lsmtree_scenario()
-
-    def run_pair():
-        with_gc = run_orthrus_server(
-            scenario, n_ops, PipelineConfig(seed=1, reclaim_batch=16)
-        )
-        no_gc = run_orthrus_server(
-            scenario, n_ops, PipelineConfig(seed=1, reclaim_batch=10**9)
-        )
-        return with_gc, no_gc
-
-    with_gc, no_gc = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-
-    time_cost = slowdown(
-        no_gc.metrics.throughput, with_gc.metrics.throughput
+    fig = benchmark.pedantic(
+        ablation_reclamation, args=(bench_scale(),), rounds=1, iterations=1
     )
+
+    time_cost = fig["time_cost"]
     print_table(
         "Ablation A3: memory reclamation (LSMTree, 100% random writes)",
         ["Config", "Peak memory overhead", "Versions reclaimed", "GC time cost"],
         [
             [
                 "window GC on",
-                pct(with_gc.metrics.memory_overhead),
-                with_gc.runtime.heap.versions_reclaimed,
+                pct(fig["with_gc.memory_overhead"]),
+                fig["with_gc.versions_reclaimed"],
                 pct(max(0.0, time_cost)),
             ],
             [
                 "GC off",
-                pct(no_gc.metrics.memory_overhead),
-                no_gc.runtime.heap.versions_reclaimed,
+                pct(fig["no_gc.memory_overhead"]),
+                fig["no_gc.versions_reclaimed"],
                 "-",
             ],
         ],
     )
 
-    assert with_gc.runtime.heap.versions_reclaimed > 0
-    assert no_gc.runtime.heap.versions_reclaimed == 0
+    assert fig["with_gc.versions_reclaimed"] > 0
+    assert fig["no_gc.versions_reclaimed"] == 0
     # GC bounds the footprint; without it stale versions pile up.
-    assert with_gc.metrics.memory_overhead < no_gc.metrics.memory_overhead
+    assert fig["with_gc.memory_overhead"] < fig["no_gc.memory_overhead"]
     # ...at negligible time cost (§3.6).
     assert abs(time_cost) < 0.02
     # Functional results are identical either way.
-    assert with_gc.responses == no_gc.responses
+    assert fig["with_gc.responses"] == fig["no_gc.responses"]
 
 
 def test_reclamation_is_watermark_safe():

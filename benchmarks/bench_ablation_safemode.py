@@ -6,45 +6,25 @@ externalizing subset waits, and validation takes a few microseconds — the
 paper bounds it under 2% of total execution time.
 """
 
-from conftest import pct, print_table, scaled
-
-from repro.harness.pipeline import PipelineConfig, run_orthrus_server
-from repro.harness.scenarios import memcached_scenario
-from repro.sim.metrics import slowdown
+from figures import ablation_safemode, bench_scale, pct, print_table
 
 
 def test_ablation_safe_mode_cost(benchmark):
-    n_ops = scaled(3000)
-    scenario = memcached_scenario()
-
-    def run_pair():
-        # One application thread: safe-mode waits shift virtual time, and
-        # with several threads that would legitimately reorder the
-        # interleaving — a single thread keeps the two runs comparable
-        # request-for-request.
-        relaxed = run_orthrus_server(
-            scenario, n_ops, PipelineConfig(app_threads=1, seed=1)
-        )
-        strict = run_orthrus_server(
-            scenario, n_ops, PipelineConfig(app_threads=1, safe_mode=True, seed=1)
-        )
-        return relaxed, strict
-
-    relaxed, strict = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    cost = slowdown(relaxed.metrics.throughput, strict.metrics.throughput)
+    fig = benchmark.pedantic(ablation_safemode, args=(bench_scale(),), rounds=1, iterations=1)
+    cost = fig["cost"]
     print_table(
         "Ablation A2: strict safe mode",
         ["Config", "Throughput (kop/s)", "p95 latency (us)"],
         [
             [
                 "default (async)",
-                f"{relaxed.metrics.throughput / 1e3:.0f}",
-                f"{relaxed.metrics.request_latency.p95 * 1e6:.2f}",
+                f"{fig['relaxed.throughput'] / 1e3:.0f}",
+                f"{fig['relaxed.p95'] * 1e6:.2f}",
             ],
             [
                 "strict safe mode",
-                f"{strict.metrics.throughput / 1e3:.0f}",
-                f"{strict.metrics.request_latency.p95 * 1e6:.2f}",
+                f"{fig['strict.throughput'] / 1e3:.0f}",
+                f"{fig['strict.p95'] * 1e6:.2f}",
             ],
             ["cost", pct(cost), ""],
         ],
@@ -54,5 +34,5 @@ def test_ablation_safe_mode_cost(benchmark):
     # client; our closed-loop client holds a single outstanding request, so
     # the full validation wait lands on the critical path — the measured
     # cost is therefore an upper bound (see EXPERIMENTS.md).
-    assert strict.responses == relaxed.responses
+    assert fig["strict.responses"] == fig["relaxed.responses"]
     assert cost < 0.45

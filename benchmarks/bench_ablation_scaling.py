@@ -7,62 +7,34 @@ statically-provisioned configuration's coverage and keeps detection latency
 bounded, while holding cores back when load is light.
 """
 
-from conftest import print_table, scaled
-
-from repro.harness.pipeline import PipelineConfig, run_orthrus_server
-from repro.harness.scenarios import masstree_scenario
+from figures import ablation_scaling, bench_scale, print_table
 
 
 def test_ablation_dynamic_scaling(benchmark):
-    n_ops = scaled(2000)
-    scenario = masstree_scenario()
+    fig = benchmark.pedantic(ablation_scaling, args=(bench_scale(),), rounds=1, iterations=1)
 
-    def run_three():
-        static_full = run_orthrus_server(
-            scenario, n_ops,
-            PipelineConfig(app_threads=4, validation_cores=4, seed=1),
-        )
-        dynamic = run_orthrus_server(
-            scenario, n_ops,
-            PipelineConfig(app_threads=4, validation_cores=4, seed=1,
-                           dynamic_scaling=True),
-        )
-        static_one = run_orthrus_server(
-            scenario, n_ops,
-            PipelineConfig(app_threads=4, validation_cores=1, seed=1),
-        )
-        return static_full, dynamic, static_one
-
-    static_full, dynamic, static_one = benchmark.pedantic(
-        run_three, rounds=1, iterations=1
-    )
-
-    def row(name, result):
-        m = result.metrics
+    def row(name, arm):
         return [
             name,
-            m.validated,
-            m.skipped,
-            f"{m.validation_latency.mean * 1e6:.2f} us",
-            f"{m.validation_latency.p95 * 1e6:.2f} us",
+            fig[f"{arm}.validated"],
+            fig[f"{arm}.skipped"],
+            f"{fig[f'{arm}.val_mean'] * 1e6:.2f} us",
+            f"{fig[f'{arm}.val_p95'] * 1e6:.2f} us",
         ]
 
     print_table(
         "Ablation A4: dynamic validator scaling (Masstree, 4 app threads)",
         ["Config", "Validated", "Skipped", "Val latency mean", "p95"],
         [
-            row("4 cores static", static_full),
-            row("1→4 cores dynamic", dynamic),
-            row("1 core static", static_one),
+            row("4 cores static", "static_full"),
+            row("1→4 cores dynamic", "dynamic"),
+            row("1 core static", "static_one"),
         ],
     )
 
     # Dynamic scaling validates (nearly) as much as the full static
     # provision and clearly more than a single frozen core.
-    assert dynamic.metrics.validated >= static_full.metrics.validated * 0.85
-    assert dynamic.metrics.validated >= static_one.metrics.validated
+    assert fig["dynamic.validated"] >= fig["static_full.validated"] * 0.85
+    assert fig["dynamic.validated"] >= fig["static_one.validated"]
     # And its latency stays within a small factor of the static optimum.
-    assert (
-        dynamic.metrics.validation_latency.mean
-        < static_full.metrics.validation_latency.mean * 10
-    )
+    assert fig["dynamic.val_mean"] < fig["static_full.val_mean"] * 10

@@ -11,96 +11,18 @@ small writes trigger bursts of versions whose reclamation is blocked by
 unvalidated closures); Memcached degrades only mildly.
 """
 
-import functools
-
-from conftest import print_table, scaled
-
-from repro.faultinject.campaign import FaultInjectionCampaign
-from repro.faultinject.config import InjectionConfig
-from repro.harness.phoenix import run_phoenix
-from repro.harness.pipeline import (
-    PipelineConfig,
-    run_vanilla_server,
-)
-from repro.harness.scenarios import (
-    lsmtree_scenario,
-    masstree_scenario,
-    memcached_scenario,
-    phoenix_scenario,
-)
-from repro.runtime.sampling import AdaptiveSampler, SamplerConfig
-
-HEADROOMS = (0.05, 0.15, 0.25, 0.40)
-
-APPS = [
-    ("memcached", lambda: memcached_scenario(n_keys=100), 1200, None, None, 8),
-    ("masstree", lambda: masstree_scenario(n_keys=100), 800, None, None, 8),
-    ("lsmtree", lambda: lsmtree_scenario(n_keys=100), 800, None, None, 8),
-    (
-        "phoenix",
-        lambda: phoenix_scenario(words_per_chunk=60, vocabulary_size=80),
-        6000,
-        functools.partial(run_phoenix, variant="orthrus"),
-        functools.partial(run_phoenix, variant="vanilla"),
-        8,
-    ),
-]
-
-
-def vanilla_footprint(make_scenario, size, vanilla_runner, threads):
-    """Peak live bytes of the unmodified app — the budget baseline."""
-    config = PipelineConfig(app_threads=threads, validation_cores=1, seed=5)
-    if vanilla_runner is not None:
-        result = vanilla_runner(make_scenario(), size, config)
-    else:
-        result = run_vanilla_server(make_scenario(), size, config)
-    return max(1, result.metrics.peak_live_bytes)
+from figures import APPS, HEADROOMS, bench_scale, fig10_coverage_memory, print_table
 
 
 def test_fig10_detection_vs_memory(benchmark):
-    n_faults = scaled(40, minimum=12)
-
-    def run_grid():
-        grid = {}
-        for name, make_scenario, size, runner, vanilla_runner, threads in APPS:
-            baseline = vanilla_footprint(make_scenario, size, vanilla_runner, threads)
-            for headroom in HEADROOMS:
-                budget = baseline * (1 + headroom)
-                kwargs = {"runner": runner} if runner is not None else {}
-                campaign = FaultInjectionCampaign(
-                    make_scenario(),
-                    workload_size=size,
-                    injection=InjectionConfig(
-                        n_faults=n_faults, seed=3, trigger_rate=0.6
-                    ),
-                    # Two validation cores, memory-triggered sampling (§4.4).
-                    make_pipeline=lambda b=budget, t=threads: PipelineConfig(
-                        app_threads=t,
-                        validation_cores=2,
-                        seed=5,
-                        drain_grace_fraction=0.5,
-                        memory_budget_bytes=b,
-                        sampler_factory=lambda seed: AdaptiveSampler(
-                            SamplerConfig(
-                                delay_threshold=2e-6,
-                                staleness_threshold=10e-6,
-                                min_rate=0.05,
-                            ),
-                            seed=seed,
-                        ),
-                    ),
-                    rbv_runner=None,
-                    **kwargs,
-                )
-                grid[(name, headroom)] = campaign.run()
-        return grid
-
-    grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
+    fig = benchmark.pedantic(
+        fig10_coverage_memory, args=(bench_scale(),), rounds=1, iterations=1
+    )
 
     rows = []
-    for name, *_ in APPS:
-        rates = [grid[(name, h)].detection_rate for h in HEADROOMS]
-        sdcs = [len(grid[(name, h)].sdc_trials) for h in HEADROOMS]
+    for name in APPS:
+        rates = [fig[f"{name}.{h}.detection_rate"] for h in HEADROOMS]
+        sdcs = [fig[f"{name}.{h}.sdcs"] for h in HEADROOMS]
         rows.append(
             [name]
             + [f"{rate:.0%} ({n})" for rate, n in zip(rates, sdcs)]
@@ -113,12 +35,12 @@ def test_fig10_detection_vs_memory(benchmark):
 
     # Shape: more memory never substantially hurts; generous budgets reach
     # high detection; Phoenix stays comparatively flat across budgets.
-    for name, *_ in APPS:
-        tight = grid[(name, HEADROOMS[0])].detection_rate
-        loose = grid[(name, HEADROOMS[-1])].detection_rate
+    for name in APPS:
+        tight = fig[f"{name}.{HEADROOMS[0]}.detection_rate"]
+        loose = fig[f"{name}.{HEADROOMS[-1]}.detection_rate"]
         assert loose >= tight - 0.1, name
     phoenix_spread = (
-        grid[("phoenix", HEADROOMS[-1])].detection_rate
-        - grid[("phoenix", HEADROOMS[0])].detection_rate
+        fig[f"phoenix.{HEADROOMS[-1]}.detection_rate"]
+        - fig[f"phoenix.{HEADROOMS[0]}.detection_rate"]
     )
     assert phoenix_spread <= 0.55

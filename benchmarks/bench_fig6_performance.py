@@ -10,75 +10,25 @@ Paper-expected shape:
 """
 
 import pytest
-from conftest import pct, print_table, scaled
-
-from repro.harness.phoenix import run_phoenix
-from repro.harness.pipeline import (
-    PipelineConfig,
-    run_orthrus_server,
-    run_rbv_server,
-    run_vanilla_server,
-)
-from repro.harness.scenarios import (
-    lsmtree_scenario,
-    masstree_scenario,
-    memcached_scenario,
-    phoenix_scenario,
-)
-from repro.sim.metrics import slowdown
-
-
-def _config():
-    return PipelineConfig(app_threads=2, validation_cores=2, seed=1)
-
-
-def run_server_triple(scenario, n_ops):
-    return (
-        run_vanilla_server(scenario, n_ops, _config()),
-        run_orthrus_server(scenario, n_ops, _config()),
-        run_rbv_server(scenario, n_ops, _config()),
-    )
+from figures import APPS, bench_scale, fig6_performance, pct, print_table
 
 
 def test_fig6_application_performance(benchmark):
-    n_ops = scaled(2500)
-    n_words = scaled(40000)
-
-    def run_all():
-        results = {}
-        for scenario in (memcached_scenario(), masstree_scenario(), lsmtree_scenario()):
-            results[scenario.name] = run_server_triple(scenario, n_ops)
-        phx = phoenix_scenario()
-        cfg = lambda: PipelineConfig(app_threads=4, validation_cores=2, seed=1)
-        results["phoenix"] = (
-            run_phoenix(phx, n_words, cfg(), variant="vanilla"),
-            run_phoenix(phx, n_words, cfg(), variant="orthrus"),
-            run_phoenix(phx, n_words, cfg(), variant="rbv"),
-        )
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    fig = benchmark.pedantic(fig6_performance, args=(bench_scale(),), rounds=1, iterations=1)
 
     rows = []
-    for name, (vanilla, orthrus, rbv) in results.items():
+    for name in APPS:
         if name == "phoenix":
-            base = vanilla.metrics.duration
-            orthrus_over = orthrus.metrics.duration / base - 1
-            rbv_over = rbv.metrics.duration / base - 1
-            metric = f"{base * 1e3:.2f} ms job"
+            metric = f"{fig['phoenix.vanilla_duration'] * 1e3:.2f} ms job"
         else:
-            orthrus_over = slowdown(
-                vanilla.metrics.throughput, orthrus.metrics.throughput
-            )
-            rbv_over = slowdown(vanilla.metrics.throughput, rbv.metrics.throughput)
-            metric = f"{vanilla.metrics.throughput / 1e3:.0f} kop/s vanilla"
+            metric = f"{fig[f'{name}.vanilla_throughput'] / 1e3:.0f} kop/s vanilla"
         rows.append(
             [
                 name,
                 metric,
-                pct(orthrus_over),
-                pct(rbv_over),
-                pct(orthrus.metrics.memory_overhead),
+                pct(fig[f"{name}.orthrus_overhead"]),
+                pct(fig[f"{name}.rbv_overhead"]),
+                pct(fig[f"{name}.memory_overhead"]),
             ]
         )
     print_table(
@@ -87,13 +37,9 @@ def test_fig6_application_performance(benchmark):
         rows,
     )
 
-    for name, (vanilla, orthrus, rbv) in results.items():
-        if name == "phoenix":
-            orthrus_over = orthrus.metrics.duration / vanilla.metrics.duration - 1
-            rbv_over = rbv.metrics.duration / vanilla.metrics.duration - 1
-        else:
-            orthrus_over = slowdown(vanilla.metrics.throughput, orthrus.metrics.throughput)
-            rbv_over = slowdown(vanilla.metrics.throughput, rbv.metrics.throughput)
+    for name in APPS:
+        orthrus_over = fig[f"{name}.orthrus_overhead"]
+        rbv_over = fig[f"{name}.rbv_overhead"]
         # Shape assertions: Orthrus in the paper's 2-6% band (we allow up
         # to 15% for the write-stress LSMTree), RBV far behind.
         assert orthrus_over == pytest.approx(0.04, abs=0.11), name

@@ -5,46 +5,21 @@ blow up by orders of magnitude (up to 1000× for Memcached) because of
 replication queueing/backpressure stalls.
 """
 
-from conftest import print_table, scaled
-
-from repro.harness.pipeline import (
-    PipelineConfig,
-    run_orthrus_server,
-    run_rbv_server,
-    run_vanilla_server,
-)
-from repro.harness.scenarios import (
-    lsmtree_scenario,
-    masstree_scenario,
-    memcached_scenario,
-)
+from figures import SERVERS, bench_scale, fig7_tail_latency, print_table
 
 
 def test_fig7_p95_latency(benchmark):
-    n_ops = scaled(4000)
-
-    def run_all():
-        results = {}
-        for scenario in (memcached_scenario(), masstree_scenario(), lsmtree_scenario()):
-            cfg = lambda: PipelineConfig(app_threads=2, validation_cores=2, seed=1)
-            results[scenario.name] = (
-                run_vanilla_server(scenario, n_ops, cfg()),
-                run_orthrus_server(scenario, n_ops, cfg()),
-                run_rbv_server(scenario, n_ops, cfg()),
-            )
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    fig = benchmark.pedantic(fig7_tail_latency, args=(bench_scale(),), rounds=1, iterations=1)
 
     rows = []
-    for name, (vanilla, orthrus, rbv) in results.items():
+    for name in SERVERS:
         rows.append(
             [
                 name,
-                f"{vanilla.metrics.request_latency.p95 * 1e6:.2f} us",
-                f"{orthrus.metrics.request_latency.p95 * 1e6:.2f} us",
-                f"{rbv.metrics.request_latency.p95 * 1e6:.2f} us",
-                f"{rbv.metrics.request_latency.max * 1e6:.1f} us",
+                f"{fig[f'{name}.vanilla.p95'] * 1e6:.2f} us",
+                f"{fig[f'{name}.orthrus.p95'] * 1e6:.2f} us",
+                f"{fig[f'{name}.rbv.p95'] * 1e6:.2f} us",
+                f"{fig[f'{name}.rbv.max'] * 1e6:.1f} us",
             ]
         )
     print_table(
@@ -53,11 +28,11 @@ def test_fig7_p95_latency(benchmark):
         rows,
     )
 
-    for name, (vanilla, orthrus, rbv) in results.items():
-        v95 = vanilla.metrics.request_latency.p95
-        o95 = orthrus.metrics.request_latency.p95
-        r95 = rbv.metrics.request_latency.p95
+    for name in SERVERS:
+        v95 = fig[f"{name}.vanilla.p95"]
+        o95 = fig[f"{name}.orthrus.p95"]
+        r95 = fig[f"{name}.rbv.p95"]
         assert o95 < v95 * 2, name        # Orthrus stays near vanilla
         assert r95 > o95, name            # RBV tails are worse
         # RBV's worst-case stalls dwarf Orthrus's worst case.
-        assert rbv.metrics.request_latency.max > 5 * orthrus.metrics.request_latency.max, name
+        assert fig[f"{name}.rbv.max"] > 5 * fig[f"{name}.orthrus.max"], name

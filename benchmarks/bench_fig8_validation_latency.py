@@ -6,56 +6,25 @@ the latency-critical apps (Memcached 1.6µs vs 90µs; Masstree 21× lower;
 LSMTree 8× lower; Phoenix orders lower thanks to shared-memory logs).
 """
 
-from conftest import print_table, scaled
-
-from repro.harness.phoenix import run_phoenix
-from repro.harness.pipeline import (
-    PipelineConfig,
-    run_orthrus_server,
-    run_rbv_server,
-)
-from repro.harness.scenarios import (
-    lsmtree_scenario,
-    masstree_scenario,
-    memcached_scenario,
-    phoenix_scenario,
-)
+from figures import APPS, bench_scale, fig8_validation_latency, print_table
 
 
 def test_fig8_validation_latency(benchmark):
-    n_ops = scaled(3000)
-    n_words = scaled(30000)
-
-    def run_all():
-        results = {}
-        for scenario in (memcached_scenario(), masstree_scenario(), lsmtree_scenario()):
-            cfg = lambda: PipelineConfig(app_threads=2, validation_cores=2, seed=1)
-            results[scenario.name] = (
-                run_orthrus_server(scenario, n_ops, cfg()),
-                run_rbv_server(scenario, n_ops, cfg()),
-            )
-        phx = phoenix_scenario()
-        cfg = lambda: PipelineConfig(app_threads=4, validation_cores=2, seed=1)
-        results["phoenix"] = (
-            run_phoenix(phx, n_words, cfg(), variant="orthrus"),
-            run_phoenix(phx, n_words, cfg(), variant="rbv"),
-        )
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    fig = benchmark.pedantic(
+        fig8_validation_latency, args=(bench_scale(),), rounds=1, iterations=1
+    )
 
     rows = []
-    for name, (orthrus, rbv) in results.items():
-        o = orthrus.metrics.validation_latency
-        r = rbv.metrics.validation_latency
+    for name in APPS:
+        o_mean, r_mean = fig[f"{name}.orthrus.mean"], fig[f"{name}.rbv.mean"]
         rows.append(
             [
                 name,
-                f"{o.mean * 1e6:.2f} us",
-                f"{o.p95 * 1e6:.2f} us",
-                f"{r.mean * 1e6:.1f} us",
-                f"{r.p95 * 1e6:.1f} us",
-                f"{r.mean / max(o.mean, 1e-12):.0f}x",
+                f"{o_mean * 1e6:.2f} us",
+                f"{fig[f'{name}.orthrus.p95'] * 1e6:.2f} us",
+                f"{r_mean * 1e6:.1f} us",
+                f"{fig[f'{name}.rbv.p95'] * 1e6:.1f} us",
+                f"{r_mean / max(o_mean, 1e-12):.0f}x",
             ]
         )
     print_table(
@@ -64,16 +33,12 @@ def test_fig8_validation_latency(benchmark):
         rows,
     )
 
-    for name, (orthrus, rbv) in results.items():
-        ratio = rbv.metrics.validation_latency.mean / orthrus.metrics.validation_latency.mean
+    for name in APPS:
+        ratio = fig[f"{name}.rbv.mean"] / fig[f"{name}.orthrus.mean"]
         if name == "phoenix":
             # §4.3 reports Phoenix at 234ms (Orthrus) vs 513ms (RBV): ~2x.
             assert ratio > 1.3, name
         else:
             assert ratio > 5, name  # paper: 8x-1000x depending on app
     # Latency-critical KV apps should be 2+ orders apart.
-    mc_orthrus, mc_rbv = results["memcached"]
-    assert (
-        mc_rbv.metrics.validation_latency.mean
-        > 50 * mc_orthrus.metrics.validation_latency.mean
-    )
+    assert fig["memcached.rbv.mean"] > 50 * fig["memcached.orthrus.mean"]

@@ -14,93 +14,25 @@ The injected mercurial defects use a sub-unity trigger rate (errors recur
 subset of executions — the regime where sampling choices matter.
 """
 
-import functools
-
-from conftest import print_table, scaled
-
-from repro.faultinject.campaign import FaultInjectionCampaign
-from repro.faultinject.classify import overall_detection_rate
-from repro.faultinject.config import InjectionConfig
-from repro.harness.phoenix import run_phoenix
-from repro.harness.pipeline import PipelineConfig
-from repro.harness.scenarios import (
-    lsmtree_scenario,
-    masstree_scenario,
-    memcached_scenario,
-    phoenix_scenario,
-)
-from repro.runtime.sampling import AdaptiveSampler, RandomSampler, SamplerConfig
-
-APPS = [
-    ("memcached", lambda: memcached_scenario(n_keys=100), 1200, None, 4),
-    ("masstree", lambda: masstree_scenario(n_keys=100), 800, None, 4),
-    ("lsmtree", lambda: lsmtree_scenario(n_keys=100), 800, None, 4),
-    (
-        "phoenix",
-        lambda: phoenix_scenario(words_per_chunk=60, vocabulary_size=80),
-        6000,
-        functools.partial(run_phoenix, variant="orthrus"),
-        8,
-    ),
-]
-
-CORES = (1, 2, 4)
-
-
-def _sampler_config():
-    # Thresholds scaled to the harness's microsecond-scale virtual runs.
-    return SamplerConfig(
-        delay_threshold=2e-6, staleness_threshold=10e-6, min_rate=0.05
-    )
-
-
-def run_campaign(make_scenario, size, runner, threads, cores, sampler_cls, n_faults):
-    kwargs = {"runner": runner} if runner is not None else {}
-    campaign = FaultInjectionCampaign(
-        make_scenario(),
-        workload_size=size,
-        injection=InjectionConfig(n_faults=n_faults, seed=3, trigger_rate=0.6),
-        make_pipeline=lambda: PipelineConfig(
-            app_threads=threads,
-            validation_cores=cores,
-            seed=5,
-            drain_grace_fraction=0.5,
-            sampler_factory=lambda seed: sampler_cls(_sampler_config(), seed=seed),
-        ),
-        rbv_runner=None,
-        **kwargs,
-    )
-    return campaign.run()
+from figures import APPS, CORES, bench_scale, fig9_coverage_cores, print_table
 
 
 def test_fig9_detection_vs_cores(benchmark):
-    n_faults = scaled(40, minimum=16)
+    fig = benchmark.pedantic(fig9_coverage_cores, args=(bench_scale(),), rounds=1, iterations=1)
 
-    def run_grid():
-        grid = {}
-        for name, make_scenario, size, runner, threads in APPS:
-            for cores in CORES:
-                for sampler_cls in (AdaptiveSampler, RandomSampler):
-                    key = (name, cores, sampler_cls.__name__)
-                    grid[key] = run_campaign(
-                        make_scenario, size, runner, threads, cores, sampler_cls,
-                        n_faults,
-                    )
-        return grid
-
-    grid = benchmark.pedantic(run_grid, rounds=1, iterations=1)
+    def cell(name, cores, sampler):
+        key = f"{name}.{cores}.{sampler}"
+        return f"{fig[f'{key}.detection_rate']:.0%} ({fig[f'{key}.sdcs']} SDCs)"
 
     rows = []
-    for name, *_ in APPS:
+    for name in APPS:
         for cores in CORES:
-            adaptive = grid[(name, cores, "AdaptiveSampler")]
-            rand = grid[(name, cores, "RandomSampler")]
             rows.append(
                 [
                     name,
                     cores,
-                    f"{adaptive.detection_rate:.0%} ({len(adaptive.sdc_trials)} SDCs)",
-                    f"{rand.detection_rate:.0%} ({len(rand.sdc_trials)} SDCs)",
+                    cell(name, cores, "AdaptiveSampler"),
+                    cell(name, cores, "RandomSampler"),
                 ]
             )
     print_table(
@@ -109,16 +41,8 @@ def test_fig9_detection_vs_cores(benchmark):
         rows,
     )
 
-    def average(cores, sampler):
-        trials = [
-            t
-            for name, *_ in APPS
-            for t in grid[(name, cores, sampler)].trials
-        ]
-        return overall_detection_rate(trials)
-
-    averages = {c: average(c, "AdaptiveSampler") for c in CORES}
-    random_avg = average(1, "RandomSampler")
+    averages = {c: fig[f"average.{c}.AdaptiveSampler"] for c in CORES}
+    random_avg = fig["average.1.RandomSampler"]
     print(
         "average adaptive detection: "
         + ", ".join(f"{c} core(s) = {averages[c]:.1%}" for c in CORES)
@@ -132,6 +56,6 @@ def test_fig9_detection_vs_cores(benchmark):
     assert averages[2] <= averages[4] + 0.08
     assert averages[4] > 0.80
     assert averages[1] >= random_avg - 0.02
-    mc_1 = grid[("memcached", 1, "AdaptiveSampler")].detection_rate
-    mc_4 = grid[("memcached", 4, "AdaptiveSampler")].detection_rate
+    mc_1 = fig["memcached.1.AdaptiveSampler.detection_rate"]
+    mc_4 = fig["memcached.4.AdaptiveSampler.detection_rate"]
     assert abs(mc_1 - mc_4) < 0.15  # memcached ~unchanged (paper §4.4)

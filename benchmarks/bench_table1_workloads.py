@@ -13,56 +13,25 @@ and benchmarks generator throughput (workload generation must never be
 the harness bottleneck).
 """
 
-from collections import Counter
-
-from conftest import print_table, scaled
-
-from repro.workloads.alex import AlexWorkload
-from repro.workloads.base import OpKind
-from repro.workloads.cachelib import CacheLibWorkload
-from repro.workloads.wordcount import WordCountCorpus
-from repro.workloads.ycsb import YcsbWriteWorkload
-from repro.workloads.zipf import ZipfSampler
+from figures import bench_scale, print_table, table1_workloads
 
 
 def test_table1_workload_characteristics(benchmark):
-    n_ops = scaled(20000)
-
-    def characterize():
-        rows = []
-        cachelib = CacheLibWorkload(n_keys=1000, skew=1.2, seed=1)
-        kinds = Counter(op.kind for op in cachelib.ops(n_ops))
-        head = ZipfSampler(1000, 1.2, seed=1).head_mass(0.2)
-        rows.append(
-            ["Memcached", "CacheLib-like",
-             f"{kinds[OpKind.GET] / n_ops:.0%} reads, top-20% keys carry {head:.0%}"]
-        )
-        alex = AlexWorkload(n_keys=1000, seed=1)
-        kinds = Counter(op.kind for op in alex.ops(n_ops))
-        rows.append(
-            ["Masstree", "ALEX-like",
-             f"{kinds[OpKind.SCAN] / n_ops:.0%} range scans / "
-             f"{kinds[OpKind.UPDATE] / n_ops:.0%} updates"]
-        )
-        ycsb = YcsbWriteWorkload(n_keys=1000, seed=1)
-        kinds = Counter(op.kind for op in ycsb.ops(n_ops))
-        rows.append(
-            ["LSMTree", "YCSB-synthetic", f"{kinds[OpKind.PUT] / n_ops:.0%} random writes"]
-        )
-        corpus = WordCountCorpus(n_words=scaled(20000), vocabulary_size=500, seed=1)
-        counts = sorted(corpus.reference_counts().values(), reverse=True)
-        top = sum(counts[: len(counts) // 5]) / sum(counts)
-        rows.append(
-            ["Phoenix", "WMT-like corpus",
-             f"word count; top-20% vocabulary carries {top:.0%} of tokens"]
-        )
-        return rows
-
-    rows = benchmark.pedantic(characterize, rounds=1, iterations=1)
+    fig = benchmark.pedantic(table1_workloads, args=(bench_scale(),), rounds=1, iterations=1)
+    rows = [
+        ["Memcached", "CacheLib-like",
+         f"{fig['memcached.read_fraction']:.0%} reads, "
+         f"top-20% keys carry {fig['memcached.head_mass']:.0%}"],
+        ["Masstree", "ALEX-like",
+         f"{fig['masstree.scan_fraction']:.0%} range scans / "
+         f"{fig['masstree.update_fraction']:.0%} updates"],
+        ["LSMTree", "YCSB-synthetic", f"{fig['lsmtree.write_fraction']:.0%} random writes"],
+        ["Phoenix", "WMT-like corpus",
+         f"word count; top-20% vocabulary carries {fig['phoenix.head_mass']:.0%} of tokens"],
+    ]
     print_table(
         "Table 1: applications and datasets (workload generators)",
         ["Application", "Dataset", "Measured characteristics"],
         rows,
     )
-    mix = Counter(op.kind for op in CacheLibWorkload(n_keys=100, seed=1).ops(5000))
-    assert mix[OpKind.GET] > mix[OpKind.SET] > 0
+    assert fig["mix.gets"] > fig["mix.sets"] > 0

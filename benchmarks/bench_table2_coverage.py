@@ -10,78 +10,26 @@ Both Orthrus and RBV get as many validation cores as the application uses
   (Memcached/Masstree fp = 0, Phoenix cache = 0).
 """
 
-import functools
-
-from conftest import print_table, scaled
-
-from repro.faultinject.campaign import FaultInjectionCampaign
-from repro.faultinject.config import InjectionConfig
-from repro.harness.phoenix import run_phoenix
-from repro.harness.pipeline import PipelineConfig
-from repro.harness.scenarios import (
-    lsmtree_scenario,
-    masstree_scenario,
-    memcached_scenario,
-    phoenix_scenario,
-)
-from repro.machine.units import Unit
-
-APPS = [
-    ("memcached", lambda: memcached_scenario(n_keys=80), 600, None, None),
-    ("masstree", lambda: masstree_scenario(n_keys=80), 450, None, None),
-    ("lsmtree", lambda: lsmtree_scenario(n_keys=80), 450, None, None),
-    (
-        "phoenix",
-        lambda: phoenix_scenario(words_per_chunk=120, vocabulary_size=80),
-        3000,
-        functools.partial(run_phoenix, variant="orthrus"),
-        functools.partial(run_phoenix, variant="rbv"),
-    ),
-]
+from figures import APPS, TABLE2_UNITS, bench_scale, print_table, table2_coverage
 
 
 def test_table2_sdc_coverage(benchmark):
-    n_faults = scaled(64, minimum=16)
-
-    def run_campaigns():
-        results = {}
-        for name, make_scenario, size, runner, rbv_runner in APPS:
-            kwargs = {}
-            if runner is not None:
-                kwargs["runner"] = runner
-            if rbv_runner is not None:
-                kwargs["rbv_runner"] = rbv_runner
-            campaign = FaultInjectionCampaign(
-                make_scenario(),
-                workload_size=size,
-                injection=InjectionConfig(n_faults=n_faults, seed=13, trigger_rate=1.0),
-                # Validation cores = application cores and an ample drain
-                # window: Table 2 measures the *upper bound* of detection
-                # capability, so no log is dropped for timeliness.
-                make_pipeline=lambda: PipelineConfig(
-                    app_threads=2, validation_cores=2, seed=17,
-                    drain_grace_fraction=4.0,
-                ),
-                **kwargs,
-            )
-            results[name] = campaign.run()
-        return results
-
-    results = benchmark.pedantic(run_campaigns, rounds=1, iterations=1)
+    fig = benchmark.pedantic(table2_coverage, args=(bench_scale(),), rounds=1, iterations=1)
 
     rows = []
-    for name, result in results.items():
-        table = result.coverage_table()
-        for unit in (Unit.ALU, Unit.FPU, Unit.SIMD, Unit.CACHE):
-            row = table[unit]
-            rbv = "-" if row.rbv_detected is None else f"{row.rbv_detected} ({row.rbv_rate:.0%})"
+    for name in APPS:
+        for unit in TABLE2_UNITS:
+            key = f"{name}.{unit.value}"
+            total, rbv_detected = fig[f"{key}.total_sdcs"], fig[f"{key}.rbv_detected"]
+            rbv = "-" if rbv_detected is None else f"{rbv_detected} ({fig[f'{key}.rbv_rate']:.0%})"
             rows.append(
                 [
                     name,
                     unit.value,
-                    row.total_sdcs,
+                    total,
                     rbv,
-                    f"{row.orthrus_detected} ({row.orthrus_rate:.0%})" if row.total_sdcs else "-",
+                    f"{fig[f'{key}.orthrus_detected']} ({fig[f'{key}.orthrus_rate']:.0%})"
+                    if total else "-",
                 ]
             )
     print_table(
@@ -91,17 +39,16 @@ def test_table2_sdc_coverage(benchmark):
     )
 
     # Structural zeros (instruction mixes, §4.4 / Table 2).
-    assert results["memcached"].coverage_table()[Unit.FPU].total_sdcs == 0
-    assert results["masstree"].coverage_table()[Unit.FPU].total_sdcs == 0
-    assert results["phoenix"].coverage_table()[Unit.CACHE].total_sdcs == 0
+    assert fig["memcached.fpu.total_sdcs"] == 0
+    assert fig["masstree.fpu.total_sdcs"] == 0
+    assert fig["phoenix.cache.total_sdcs"] == 0
 
-    all_trials = [t for r in results.values() for t in r.sdc_trials]
-    assert len(all_trials) >= 8, "campaign produced too few SDCs to compare"
-    orthrus_rate = sum(t.orthrus_detected for t in all_trials) / len(all_trials)
-    rbv_known = [t for t in all_trials if t.rbv_detected is not None]
-    rbv_rate = sum(t.rbv_detected for t in rbv_known) / max(1, len(rbv_known))
+    n_trials = fig["overall.sdc_trials"]
+    assert n_trials >= 8, "campaign produced too few SDCs to compare"
+    orthrus_rate = fig["overall.orthrus_rate"]
+    rbv_rate = fig["overall.rbv_rate"]
     print(f"overall: Orthrus {orthrus_rate:.1%}, RBV {rbv_rate:.1%} "
-          f"over {len(all_trials)} SDC trials")
+          f"over {n_trials} SDC trials")
     # Paper shape: both high; RBV >= Orthrus (control-path blind spot).
     assert orthrus_rate > 0.85
     assert rbv_rate >= orthrus_rate - 0.05

@@ -1,44 +1,22 @@
-"""Shared benchmark utilities.
+"""Benchmark session set-up.
 
-Every benchmark regenerates one table or figure from the paper's
-evaluation and prints the corresponding rows (paper-expected shape in the
-header comment of each file).  Workload sizes scale with the
-``REPRO_BENCH_SCALE`` environment variable (default 1.0); raise it for
-tighter statistics, lower it for a faster smoke pass.
+Every ``bench_*.py`` renders one table or figure of the paper's
+evaluation from its definition in ``figures.py``.  A malformed
+``REPRO_BENCH_SCALE`` stops the session in one line before any bench
+runs.
 """
-
-import os
 
 import pytest
 
 
-def bench_scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+def pytest_collection_modifyitems(config, items):
+    if not any(item.path.name.startswith("bench_") for item in items):
+        return
+    # imported only for a bench session: benchmarks/perf/tests runs
+    # without src on the path, and figures imports repro
+    from figures import bench_scale
 
-
-def scaled(value: int, minimum: int = 1) -> int:
-    return max(minimum, int(value * bench_scale()))
-
-
-@pytest.fixture(scope="session")
-def scale():
-    return bench_scale()
-
-
-def print_table(title: str, headers: list[str], rows: list[list[str]]) -> None:
-    """Render a paper-style results table to stdout."""
-    widths = [
-        max(len(str(headers[i])), *(len(str(row[i])) for row in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    line = "  ".join(str(h).ljust(widths[i]) for i, h in enumerate(headers))
-    print(f"\n=== {title} ===")
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
-    print()
-
-
-def pct(value: float) -> str:
-    return f"{100 * value:.1f}%"
+    try:
+        bench_scale()
+    except ValueError as exc:
+        raise pytest.UsageError(str(exc)) from None

@@ -10,7 +10,6 @@ Usage (also exposed as the ``repro-bench`` console script)::
     python -m repro.cli perf --metrics-out run.json --trace-out run.jsonl
     python -m repro.cli perf --timeline-out timeline.json
     python -m repro.cli timeline timeline.json --stat p95
-    python -m repro.cli bench-compare --out-dir bench/ --tolerance 0.25
     python -m repro.cli obs-summary run.json
 
 Each subcommand drives the same harness the benchmark suite uses and
@@ -23,10 +22,9 @@ a saved JSON snapshot as a table (or a ``.jsonl`` trace in total
 
 ``--timeline-out`` additionally attaches the time-series recorder to the
 Orthrus arm and saves an ``orthrus-timeseries/1`` artifact; ``timeline``
-renders such an artifact as terminal sparklines.  ``bench-compare`` runs
-the tracked benchmarks, writes ``BENCH_<name>.json`` artifacts and diffs
-them against a baseline directory with per-metric direction-aware
-tolerances.
+renders such an artifact as terminal sparklines.  The paper's tables and
+figures are not a subcommand: ``benchmarks/bench_*.py`` render them from
+one definition each (``benchmarks/figures.py``).
 
 ``respond`` runs one full inject→detect→quarantine→repair incident
 episode and prints the resulting IncidentReport; ``--quarantine`` on
@@ -76,7 +74,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 import types
 import typing
@@ -92,15 +89,6 @@ from repro.faultinject.fleet_faults import FleetFaultPlan
 from repro.fleet import FleetConfig, FleetConfigError, run_fleet
 from repro.faultinject.config import InjectionConfig
 from repro.faultinject.validator_faults import ValidatorChaosConfig
-from repro.harness.benchtrack import (
-    BENCHES,
-    artifact_filename,
-    compare_artifacts,
-    load_artifact,
-    render_comparison,
-    run_bench,
-    write_artifact,
-)
 from repro.harness.incident import (
     IncidentConfig,
     misdirected_fault,
@@ -134,7 +122,6 @@ from repro.obs import (
     console_summary,
     format_rate,
     format_seconds,
-    format_wall,
     load_metrics_json,
     load_spans_chrome,
     load_timeline,
@@ -183,6 +170,16 @@ def _resolve(app: str):
     )
 
 
+def _workload_size(args, default: int) -> int:
+    """``--ops``, or the app's default when it is not given; a size below
+    one would run nothing and report it as a result."""
+    if args.ops is None:
+        return default
+    if args.ops < 1:
+        raise SystemExit(f"--ops: the workload size must be at least 1, got {args.ops}")
+    return args.ops
+
+
 #: per-app closure the ``respond`` fault defaults target (the insert path
 #: — the closure whose outputs feed everything downstream)
 _RESPOND_CLOSURES = {"memcached": "mc.set", "lsmtree": "lsm.put"}
@@ -208,7 +205,6 @@ def cmd_list(_args) -> int:
         print(f"  {name:<10} (default workload size {size})")
     others = [name for name in subcommand_names() if name != "list"]
     print("\nsubcommands: " + ", ".join(others))
-    print("tracked benchmarks (bench-compare): " + ", ".join(sorted(BENCHES)))
     return int(ExitCode.OK)
 
 
@@ -600,10 +596,18 @@ def _decode_fleet(spec, **fixed) -> FleetConfig:
 
 
 def _run_config(spec: dict, **fixed) -> PipelineConfig:
-    """A run's PipelineConfig.  A run also refuses a watchdog that could
-    never fire, which ``doctor`` reports as a finding instead."""
+    """A run's PipelineConfig.  A run also refuses an empty application or
+    validator pool and a watchdog that could never fire, which ``doctor``
+    reports as findings instead."""
     try:
         config = _decode_pipeline(spec, **fixed)
+        for field, needed in (("app_threads", "application"),
+                              ("validation_cores", "validation")):
+            if getattr(config, field) < 1:
+                raise ConfigurationError(
+                    f"pipeline.{field}: a run needs at least one {needed} "
+                    f"core, got {getattr(config, field)}"
+                )
         if config.fault_tolerance is not None:
             config.fault_tolerance.watchdog.validate()
     except ConfigurationError as exc:
@@ -698,7 +702,7 @@ def _finish_orthrus_arm(result, config: PipelineConfig, args) -> int:
 
 def cmd_perf(args) -> int:
     scenario, orthrus, vanilla, rbv, default_size = _resolve(args.app)
-    size = args.ops or default_size
+    size = _workload_size(args, default_size)
     plain, config = _arm_configs(args)
     v = vanilla(scenario, size, plain())
     o = orthrus(scenario, size, config)
@@ -719,7 +723,7 @@ def cmd_perf(args) -> int:
 
 def cmd_latency(args) -> int:
     scenario, orthrus, _vanilla, rbv, default_size = _resolve(args.app)
-    size = args.ops or default_size
+    size = _workload_size(args, default_size)
     plain, config = _arm_configs(args)
     o = orthrus(scenario, size, config)
     r = rbv(scenario, size, plain())
@@ -733,15 +737,20 @@ def cmd_latency(args) -> int:
 
 def cmd_coverage(args) -> int:
     scenario, orthrus, _vanilla, rbv, default_size = _resolve(args.app)
-    size = args.ops or default_size
-    obs = _make_obs(args)
+    size = _workload_size(args, default_size)
+    try:
+        injection = InjectionConfig(
+            n_faults=args.faults, seed=args.seed, trigger_rate=args.trigger_rate
+        )
+    except FaultInjectionError as exc:
+        raise SystemExit(f"--faults/--trigger-rate: {exc}")
     spec = _lower_flags(args, {})
+    _run_config(spec)  # refuse a bad pipeline before the campaign profiles
+    obs = _make_obs(args)
     campaign = FaultInjectionCampaign(
         scenario,
         workload_size=size,
-        injection=InjectionConfig(
-            n_faults=args.faults, seed=args.seed, trigger_rate=args.trigger_rate
-        ),
+        injection=injection,
         # All trials share the handle, so the export aggregates the
         # whole campaign (per-trial traces interleave in trial order).
         # auto_repair stays off under --quarantine: repairing before the
@@ -792,6 +801,7 @@ def cmd_respond(args) -> int:
             f"got {args.app!r}"
         )
     scenario = _APPS[args.app][0]()
+    n_ops = _workload_size(args, 200)
     obs = _make_obs(args)
     # the optional stress arm (decoded before any run, so a bad flag fails
     # first) replays the scenario through the fault-tolerant plane, scoring
@@ -806,7 +816,7 @@ def cmd_respond(args) -> int:
         else misdirected_fault(closure)
     )
     config = IncidentConfig(
-        n_ops=args.ops or 200,
+        n_ops=n_ops,
         seed=args.seed,
         app_threads=args.threads,
         validation_cores=args.cores,
@@ -844,7 +854,7 @@ def cmd_respond(args) -> int:
     ft_rc = 0
     if stress_config is not None:
         print("validation-plane stress arm:")
-        stress = run_orthrus_server(scenario, args.ops or 200, stress_config)
+        stress = run_orthrus_server(scenario, n_ops, stress_config)
         if stress_config.fault_tolerance is not None:
             ft_rc = _finish_fault_tolerance(stress, args)
         # evaluated unconditionally: a SAFE_HOLD must not skip the audit report
@@ -1180,38 +1190,6 @@ def cmd_latency_attrib(args) -> int:
     return (
         int(ExitCode.OK) if recon["reconciled"] else int(ExitCode.FAILURE)
     )
-
-
-def cmd_bench_compare(args) -> int:
-    names = args.bench or sorted(BENCHES)
-    for name in names:
-        if name not in BENCHES:
-            raise SystemExit(
-                f"unknown benchmark {name!r}; tracked: {', '.join(sorted(BENCHES))}"
-            )
-    failures = 0
-    for name in names:
-        artifact = run_bench(name, scale=args.scale, seed=args.seed)
-        path = write_artifact(artifact, args.out_dir)
-        print(f"wrote {path} (wall {format_wall(artifact['wall_time_s'])})")
-        baseline_path = os.path.join(args.baseline_dir, artifact_filename(name))
-        if args.update:
-            write_artifact(artifact, args.baseline_dir)
-            print(f"baseline updated: {baseline_path}")
-            continue
-        if not os.path.exists(baseline_path):
-            print(f"no baseline at {baseline_path}; skipping comparison "
-                  "(run with --update to create one)")
-            continue
-        try:
-            baseline = load_artifact(baseline_path)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        comparison = compare_artifacts(baseline, artifact, tolerance=args.tolerance)
-        print(render_comparison(comparison))
-        if not comparison.ok:
-            failures += 1
-    return int(ExitCode.FAILURE) if failures else int(ExitCode.OK)
 
 
 #: every ``fleet`` flag, in --help order.  A row naming a FleetConfig
@@ -1601,36 +1579,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also break the waterfall down per closure kind",
     )
 
-    bench_compare = sub.add_parser(
-        "bench-compare",
-        help="run tracked benchmarks, write BENCH_*.json, diff vs baselines",
-    )
-    bench_compare.add_argument(
-        "--bench", action="append", default=None, metavar="NAME",
-        help=f"benchmark to run (repeatable; default: all of "
-        f"{', '.join(sorted(BENCHES))})",
-    )
-    bench_compare.add_argument(
-        "--out-dir", default="bench-artifacts", metavar="DIR",
-        help="where BENCH_<name>.json artifacts are written",
-    )
-    bench_compare.add_argument(
-        "--baseline-dir", default="benchmarks/baselines", metavar="DIR",
-        help="directory holding the baseline artifacts",
-    )
-    bench_compare.add_argument(
-        "--tolerance", type=float, default=0.1,
-        help="relative drift allowed per metric (default: %(default)s)",
-    )
-    bench_compare.add_argument(
-        "--scale", type=float, default=0.25,
-        help="workload scale factor (must match the baseline's)",
-    )
-    bench_compare.add_argument("--seed", type=int, default=1)
-    bench_compare.add_argument(
-        "--update", action="store_true",
-        help="rewrite the baselines from this run instead of comparing",
-    )
     parser.epilog = "subcommands: " + ", ".join(subcommand_names(parser))
     return parser
 
@@ -1648,7 +1596,6 @@ _HANDLERS = {
     "obs-summary": cmd_obs_summary,
     "timeline": cmd_timeline,
     "latency-attrib": cmd_latency_attrib,
-    "bench-compare": cmd_bench_compare,
 }
 
 

@@ -9,6 +9,10 @@ failover sub-rings were derived from the base ring's first choices and the
 timeline fold stopped copying shard buckets.  Both are pure rewrites of
 the parent-side stages, so every hash must stay exactly as recorded.
 
+Under ``fleet_scale`` it holds the rollup of a small *grounded*, loaded
+fleet (4 hosts, 8 shards, two of them run through the DES): coverage,
+validation lag, the incident census and the event count.
+
 Regenerate only for an intended behaviour change, and record it with the
 parent commit's ``src`` so the fixture diff shows the change::
 
@@ -58,6 +62,29 @@ def observe(seed: int) -> dict:
     }
 
 
+def fleet_scale() -> dict:
+    """The rollup of 4 hosts / 8 shards at scale 0.25, seed 1: demand
+    beyond validator capacity, so the adaptive sampler sets coverage, and
+    a hot-running fault population, so detection and quarantine register."""
+    config = FleetConfig(
+        hosts=4, shards=8, cores_per_host=32, keys=40_000, users=4_000,
+        scale=0.25, epochs=48, load_factor=8.0, mercurial_rate=0.02,
+        ground_shards=2, ground_ops=80, seed=1,
+    )
+    report = run_fleet(config, workers=1)
+    rollup = report.rollup
+    return {
+        "coverage_fraction": rollup["coverage"],
+        "validation_lag_p95_us": rollup["validation_lag"].get("p95", 0.0) * 1e6,
+        "escaped_sdc": rollup["escaped"],
+        "detections": rollup["incidents"]["by_kind"].get("detection", 0),
+        "quarantined_cores": rollup["quarantine"]["cores"],
+        "safe_hold_shards": len(rollup["degradation"]["safe_hold_shards"]),
+        "remote_rbv_logs": rollup["rbv"]["remote_logs"],
+        "event_count": len(report.events),
+    }
+
+
 def ring_hashes() -> dict:
     names = [f"s{i:04d}" for i in range(96)]
     ring = ConsistentHashRing(names)
@@ -82,11 +109,16 @@ def test_benchmark_ring_and_sub_rings_match_the_golden():
     assert ring_hashes() == golden()["rings"]
 
 
+def test_grounded_fleet_rollup_matches_the_golden():
+    assert fleet_scale() == golden()["fleet_scale"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: test_fleet_golden.py --write")
     FIXTURE.write_text(
         json.dumps({**{str(seed): observe(seed) for seed in SEEDS},
-                    "rings": ring_hashes()}, indent=2, sort_keys=True) + "\n"
+                    "rings": ring_hashes(), "fleet_scale": fleet_scale()},
+                   indent=2, sort_keys=True) + "\n"
     )
     print(f"wrote {FIXTURE}")

@@ -1,9 +1,23 @@
-"""Time-series recorder: ring buffers, compaction, probes, artifacts."""
+"""Time-series recorder: ring buffers, compaction, probes, artifacts.
 
+``TestRunSummary`` pins the whole-run percentiles of every series of one
+instrumented memcached Orthrus run against
+``tests/fixtures/timeline_summary.json``.  Regenerate only for an intended
+behaviour change, with the parent commit's ``src``::
+
+    PYTHONPATH=<parent>/src python tests/obs/test_timeseries.py --write
+"""
+
+import json
 import math
+import pathlib
+import sys
 
 import pytest
 
+from repro.harness.pipeline import PipelineConfig, run_orthrus_server
+from repro.harness.scenarios import memcached_scenario
+from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     CounterRateProbe,
@@ -233,3 +247,30 @@ class TestSparkline:
 
     def test_variable_short_series_still_fixed_width(self):
         assert len(render_sparkline([1.0, 2.0, 3.0], width=20)) == 20
+
+
+SUMMARY_FIXTURE = pathlib.Path(__file__).parent.parent / "fixtures" / "timeline_summary.json"
+
+
+def memcached_run_summary() -> dict:
+    """``timeline.summary()`` of a memcached Orthrus run: 625 ops on 2 app
+    and 2 validation cores, seed 1, metrics on, the default recorder."""
+    config = PipelineConfig(
+        app_threads=2, validation_cores=2, seed=1,
+        obs=Observability(trace=False), timeseries=TimeSeriesConfig(),
+    )
+    return run_orthrus_server(memcached_scenario(), 625, config).timeline.summary()
+
+
+class TestRunSummary:
+    def test_series_percentiles_match_the_pin(self):
+        assert memcached_run_summary() == json.loads(SUMMARY_FIXTURE.read_text())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: test_timeseries.py --write")
+    SUMMARY_FIXTURE.write_text(
+        json.dumps(memcached_run_summary(), indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote {SUMMARY_FIXTURE}")
