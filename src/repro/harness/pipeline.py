@@ -61,6 +61,7 @@ from repro.runtime.sampling import (
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.events import Environment, SimClock, Store
 from repro.sim.metrics import RunMetrics
+from repro.validation.validator import replay_needed
 from repro.validation.watchdog import ValidationLedger
 
 _SENTINEL = object()
@@ -514,14 +515,12 @@ class DriverSession:
         """Cost of the bitwise comparison over the log's actual output
         payloads — significant for Phoenix's container-sized outputs,
         negligible for KV items.  Measured at dispatch: once the log
-        settles its versions may be reclaimed."""
+        settles its versions may be reclaimed, and a version reclaimed
+        before then is a reclamation-safety bug, so the read raises."""
         heap = self.runtime.heap
         output_bytes = log.admitted_bytes
         for vid in log.output_versions:
-            try:
-                output_bytes += heap.version(vid).size
-            except Exception:
-                pass
+            output_bytes += heap.version(vid).size
         return self.config.costs.compare_cycles_per_byte * output_bytes
 
     def validation_cycles(self, log: ClosureLog, core, exec_cycles: float,
@@ -541,12 +540,17 @@ class DriverSession:
         return busy
 
     def reexecute(self, log: ClosureLog, core):
-        """Functional replay of ``log`` on ``core`` and who hears about it."""
-        outcome = self.runtime.validator.validate(log, core)
+        """The verdict on ``log`` from ``core`` and who hears about it: a
+        functional replay where a fault can make it differ, the known pass
+        (same cycles, same instructions charged) everywhere else."""
+        runtime = self.runtime
+        outcome = runtime.validator.validate(
+            log, core, replay=replay_needed(log, core, runtime.machine)
+        )
         if self.drift is not None:
             self.drift.verdict(core.core_id)
-        if self.runtime.responder is not None:
-            self.runtime.responder.on_outcome(outcome)
+        if runtime.responder is not None:
+            runtime.responder.on_outcome(outcome)
         return outcome
 
     def settle(self, log: ClosureLog, state: str, now: float, reason: str = "",

@@ -109,9 +109,14 @@ class Core:
         Resets the per-execution occurrence counters so that instruction
         sites are stable across invocations of the same closure.  Scopes
         nest: a control-path section can begin, invoke a closure (which
-        begins/ends its own scope), and resume its own attribution.
+        begins/ends its own scope), and resume its own attribution; the
+        suspended trace is marked ``nested``, since the core's work in its
+        extent now exceeds what it counts.
         """
-        self._frames.append((self._function, self._occurrences, self._trace))
+        outer = self._trace
+        if outer is not None:
+            outer.nested = True
+        self._frames.append((self._function, self._occurrences, outer))
         self._function = function
         self._occurrences = {}
         self._trace = trace if trace is not None else Trace()
@@ -175,10 +180,29 @@ class Core:
                 continue
             if fault.trigger_rate < 1.0 and self._rng.random() >= fault.trigger_rate:
                 continue
+            self._mark_fired(trace)
             if fault.kind is FaultKind.NOP:
                 return nop_fallback
             return corrupt_value(result, fault.kind, fault.bit)
         return result
+
+    def _mark_fired(self, trace: Trace | None) -> None:
+        """An armed fault fired: mark the active trace and every trace
+        suspended under it, so a closure whose extent held the firing says
+        so whichever scope the instruction ran in.  Reached from the faulty
+        return path only."""
+        if trace is not None:
+            trace.fired = True
+        for _function, _occurrences, outer in self._frames:
+            if outer is not None:
+                outer.fired = True
+
+    def credit(self, trace: Trace) -> None:
+        """Charge this core the instructions and cycles of ``trace`` without
+        issuing them: the work of a replay whose verdict is known (a fault-free
+        closure re-executed on a healthy core issues exactly its APP trace)."""
+        self.instructions += trace.total_instructions
+        self.total_cycles += trace.cycles
 
     def _index_faults(self, key: tuple[Unit, str, str]) -> tuple[Fault, ...]:
         """The armed faults that can match an instruction at ``key``, in

@@ -48,12 +48,18 @@ class Trace:
         sites: set of sites touched (populated only when ``record_sites``
             is enabled — the inspection/profiling phases need it, the hot
             path does not).
+        fired: an armed fault fired while this trace was active, in its
+            own scope or one nested in it (set by the core's faulty path).
+        nested: a scope was opened inside this one, so the core issued
+            instructions in this trace's extent that it does not count.
     """
 
     unit_counts: dict[Unit, int] = field(default_factory=dict)
     cycles: int = 0
     sites: set[Site] = field(default_factory=set)
     record_sites: bool = False
+    fired: bool = False
+    nested: bool = False
 
     def record(self, unit: Unit, site: Site | None = None) -> None:
         self.unit_counts[unit] = self.unit_counts.get(unit, 0) + 1

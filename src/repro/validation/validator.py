@@ -19,6 +19,7 @@ from repro.closures.log import ClosureLog
 from repro.detection import DetectionEvent
 from repro.errors import ConfigurationError
 from repro.machine.core import Core
+from repro.machine.cpu import Machine
 from repro.memory.heap import VersionedHeap
 from repro.memory.reclaim import ReclamationManager
 from repro.obs.observability import NULL_OBS
@@ -169,6 +170,33 @@ def reexecute(
     return Reexecution(result=result, val_cycles=val_cycles, context=ctx)
 
 
+def replay_needed(log: ClosureLog, core: Core, machine: Machine) -> bool:
+    """Whether the verdict on ``log`` from ``core`` is unknown until a
+    replay computes it (DESIGN §13.6, rule 7).
+
+    A closure is deterministic given its log, and a fault is core-local:
+    when no armed fault fired during the APP run and ``core`` carries none,
+    the replay issues exactly the APP trace and passes.  It still runs
+    for a canary probe (no APP trace: its mismatch is the point), a log
+    whose APP run fired a fault, an armed validation core, and while
+    either core records sites (profiling counts the replay's).  Two
+    closure shapes keep it too (``tests/validation/test_known_verdict.py``
+    names them): one with a custom ``compare``, which may reject even a
+    faithful replay, and one that opens a core scope of its own, whose
+    trace does not count all the work the replay would charge the core.
+    """
+    trace = log.trace
+    return (
+        trace is None
+        or trace.fired
+        or trace.nested
+        or log.compare is not None
+        or core.is_mercurial
+        or core.record_sites
+        or machine.core(log.core_id).record_sites
+    )
+
+
 class Validator:
     """Re-executes closure logs and reports divergences."""
 
@@ -198,11 +226,22 @@ class Validator:
                 help="latency of the most recent validation (completion to verdict)",
             ).set_function(lambda: self.last_latency)
 
-    def validate(self, log: ClosureLog, core: Core) -> ValidationOutcome:
-        """Re-execute ``log`` on ``core`` and compare results."""
-        rerun = reexecute(self._heap, log, core)
-        result = rerun.result
-        val_cycles = rerun.val_cycles
+    def validate(self, log: ClosureLog, core: Core, replay: bool = True) -> ValidationOutcome:
+        """Re-execute ``log`` on ``core`` and compare results.
+
+        ``replay=False`` is for a log whose verdict is known
+        (:func:`replay_needed` said so): the pass is recorded and ``core``
+        is credited with the APP trace's instructions and cycles, which
+        is what the replay would have issued.
+        """
+        if replay:
+            rerun = reexecute(self._heap, log, core)
+            result = rerun.result
+            val_cycles = rerun.val_cycles
+        else:
+            core.credit(log.trace)
+            result = ComparisonResult.ok()
+            val_cycles = log.trace.cycles
 
         now = self._clock.now()
         log.validated_time = now

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.closures.log import ClosureLog
+from repro.errors import HeapError
 from repro.harness.pipeline import (
+    DriverSession,
     PipelineConfig,
     run_orthrus_server,
     run_rbv_server,
@@ -171,6 +174,20 @@ class TestOrthrusPipelineMechanics:
 
         n = 400  # past the first flush, so the buffer is not empty
         assert calls(2 * n) <= 2.5 * calls(n)
+
+    def test_compare_cost_of_a_reclaimed_output_fails_loudly(self):
+        # A version reclaimed before its log is dispatched is a
+        # reclamation-safety bug; the cost model must not undercount it.
+        session = DriverSession.open(memcached_scenario(n_keys=8), 4, PipelineConfig())
+        heap = session.runtime.heap
+        obj_id = heap.allocate(("k", "v"))
+        stale = heap.latest(obj_id).version_id
+        heap.store(obj_id, ("k", "w"))
+        assert heap.reclaim_before(float("inf")) >= 1
+        log = ClosureLog(seq=1, closure_name="mc.set", caller="test",
+                         output_versions=[stale])
+        with pytest.raises(HeapError):
+            session.compare_cycles(log)
 
 
 class TestRbvMechanics:

@@ -241,9 +241,9 @@ class TestQuarantinedValidator:
         calls = []
         validate = Validator.validate
 
-        def recording(self, log, core):
+        def recording(self, log, core, **kwargs):
             calls.append((core.core_id, self._clock.now()))
-            return validate(self, log, core)
+            return validate(self, log, core, **kwargs)
 
         monkeypatch.setattr(Validator, "validate", recording)
         config = PipelineConfig(
