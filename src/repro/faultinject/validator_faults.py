@@ -20,41 +20,23 @@ run is byte-replayable from its :meth:`ValidatorChaosConfig.digest`.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from repro.determinism import derived_rng, stable_digest
 from repro.errors import ConfigurationError
+# The one validator loop reads these, so they live beside it in the core.
+from repro.harness.pipeline import ValidatorFault, ValidatorFaultBox, ValidatorFaultKind
 
-
-class ValidatorFaultKind(enum.Enum):
-    CRASH = "crash"
-    HANG = "hang"
-    SLOWDOWN = "slowdown"
-    VERDICT_LOSS = "verdict-loss"
+__all__ = [
+    "ValidatorChaosConfig",
+    "ValidatorFault",
+    "ValidatorFaultBox",
+    "ValidatorFaultKind",
+]
 
 
 _KINDS_BY_VALUE = {kind.value: kind for kind in ValidatorFaultKind}
-
-
-@dataclass(frozen=True, slots=True)
-class ValidatorFault:
-    """One armed fault on one validation core."""
-
-    kind: ValidatorFaultKind
-    core_id: int
-    #: virtual time the fault arms (0.0 = from the start)
-    at: float = 0.0
-    #: how long it stays armed; None = for the rest of the run
-    duration: float | None = None
-    #: validation time multiplier for SLOWDOWN faults
-    slowdown_factor: float = 8.0
-
-    def active(self, now: float) -> bool:
-        if now < self.at:
-            return False
-        return self.duration is None or now < self.at + self.duration
 
 
 @dataclass(frozen=True)
@@ -149,37 +131,3 @@ class ValidatorChaosConfig:
                     )
                 )
         return tuple(faults)
-
-
-class ValidatorFaultBox:
-    """Runtime lookup of armed validator faults, one per core."""
-
-    def __init__(self, faults: tuple[ValidatorFault, ...] = ()):
-        self._by_core: dict[int, ValidatorFault] = {}
-        for fault in faults:
-            if fault.core_id in self._by_core:
-                raise ConfigurationError(
-                    f"core {fault.core_id} assigned two validator faults"
-                )
-            self._by_core[fault.core_id] = fault
-
-    def fault_for(self, core_id: int, now: float) -> ValidatorFault | None:
-        fault = self._by_core.get(core_id)
-        if fault is not None and fault.active(now):
-            return fault
-        return None
-
-    def disarm(self, core_id: int) -> None:
-        """Clear a core's fault (probation readmits a repaired core)."""
-        self._by_core.pop(core_id, None)
-
-    @property
-    def faulted_cores(self) -> list[int]:
-        return sorted(self._by_core)
-
-    @property
-    def faults(self) -> tuple[ValidatorFault, ...]:
-        return tuple(self._by_core[core] for core in sorted(self._by_core))
-
-    def __len__(self) -> int:
-        return len(self._by_core)

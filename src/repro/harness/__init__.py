@@ -1,5 +1,14 @@
-"""Benchmark harness: scenarios and virtual-time deployment drivers."""
+"""Benchmark harness: scenarios and virtual-time deployment drivers.
 
+Importing the package fills the DES extension table
+(:data:`repro.harness.pipeline.EXTENSIONS`, DESIGN §3) — Python runs this
+file before any ``repro.harness.*`` module.  The order is the order in
+which every hook runs: canaries settle, then the drift probe's terminal
+sweep, then the last telemetry sample sees both, then incident response
+closes, and the fault-tolerant report comes last.
+"""
+
+from repro.harness import chaos, pipeline
 from repro.harness.chaos import FaultToleranceReport, run_chaos_server
 from repro.harness.phoenix import run_phoenix
 from repro.harness.pipeline import (
@@ -17,6 +26,12 @@ from repro.harness.scenarios import (
     masstree_scenario,
     memcached_scenario,
     phoenix_scenario,
+)
+from repro.obs import audit, canary, timeseries
+from repro.response import coordinator
+
+pipeline.EXTENSIONS[:] = (
+    canary.attach, audit.attach, timeseries.attach, coordinator.attach, chaos.attach,
 )
 
 __all__ = [

@@ -1,7 +1,8 @@
 """The fault-tolerant validation-plane policies: Orthrus under validator faults.
 
 ``fault_tolerance`` / ``validator_faults`` choose these for the one
-validator loop of :mod:`repro.harness.pipeline` (DESIGN §10.5): bounded
+validator loop of :mod:`repro.harness.pipeline` (DESIGN §10.5), through
+this module's row of the extension table (:func:`attach`): bounded
 per-core queues with work stealing (:class:`QueueAdmission`); a watchdog
 :class:`Supervisor` that re-dispatches logs stranded by validator cores
 that crash, hang, slow down or lose verdicts (armed via
@@ -19,17 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.detection import DetectionEvent
-from repro.faultinject.validator_faults import ValidatorFaultBox
+from repro.detection import DetectionEvent, is_canary_closure
 from repro.harness.pipeline import (
     DriverSession,
     PipelineConfig,
     Plane,
     RunResult,
+    ValidatorFaultBox,
     run_orthrus_server,
 )
 from repro.memory.checksum import checksum_of
-from repro.obs.canary import is_canary_log
 from repro.response.quarantine import QuarantineManager
 from repro.runtime.degradation import (
     DegradationController,
@@ -87,6 +87,31 @@ class FaultToleranceReport:
             "chaos_digest": self.chaos_digest,
             "queue_drops": self.queue_drops,
         }
+
+
+class _FaultTolerantAttachment:
+    """The fault-tolerant plane in a DES session, and its report."""
+
+    def __init__(self, session: DriverSession):
+        self.session = session
+        self.supervisor: Supervisor | None = None
+
+    def plane(self) -> Plane:
+        plane = fault_tolerant_plane(self.session)
+        self.supervisor = plane.supervisor
+        return plane
+
+    def finish(self, result: RunResult) -> None:
+        result.ft = self.supervisor.report()
+
+
+def attach(session: DriverSession) -> _FaultTolerantAttachment | None:
+    """Extension-table row: the fault-tolerant plane when the run's config
+    names ``fault_tolerance`` or ``validator_faults``."""
+    config = session.config
+    if config.fault_tolerance is None and config.validator_faults is None:
+        return None
+    return _FaultTolerantAttachment(session)
 
 
 def fault_tolerant_plane(session: DriverSession) -> Plane:
@@ -272,11 +297,11 @@ class Supervisor:
                     self.checksum_fallback(log, now)
                     continue
                 self.redispatch_pending += 1
-                if session.exposure is not None and not is_canary_log(log):
+                if not is_canary_closure(log.closure_name):
                     # The backoff delay is pure exposure: the log sits
                     # unprotected until its re-enqueue (a canary protects
                     # nothing, DESIGN §11.3).
-                    session.exposure.record(log.closure_name, "redispatch", delay)
+                    session.expose(log, "redispatch", delay)
                 lifecycle.redispatched(log, now, delay)
                 env.process(self.redispatch_later(log, delay))
             if not session.serving and (queues.pending or watchdog.in_flight):

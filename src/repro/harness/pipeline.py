@@ -7,17 +7,18 @@ which wires the scenario into the discrete-event engine:
   cores; a request's service time is the cycles its control+data path
   actually executed on the simulated machine, plus the deployment's
   bookkeeping costs (:mod:`repro.sim.costs`);
-* **observer processes** (telemetry, liveness canaries, audit probes) and
-  finalisation are the session's too, as are the validator-side stages —
-  sampler decision, validation cost, the one door out (``settle``) — so
-  each exists exactly once (DESIGN.md §10.5 has the stage table);
+* finalisation and the validator-side stages — sampler decision,
+  validation cost, the one door out (``settle``) — are the session's too,
+  so each exists exactly once (DESIGN.md §10.5 has the stage table);
 * **a validation plane** is one validator loop (:func:`validator_process`)
   over policies chosen once at set-up (:class:`Plane`).  The *plain* plane
   is the null set: a shared store (work-conserving, equivalent to
   per-core queues with stealing) drained by immortal validator cores,
-  applying the sampler under queueing-delay or memory-budget feedback;
-  the *fault-tolerant* policies live in :mod:`repro.harness.chaos`.  The
-  vanilla deployment is the session with no plane at all;
+  applying the sampler under queueing-delay or memory-budget feedback.
+  The vanilla deployment is the session with no plane at all;
+* **extensions** — the fault-tolerant policies, telemetry, liveness
+  canaries, audit probes, incident response — attach through one table
+  (:data:`EXTENSIONS`, DESIGN.md §3); this module imports none of them;
 * **the RBV replica** replays full requests *in submission order* on a
   separate healthy server, paying serialization + network transfer per
   batch and stalling the primary when the replication lag bound is hit.
@@ -31,25 +32,15 @@ wall-clock figures reproducible on a laptop (DESIGN.md §2).
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.closures.log import ClosureLog
+from repro.detection import is_canary_closure
 from repro.errors import ConfigurationError
-from repro.faultinject.validator_faults import ValidatorFaultBox, ValidatorFaultKind
 from repro.machine.cpu import Machine
 from repro.memory.version import approx_size
-from repro.obs.audit import AuditConfig, DriftMonitor
-from repro.obs.canary import CanaryScheduler, LivenessMonitor, is_canary_log
-from repro.obs.exposure import ExposureLedger
-from repro.obs.timeseries import (
-    TimeSeriesRecorder,
-    install_audit_probes,
-    install_canary_probes,
-    install_default_probes,
-    install_span_probes,
-)
-from repro.response.coordinator import ResponseCoordinator
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.runtime.safemode import SafeModePolicy
 from repro.runtime.sampling import (
@@ -207,6 +198,35 @@ def _orthrus_overhead_cycles(log: ClosureLog, costs: CostModel) -> float:
 
 
 # ----------------------------------------------------------------------
+# Extensions: one attachment table
+# ----------------------------------------------------------------------
+#: Every extension of the paper core (DESIGN §3), one row each, filled once
+#: by ``repro.harness``.  A row is called with each Orthrus session before
+#: the scenario is built and returns the run's attachment, or None when the
+#: run's config does not ask for the extension.  An attachment defines any
+#: of :data:`HOOKS`; the session binds each hook to one tuple, in the
+#: table's order:
+#:
+#: ``plane()``
+#:     the validation-plane policies (:class:`Plane`), or None; the first
+#:     one chosen replaces the plain plane
+#: ``observe()``
+#:     the plane, its gauges and its processes (apps, pool, scaler,
+#:     ticker) exist; a process started here precedes every ``start`` one
+#: ``start(submit)``
+#:     start processes; ``submit`` is the plane's enqueue for probes
+#: ``verdict(core_id, outcome)``
+#:     each verdict :meth:`DriverSession.reexecute` reaches
+#: ``exposed(closure, reason, seconds)``
+#:     an organic log left unprotected (skip, drop, CRC fallback,
+#:     re-dispatch backoff; DESIGN §14)
+#: ``finish(result)``
+#:     the run is over: settle, and write onto the :class:`RunResult`
+EXTENSIONS: list[Callable[["DriverSession"], Any]] = []
+HOOKS = ("plane", "observe", "start", "verdict", "exposed", "finish")
+
+
+# ----------------------------------------------------------------------
 # The driver session
 # ----------------------------------------------------------------------
 class DriverSession:
@@ -214,12 +234,12 @@ class DriverSession:
     vanilla and Orthrus drivers do identically.
 
     The session owns set-up (:meth:`open`), the application threads, the
-    observer processes (telemetry, canaries, audit probes), the
     validator-side stages the one validator loop runs — sampler decision,
     validation cost, re-execution, the one door out (:meth:`settle`) —
     and finalisation.  The :class:`Plane` policies supply only what truly
     differs: how a log is admitted, whether dispatches are supervised, and
-    how the plane drains.  Per-event code binds what it
+    how the plane drains; extensions reach it through :attr:`hooks`
+    (:data:`EXTENSIONS`).  Per-event code binds what it
     needs to locals before its loop; nothing here is reached through the
     session on a per-instruction path.
     """
@@ -256,8 +276,8 @@ class DriverSession:
         self.safe_policy = SafeModePolicy.off()
         #: the declared validator pool (quarantine may shrink the scheduler's)
         self.val_cores = [c.core_id for c in runtime.scheduler.validation_cores]
-        self.drift = self.exposure = None
-        self.recorder = self.canary_monitor = None
+        #: hook name -> the attached extensions' hooks, in table order
+        self.hooks: dict[str, tuple] = dict.fromkeys(HOOKS, ())
         self._request_logs: list[ClosureLog] = []
         self._responses: dict[int, Any] = {}
         #: the exposure window one skipped validation opens: the key stays
@@ -279,7 +299,7 @@ class DriverSession:
         ``session.result.crashed`` with a ``setup:`` reason.
 
         ``orthrus=False`` is the unmodified application: no checksums, no
-        held versions, no sampler, observers or response layer.
+        held versions, no sampler and no extension.
         """
         env = Environment()
         machine = config.build_machine()
@@ -303,8 +323,8 @@ class DriverSession:
             RunResult(metrics=RunMetrics(), runtime=runtime),
             config.make_sampler() if orthrus else None,
         )
-        if orthrus and config.response is not None:
-            ResponseCoordinator(runtime, config.response)  # attaches runtime.responder
+        if orthrus:
+            session.attach()
         server = scenario.build(runtime)
         runtime._hold_versions = False  # setup closures are not validated
         try:
@@ -327,34 +347,15 @@ class DriverSession:
             runtime._on_log = session._request_logs.append
         return session
 
-    def attach_observers(self) -> None:
-        """Audit (drift monitor + exposure ledger) and the time-series
-        recorder with its probes.  Called once the plane's own gauges are
-        registered, so registry order is the plane's."""
-        config, obs = self.config, self.obs
-        if config.audit is not None:
-            audit_cfg = AuditConfig() if config.audit is True else config.audit
-            self.exposure = ExposureLedger(
-                registry=obs.registry if obs.enabled else None
-            )
-            self.drift = DriftMonitor(
-                audit_cfg,
-                declared_pool=config.validation_cores,
-                metrics=self.metrics,
-                obs=obs,
-                exposure=self.exposure,
-            )
-        if config.timeseries is not None and obs.enabled:
-            recorder = self.recorder = TimeSeriesRecorder(
-                obs.registry, config.timeseries
-            )
-            install_default_probes(recorder)
-            if obs.spans.enabled:
-                install_span_probes(recorder)
-            if config.canary is not None:
-                install_canary_probes(recorder)
-            if self.drift is not None:
-                install_audit_probes(recorder)
+    def attach(self) -> None:
+        """Bind :data:`EXTENSIONS` to this run: one tuple per hook, in table
+        order.  Runs before the scenario is built, so an extension that
+        watches the runtime (incident response) sees every closure."""
+        attached = [a for a in (row(self) for row in EXTENSIONS) if a is not None]
+        self.hooks = {
+            hook: tuple(getattr(a, hook) for a in attached if hasattr(a, hook))
+            for hook in HOOKS
+        }
 
     # -- memory ----------------------------------------------------------
     def track_memory(self) -> None:
@@ -432,69 +433,6 @@ class DriverSession:
             lifecycle.served(latency)
             track_memory()
 
-    # -- observer processes ------------------------------------------------
-    def start_observers(self, submit_canary) -> None:
-        """Spawn the telemetry, canary and audit-probe processes.
-
-        Each rides its own virtual-time cadence so it ticks even while
-        every app thread is blocked (safe-mode holds, backpressure) — that
-        is exactly when queue depth, lag and drift are interesting.
-        ``submit_canary`` is the plane's enqueue for probes (same contract
-        as :meth:`start_apps`); :attr:`quiesced` ends the canary poller and
-        the audit probe.  Whatever is still pending when the coordinator
-        fires dies with the environment.
-        """
-        env, config, obs, runtime = self.env, self.config, self.obs, self.runtime
-        recorder, drift, done_events = self.recorder, self.drift, self.done_events
-        if recorder is not None:
-            def telemetry_process():
-                while True:
-                    recorder.sample(env.now)
-                    yield env.timeout(recorder.cadence)
-
-            env.process(telemetry_process())
-
-        if config.canary is not None:
-            sched = CanaryScheduler(config.canary, seed=config.seed)
-            monitor = LivenessMonitor(config.canary, runtime.report, obs=obs)
-            self.canary_monitor = monitor
-
-            def canary_issuer():
-                # Probes ride the same store/queues (and watchdog) as
-                # organic traffic: liveness of the whole validation plane,
-                # not of one component, is what the canary measures.
-                while True:
-                    yield env.timeout(config.canary.period)
-                    if self.apps_done:
-                        return
-                    runtime._seq += 1
-                    log = sched.next_log(runtime._seq, env.now)
-                    monitor.issue(log, env.now)
-                    done_events[log.seq] = env.event()
-                    yield from submit_canary(log)
-                    obs.lifecycle.handed_off(log, env.now)
-
-            def canary_poller():
-                step = config.canary.deadline / 4
-                while True:
-                    yield env.timeout(step)
-                    monitor.poll(env.now)
-                    if self.quiesced and monitor.outstanding == 0:
-                        return
-
-            env.process(canary_issuer())
-            env.process(canary_poller())
-
-        if drift is not None:
-            def audit_probe_process():
-                while True:
-                    yield env.timeout(drift.config.cadence)
-                    drift.probe(env.now)
-                    if self.quiesced:
-                        return
-
-            env.process(audit_probe_process())
-
     # -- validator-side stages ---------------------------------------------
     def decide(self, log: ClosureLog, now: float):
         """Sampler stage for one dequeued log; None for a canary.
@@ -502,7 +440,7 @@ class DriverSession:
         Canary probes bypass the sampler — a skipped canary proves nothing
         about plane liveness — and stay out of its load signal.
         """
-        if is_canary_log(log):
+        if is_canary_closure(log.closure_name):
             self.obs.lifecycle.waited(log, now)
             return None
         budget = self.config.memory_budget_bytes
@@ -547,11 +485,14 @@ class DriverSession:
         outcome = runtime.validator.validate(
             log, core, replay=replay_needed(log, core, runtime.machine)
         )
-        if self.drift is not None:
-            self.drift.verdict(core.core_id)
-        if runtime.responder is not None:
-            runtime.responder.on_outcome(outcome)
+        for hook in self.hooks["verdict"]:
+            hook(core.core_id, outcome)
         return outcome
+
+    def expose(self, log: ClosureLog, reason: str, seconds: float) -> None:
+        """An organic log left unprotected for ``seconds`` (DESIGN §14)."""
+        for hook in self.hooks["exposed"]:
+            hook(log.closure_name, reason, seconds)
 
     def settle(self, log: ClosureLog, state: str, now: float, reason: str = "",
                outcome=None, core_id: int = -1, dispatched_at: float = 0.0,
@@ -564,9 +505,9 @@ class DriverSession:
         skip's or a drop's; a verdict brings its outcome, core, dispatch
         instant and ``validate`` span args.  A canary gets its ledger
         entry, its spans and its release, and nothing else (§11.3)."""
-        lifecycle, metrics, exposure = self.obs.lifecycle, self.metrics, self.exposure
+        lifecycle, metrics = self.obs.lifecycle, self.metrics
         seq = log.seq
-        user = not is_canary_log(log)
+        user = not is_canary_closure(log.closure_name)
         if state == "validated":
             self.ledger.validated(seq)
             log.validated_time = now
@@ -587,12 +528,8 @@ class DriverSession:
             self.ledger.skipped(seq)
             metrics.skipped += 1
             self.runtime.validator.skip(log, now)
-            if exposure is not None:
-                exposure.record(
-                    log.closure_name,
-                    "coverage-shed" if reason == "coverage-shed" else "sampled-out",
-                    self.stale_s,
-                )
+            self.expose(log, "coverage-shed" if reason == "coverage-shed" else "sampled-out",
+                        self.stale_s)
             lifecycle.sampled_out(log, now, reason)
             return
         elif state == "dropped":
@@ -606,16 +543,16 @@ class DriverSession:
                     self.runtime.validator.skip(log, now)
                 else:
                     self.runtime.validator.drop(log, reason, now)
-                if exposure is not None:  # queue time burned + staleness window
-                    waited = max(0.0, now - log.enqueue_time) if log.enqueue_time else 0.0
-                    exposure.record(log.closure_name, reason, waited + self.stale_s)
+                # queue time burned + staleness window
+                waited = max(0.0, now - log.enqueue_time) if log.enqueue_time else 0.0
+                self.expose(log, reason, waited + self.stale_s)
         else:  # the CRC checksum fallback
             self.ledger.fallback(seq)
             self.runtime.reclaimer.closure_finished(seq)
-            if user and exposure is not None:
+            if user:
                 # CRC checks catch bit-flips but not mercurial compute
                 # errors: partial coverage, honestly accounted as exposure.
-                exposure.record(log.closure_name, "checksum-only", self.stale_s)
+                self.expose(log, "checksum-only", self.stale_s)
             lifecycle.fell_back(log, now)
         self.release(log)
 
@@ -626,25 +563,11 @@ class DriverSession:
 
     # -- finalisation ------------------------------------------------------
     def finish(self) -> RunResult:
-        env, result, runtime = self.env, self.result, self.runtime
-        self.metrics.detections = runtime.detections
+        result = self.result
+        self.metrics.detections = self.runtime.detections
         result.responses = [self._responses.get(i) for i in range(len(self.ops))]
-        if self.canary_monitor is not None:
-            # Settle overdue canaries before the final telemetry flush so
-            # the last timeline sample sees every miss.
-            self.canary_monitor.finalize(env.now)
-            result.canary = self.canary_monitor.summary()
-        if self.drift is not None:
-            # One terminal probe (so the last timeline sample sees every
-            # violation counter), then freeze the audit payload.
-            result.audit = self.drift.finalize(env.now)
-        if self.recorder is not None:
-            # Final flush: one forced sample so the tail of the run (the
-            # drain phase) is in the series.
-            self.recorder.sample(env.now, force=True)
-            result.timeline = self.recorder
-        if runtime.responder is not None and not result.crashed:
-            result.incident = runtime.responder.finalize()
+        for hook in self.hooks["finish"]:
+            hook(result)
         result.digest = self.server.state_digest() if not result.crashed else None
         return result
 
@@ -693,12 +616,75 @@ class StoreAdmission:
             yield self.env.all_of(validators)
 
 
+class ValidatorFaultKind(enum.Enum):
+    """How an armed validation core fails (:mod:`repro.faultinject.validator_faults`)."""
+
+    CRASH = "crash"
+    HANG = "hang"
+    SLOWDOWN = "slowdown"
+    VERDICT_LOSS = "verdict-loss"
+
+
+@dataclass(frozen=True, slots=True)
+class ValidatorFault:
+    """One armed fault on one validation core."""
+
+    kind: ValidatorFaultKind
+    core_id: int
+    #: virtual time the fault arms (0.0 = from the start)
+    at: float = 0.0
+    #: how long it stays armed; None = for the rest of the run
+    duration: float | None = None
+    #: validation time multiplier for SLOWDOWN faults
+    slowdown_factor: float = 8.0
+
+    def active(self, now: float) -> bool:
+        if now < self.at:
+            return False
+        return self.duration is None or now < self.at + self.duration
+
+
+class ValidatorFaultBox:
+    """Runtime lookup of armed validator faults, one per core."""
+
+    def __init__(self, faults: tuple[ValidatorFault, ...] = ()):
+        self._by_core: dict[int, ValidatorFault] = {}
+        for fault in faults:
+            if fault.core_id in self._by_core:
+                raise ConfigurationError(
+                    f"core {fault.core_id} assigned two validator faults"
+                )
+            self._by_core[fault.core_id] = fault
+
+    def fault_for(self, core_id: int, now: float) -> ValidatorFault | None:
+        fault = self._by_core.get(core_id)
+        if fault is not None and fault.active(now):
+            return fault
+        return None
+
+    def disarm(self, core_id: int) -> None:
+        """Clear a core's fault (probation readmits a repaired core)."""
+        self._by_core.pop(core_id, None)
+
+    @property
+    def faulted_cores(self) -> list[int]:
+        return sorted(self._by_core)
+
+    @property
+    def faults(self) -> tuple[ValidatorFault, ...]:
+        return tuple(self._by_core[core] for core in sorted(self._by_core))
+
+    def __len__(self) -> int:
+        return len(self._by_core)
+
+
 @dataclass
 class Plane:
     """The validation-plane policies a run chose at set-up (DESIGN §10.5):
     the null set — :class:`StoreAdmission`, no supervisor, no ladder, no
-    armed validator faults — runs the paper figures; ``fault_tolerance`` /
-    ``validator_faults`` choose those of :mod:`repro.harness.chaos`."""
+    armed validator faults — runs the paper figures; an extension's
+    ``plane`` hook chooses others (the fault-tolerant policies of
+    :mod:`repro.harness.chaos`)."""
 
     admission: Any
     supervisor: Any = None
@@ -878,15 +864,16 @@ def run_vanilla_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
 # ----------------------------------------------------------------------
 def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     """The Orthrus deployment: logging + asynchronous sampled validation,
-    over the plane policies ``fault_tolerance`` / ``validator_faults``
-    choose (DESIGN §10.5)."""
+    over the plain plane unless an extension's ``plane`` hook chooses
+    other policies (DESIGN §10.5)."""
     if config.validation_cores < 1:
         raise ConfigurationError("Orthrus needs at least one validation core")
     session = DriverSession.open(scenario, n_ops, config)
     if session.result.crashed:
         return session.result
-    env, obs = session.env, session.obs
-    if config.fault_tolerance is None and config.validator_faults is None:
+    env, obs, hooks = session.env, session.obs, session.hooks
+    plane = next(filter(None, (choose() for choose in hooks["plane"])), None)
+    if plane is None:
         plane = Plane(StoreAdmission(session))
         if obs.enabled:
             # The shared store is the work-conserving analogue of the
@@ -896,23 +883,17 @@ def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
                 "orthrus_log_store_depth",
                 help="pending closure logs in the shared validation store",
             ).set_function(lambda: float(len(store)))
-    else:
-        from repro.harness.chaos import fault_tolerant_plane
-
-        plane = fault_tolerant_plane(session)
     supervisor = plane.supervisor
-    session.attach_observers()
-    if supervisor is not None and session.drift is not None:
-        # The conservation ledger is the residual-drift signal: work
-        # outstanding while nothing settles means the plane is wedged.
-        session.drift.attach_ledger(session.ledger)
     app_threads = session.start_apps(plane.admission.submit)
     pool = ValidatorPool(session, plane)
     if config.dynamic_scaling:
         env.process(pool.scale())
     if supervisor is not None:
         env.process(supervisor.ticker())
-    session.start_observers(plane.admission.submit_canary)
+    for observe in hooks["observe"]:
+        observe()
+    for start in hooks["start"]:
+        start(plane.admission.submit_canary)
 
     def coordinator():
         yield env.all_of(app_threads)
@@ -929,8 +910,6 @@ def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
     env.run(until=env.process(coordinator()))
     result = session.finish()
     result.ledger = session.ledger.summary()
-    if supervisor is not None:
-        result.ft = supervisor.report()
     return result
 
 

@@ -74,9 +74,3 @@ class Trace:
     def count(self, unit: Unit) -> int:
         return self.unit_counts.get(unit, 0)
 
-    def merge(self, other: "Trace") -> None:
-        """Fold another trace into this one (used by campaign profiling)."""
-        for unit, n in other.unit_counts.items():
-            self.unit_counts[unit] = self.unit_counts.get(unit, 0) + n
-        self.cycles += other.cycles
-        self.sites.update(other.sites)

@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.obs.exposure import ExposureLedger, render_exposure
 from repro.obs.observability import NULL_OBS
 
 __all__ = [
@@ -280,8 +281,6 @@ def render_audit(payload: dict) -> str:
             lines.append(f"          fix: {finding['remediation']}")
     exposure = payload.get("exposure")
     if exposure is not None:
-        from repro.obs.exposure import render_exposure
-
         lines.extend(render_exposure(exposure).splitlines())
     if not payload.get("findings"):
         lines.append("  no contradictions found")
@@ -1118,3 +1117,62 @@ class DriftMonitor:
         if self._exposure is not None:
             payload["exposure"] = self._exposure.to_dict()
         return payload
+
+
+class _DriftAttachment:
+    """Drift probes and the exposure ledger in a DES session (DESIGN §14).
+    Observational only: no RNG, no virtual-time perturbation of the
+    functional path, so digests are identical with auditing on or off."""
+
+    def __init__(self, session, config: AuditConfig):
+        self.session, self.config = session, config
+        self.exposure: ExposureLedger | None = None
+        self.drift: DriftMonitor | None = None
+
+    def observe(self) -> None:
+        session, obs = self.session, self.session.obs
+        self.exposure = ExposureLedger(registry=obs.registry if obs.enabled else None)
+        self.drift = DriftMonitor(
+            self.config,
+            declared_pool=session.config.validation_cores,
+            metrics=session.metrics,
+            obs=obs,
+            exposure=self.exposure,
+        )
+        if session.supervised:
+            # The conservation ledger is the residual-drift signal: work
+            # outstanding while nothing settles means the plane is wedged.
+            self.drift.attach_ledger(session.ledger)
+
+    def start(self, _submit) -> None:
+        session, drift = self.session, self.drift
+        env = session.env
+
+        def audit_probe_process():
+            while True:
+                yield env.timeout(drift.config.cadence)
+                drift.probe(env.now)
+                if session.quiesced:
+                    return
+
+        env.process(audit_probe_process())
+
+    def verdict(self, core_id: int, _outcome) -> None:
+        self.drift.verdict(core_id)
+
+    def exposed(self, closure: str, reason: str, seconds: float) -> None:
+        self.exposure.record(closure, reason, seconds)
+
+    def finish(self, result) -> None:
+        # One terminal probe (so the last timeline sample sees every
+        # violation counter), then freeze the audit payload.
+        result.audit = self.drift.finalize(self.session.env.now)
+
+
+def attach(session) -> _DriftAttachment | None:
+    """Extension-table row (``repro.harness.pipeline.EXTENSIONS``): drift
+    probes when the run's config sets ``audit`` (True for the defaults)."""
+    config = session.config.audit
+    if config is None:
+        return None
+    return _DriftAttachment(session, AuditConfig() if config is True else config)

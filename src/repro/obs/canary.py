@@ -45,17 +45,11 @@ __all__ = [
     "CanaryConfig",
     "CanaryScheduler",
     "LivenessMonitor",
-    "is_canary_log",
     "canary_probe",
 ]
 
 CANARY_CLOSURE = CANARY_PREFIX + "probe"
 CANARY_CALLER = "canary"
-
-
-def is_canary_log(log: ClosureLog) -> bool:
-    """True for logs minted by the canary scheduler."""
-    return is_canary_closure(log.closure_name)
 
 
 def canary_probe(nonce: int) -> tuple[str, int]:
@@ -185,12 +179,6 @@ class LivenessMonitor:
     def missed(self) -> int:
         return self._counts.missed
 
-    def next_deadline(self) -> float | None:
-        """Earliest outstanding deadline (None when nothing is in flight)."""
-        if not self._outstanding:
-            return None
-        return min(o.deadline_at for o in self._outstanding.values())
-
     def issue(self, log: ClosureLog, now: float) -> None:
         """A canary entered the validation plane; start its clock."""
         self._outstanding[log.seq] = _Outstanding(
@@ -290,3 +278,57 @@ class LivenessMonitor:
             "deadline": self.config.deadline,
             "period": self.config.period,
         }
+
+
+class _CanaryAttachment:
+    """Canaries in a DES session: an issuer and a deadline poller."""
+
+    def __init__(self, session, config: CanaryConfig):
+        self.session, self.config = session, config
+        self.monitor: LivenessMonitor | None = None
+
+    def start(self, submit) -> None:
+        """Probes ride the same store / queues (and watchdog) as organic
+        traffic: liveness of the whole validation plane, not of one
+        component, is what the canary measures.  The issuer stops with the
+        apps; the poller once the plane has quiesced and nothing is due."""
+        session, config = self.session, self.config
+        env, runtime, obs = session.env, session.runtime, session.obs
+        sched = CanaryScheduler(config, seed=session.config.seed)
+        monitor = self.monitor = LivenessMonitor(config, runtime.report, obs=obs)
+
+        def canary_issuer():
+            while True:
+                yield env.timeout(config.period)
+                if session.apps_done:
+                    return
+                runtime._seq += 1
+                log = sched.next_log(runtime._seq, env.now)
+                monitor.issue(log, env.now)
+                session.done_events[log.seq] = env.event()
+                yield from submit(log)
+                obs.lifecycle.handed_off(log, env.now)
+
+        def canary_poller():
+            step = config.deadline / 4
+            while True:
+                yield env.timeout(step)
+                monitor.poll(env.now)
+                if session.quiesced and monitor.outstanding == 0:
+                    return
+
+        env.process(canary_issuer())
+        env.process(canary_poller())
+
+    def finish(self, result) -> None:
+        # Settle overdue canaries before the final telemetry flush so the
+        # last timeline sample sees every miss.
+        self.monitor.finalize(self.session.env.now)
+        result.canary = self.monitor.summary()
+
+
+def attach(session) -> _CanaryAttachment | None:
+    """Extension-table row (``repro.harness.pipeline.EXTENSIONS``):
+    canaries when the run's config names a ``CanaryConfig``."""
+    config = session.config.canary
+    return None if config is None else _CanaryAttachment(session, config)

@@ -710,6 +710,52 @@ def install_audit_probes(recorder: TimeSeriesRecorder) -> None:
     )
 
 
+class _TelemetryAttachment:
+    """The time-series recorder in a DES session: a sampling process on its
+    own virtual-time cadence, so it ticks even while every app thread is
+    blocked (safe-mode holds, backpressure) — exactly when queue depth,
+    lag and drift are interesting."""
+
+    def __init__(self, session, config: TimeSeriesConfig):
+        self.session, self.config = session, config
+        self.recorder: TimeSeriesRecorder | None = None
+
+    def observe(self) -> None:
+        session, obs = self.session, self.session.obs
+        recorder = self.recorder = TimeSeriesRecorder(obs.registry, self.config)
+        install_default_probes(recorder)
+        if obs.spans.enabled:
+            install_span_probes(recorder)
+        if session.config.canary is not None:
+            install_canary_probes(recorder)
+        if session.config.audit is not None:
+            install_audit_probes(recorder)
+        env = session.env
+
+        def telemetry_process():
+            while True:
+                recorder.sample(env.now)
+                yield env.timeout(recorder.cadence)
+
+        env.process(telemetry_process())
+
+    def finish(self, result) -> None:
+        # Final flush: one forced sample so the tail of the run (the drain
+        # phase) is in the series.
+        self.recorder.sample(self.session.env.now, force=True)
+        result.timeline = self.recorder
+
+
+def attach(session) -> _TelemetryAttachment | None:
+    """Extension-table row (``repro.harness.pipeline.EXTENSIONS``): the
+    recorder when the run's config names a ``TimeSeriesConfig`` and
+    observability is on."""
+    config = session.config.timeseries
+    if config is None or not session.obs.enabled:
+        return None
+    return _TelemetryAttachment(session, config)
+
+
 # ----------------------------------------------------------------------
 # artifact I/O + terminal rendering
 # ----------------------------------------------------------------------

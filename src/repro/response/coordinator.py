@@ -345,3 +345,26 @@ class ResponseCoordinator:
             f"{len(result.versions_unrecoverable)} unrecoverable",
         )
         return result
+
+
+class _ResponseAttachment:
+    """Incident response in a DES session.  The coordinator is built when
+    the session binds its extensions, before the scenario is built, so it
+    watches every closure the server runs."""
+
+    def __init__(self, session, config: ResponseConfig):
+        self.coordinator = ResponseCoordinator(session.runtime, config)
+
+    def verdict(self, _core_id: int, outcome: ValidationOutcome) -> None:
+        self.coordinator.on_outcome(outcome)
+
+    def finish(self, result) -> None:
+        if not result.crashed:
+            result.incident = self.coordinator.finalize()
+
+
+def attach(session) -> _ResponseAttachment | None:
+    """Extension-table row (``repro.harness.pipeline.EXTENSIONS``): the
+    response layer when the run's config names a ``ResponseConfig``."""
+    config = session.config.response
+    return None if config is None else _ResponseAttachment(session, config)

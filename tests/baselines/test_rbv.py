@@ -1,115 +1,73 @@
-"""RBV baseline tests."""
+"""RBV baseline tests: the DES replica of ``run_rbv_server``.
 
-import pytest
+Memcached, 200 ops, the fault armed on the primary's app core 0 after the
+preload, on seeds 1, 2 and 7.  The replica replays every request on a
+healthy machine, so a silent corruption on the primary shows up as
+diverging responses, and a fault that crashes only the primary still
+leaves a detection behind.
+"""
 
-from repro.apps.memcached import MemcachedServer
-from repro.baselines.rbv import RbvValidator
-from repro.machine.cpu import Machine
+from repro.harness.pipeline import PipelineConfig, run_rbv_server
+from repro.harness.scenarios import memcached_scenario
 from repro.machine.faults import Fault, FaultKind
 from repro.machine.instruction import Site
 from repro.machine.units import Unit
-from repro.runtime.orthrus import OrthrusRuntime
-from repro.workloads.base import Op, OpKind
-from repro.workloads.cachelib import CacheLibWorkload
+
+SEEDS = (1, 2, 7)
 
 
-def make_server(fault=None):
-    machine = Machine(cores_per_node=4, numa_nodes=1)
-    if fault is not None:
-        machine.arm(0, fault)
-    runtime = OrthrusRuntime(
-        machine=machine,
-        app_cores=[0],
-        validation_cores=[1],
-        mode="external",       # RBV runs the app without Orthrus validation
-        checksums=False,
-        hold_versions=False,
-    )
-    server = MemcachedServer(runtime, n_buckets=16)
-    return runtime, server
+def _run(seed: int, fault: Fault | None = None):
+    config = PipelineConfig(seed=seed, deferred_faults=((0, fault),) if fault else ())
+    return run_rbv_server(memcached_scenario(), 200, config)
 
 
-def make_pair(primary_fault=None, **kwargs):
-    p_runtime, primary = make_server(primary_fault)
-    r_runtime, replica = make_server(None)
-    validator = RbvValidator(primary, replica, **kwargs)
-    return p_runtime, r_runtime, validator
-
-
-def drive(validator, n_ops=120, seed=1):
-    workload = CacheLibWorkload(n_keys=30, seed=seed)
-    for op in workload.ops(n_ops):
-        validator.submit(op)
-    validator.finish()
+def _bitflip(bit: int, closure: str, op: str, index: int) -> Fault:
+    return Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=bit,
+                 site=Site(closure, op, index))
 
 
 class TestCleanRuns:
     def test_no_false_positives(self):
-        _, _, validator = make_pair()
-        drive(validator)
-        assert validator.detections == 0
-
-    def test_batching_counts(self):
-        _, _, validator = make_pair(batch_size=10)
-        drive(validator, n_ops=100)
-        assert validator.stats.batches >= 10
-        assert validator.stats.requests == 100
-
-    def test_state_checks_run(self):
-        _, _, validator = make_pair(state_check_every=25)
-        drive(validator, n_ops=100)
-        assert validator.stats.state_checks >= 4
+        for seed in SEEDS:
+            result = _run(seed)
+            assert not result.crashed, result.crash_reason
+            assert result.rbv_detections == 0, seed
+            assert result.metrics.validated == 200, seed
 
 
 class TestDetection:
-    def test_data_path_fault_detected(self):
-        fault = Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=2,
-                      site=Site("mc.set", "hash64", 0))
-        _, _, validator = make_pair(fault)
-        drive(validator)
-        assert validator.detections > 0
+    #: seed -> diverging responses; every set on core 0 stores a wrong
+    #: item, and every later read of it diverges from the replica's
+    SILENT = {1: 10, 2: 28, 7: 14}
 
-    def test_control_dispatch_fault_detected(self):
-        # The class of faults Orthrus cannot see: the flipped comparison
-        # silently serves REMOVEs as GETs on the primary, so its state
-        # diverges from the replica's; RBV's re-execution catches it.
-        fault = Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=0,
-                      site=Site("mc.control.dispatch", "eq", 1))
-        _, _, validator = make_pair(fault)
-        validator.submit(Op(OpKind.SET, "k", "v"))
-        validator.submit(Op(OpKind.REMOVE, "k"))
-        validator.finish()
-        assert validator.detections > 0
+    def _detections(self, fault: Fault) -> dict:
+        detections = {}
+        for seed in SEEDS:
+            result = _run(seed, fault)
+            assert not result.crashed, result.crash_reason
+            detections[seed] = result.rbv_detections
+        return detections
+
+    def test_data_path_fault_detected(self):
+        assert self._detections(_bitflip(2, "mc.set", "hash64", 0)) == self.SILENT
 
     def test_control_payload_fault_detected(self):
-        fault = Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=100,
-                      site=Site("mc.control.rx", "copy", 0))
-        _, _, validator = make_pair(fault)
-        drive(validator)
-        assert validator.detections > 0
+        assert self._detections(_bitflip(100, "mc.control.rx", "copy", 0)) == self.SILENT
+
+    @staticmethod
+    def _crashes_and_detects(fault: Fault) -> None:
+        for seed in SEEDS:
+            result = _run(seed, fault)
+            assert result.crashed, seed
+            assert result.rbv_detections >= 1, seed
+
+    def test_control_dispatch_fault_detected(self):
+        # The class of faults Orthrus cannot see: a flipped comparison in
+        # the dispatcher.  Here it crashes the primary, and the replica's
+        # diverging replay still counts.
+        self._crashes_and_detects(_bitflip(0, "mc.control.dispatch", "eq", 1))
 
     def test_crash_divergence_detected(self):
         # A fault that crashes only the primary shows up as crash
         # divergence rather than silent corruption.
-        fault = Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=1,
-                      site=Site("mc.control.parse", "copy", 0))
-        _, _, validator = make_pair(fault)
-        workload = CacheLibWorkload(n_keys=30, seed=1)
-        crashed = False
-        for op in workload.ops(60):
-            try:
-                validator.submit(op)
-            except Exception:
-                crashed = True
-                break
-        validator.flush()
-        assert crashed or validator.detections > 0
-
-
-class TestResourceAccounting:
-    def test_forwarded_bytes_accumulate(self):
-        _, _, validator = make_pair(
-            estimate_bytes=lambda response: 128
-        )
-        drive(validator, n_ops=50)
-        assert validator.stats.forwarded_bytes == 50 * 128
+        self._crashes_and_detects(_bitflip(1, "mc.control.parse", "copy", 0))

@@ -250,7 +250,7 @@ class _Sites(ast.NodeVisitor):
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in _SETTLING_CALLS:
             self.settles.append(".".join(self.scope))
-        if isinstance(func, ast.Name) and func.id == "is_canary_log":
+        if isinstance(func, ast.Name) and func.id == "is_canary_closure":
             self.canary_checks.append(".".join(self.scope))
         self.generic_visit(node)
 

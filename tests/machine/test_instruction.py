@@ -37,17 +37,5 @@ class TestTrace:
         loud.record(Unit.ALU, site)
         assert loud.sites == {site}
 
-    def test_merge(self):
-        a = Trace(record_sites=True)
-        a.record(Unit.ALU, Site("f", "add", 0))
-        b = Trace(record_sites=True)
-        b.record(Unit.ALU, Site("f", "add", 1))
-        b.record(Unit.SIMD, Site("f", "vsum", 0))
-        a.merge(b)
-        assert a.count(Unit.ALU) == 2
-        assert a.count(Unit.SIMD) == 1
-        assert len(a.sites) == 3
-        assert a.cycles == 2 * CYCLE_COST[Unit.ALU] + CYCLE_COST[Unit.SIMD]
-
     def test_count_unknown_unit_zero(self):
         assert Trace().count(Unit.CACHE) == 0

@@ -29,7 +29,7 @@ from repro.runtime.degradation import FaultToleranceConfig
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.runtime.sampling import AlwaysSampler
 from repro.validation.watchdog import WatchdogConfig
-from tests.harness.test_driver_golden import GRID
+from tests.harness.golden_grid import grid_run
 
 SRC = pathlib.Path(repro.__file__).parent
 DESIGN = SRC.parents[1] / "DESIGN.md"
@@ -45,8 +45,7 @@ _WRITES = {("spans", "record"), ("tracer", "emit"),
            ("registry", "counter"), ("registry", "histogram")}
 #: functions that may read ``.enabled``: set-up code (constructors,
 #: callback gauges, observers, the store-depth gauge)
-_SETUP = {"__init__", "_register_gauges", "attach_timeseries",
-          "attach_observers", "run_orthrus_server"}
+_SETUP = {"__init__", "_register_gauges", "attach_timeseries", "run_orthrus_server"}
 #: layers whose telemetry is not a closure-log transition
 _OTHER_LAYERS = ("response/", "runtime/degradation.py", "runtime/safemode.py")
 
@@ -201,24 +200,21 @@ _SLOW_VALIDATORS = dict(
 
 @pytest.fixture(scope="module")
 def emitted() -> dict:
-    runs = []
-    for key in _GOLDEN_RUNS:
-        runner, factory, ops, overrides = GRID[key]
-        overrides = dict(overrides)
-        sampler = overrides.pop("sampler", None)
-        runs.append(Observability())
-        runner(factory(), ops, PipelineConfig(
-            **{"seed": 7, **overrides}, obs=runs[-1], sampler=sampler() if sampler else None
-        ))
-    runs.append(Observability())
+    slowed = Observability()
     run_orthrus_server(masstree_scenario(), 200, PipelineConfig(
-        seed=7, obs=runs[-1], sampler=AlwaysSampler(), **_SLOW_VALIDATORS
+        seed=7, obs=slowed, sampler=AlwaysSampler(), **_SLOW_VALIDATORS
     ))
-    runs.append(_bounded_library_run("reject"))
+    runs = [grid_run(key) for key in _GOLDEN_RUNS] + [
+        {
+            "families": {f["name"] for f in obs.registry.snapshot()["metrics"]},
+            "kinds": {event.kind for event in obs.tracer},
+            "stages": {span.stage for span in obs.spans},
+        }
+        for obs in (slowed, _bounded_library_run("reject"))
+    ]
     return {
-        "families": {f["name"] for obs in runs for f in obs.registry.snapshot()["metrics"]},
-        "kinds": {event.kind for obs in runs for event in obs.tracer},
-        "stages": {span.stage for obs in runs for span in obs.spans},
+        what: set().union(*(run[what] for run in runs))
+        for what in ("families", "kinds", "stages")
     }
 
 

@@ -311,7 +311,7 @@ def _both_ways(run):
 
 
 def _golden_grid():
-    from tests.harness.test_driver_golden import GRID
+    from tests.harness.golden_grid import GRID
 
     return sorted(GRID)
 
@@ -319,9 +319,11 @@ def _golden_grid():
 @pytest.mark.slow
 @pytest.mark.parametrize("key", _golden_grid())
 def test_oracle_driver_golden(key):
-    from tests.harness.test_driver_golden import _run as run_golden
+    from tests.harness.golden_grid import execute, golden_record
 
-    (full, full_rows), (shipped, shipped_rows) = _both_ways(lambda: run_golden(key))
+    (full, full_rows), (shipped, shipped_rows) = _both_ways(
+        lambda: golden_record(*execute(key))
+    )
     assert shipped_rows == full_rows
     assert json.dumps(shipped, sort_keys=True) == json.dumps(full, sort_keys=True)
 
