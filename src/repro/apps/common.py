@@ -22,8 +22,9 @@ from typing import Any, NamedTuple
 
 from repro.detection import DetectionEvent
 from repro.machine.core import Core
-from repro.memory.checksum import crc16, deserialize, serialize
+from repro.memory.checksum import crc16, deserialize, sealed, serialize
 from repro.memory.pointer import OrthrusPtr
+from repro.memory.version import INTACT
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.workloads.base import Op
 
@@ -59,6 +60,21 @@ def transfer(core: Core, packet: Packet, label: str) -> Packet:
     return Packet(moved, packet.checksum)
 
 
+def hop(core: Core, value: Any, label: str) -> tuple[Packet, bool]:
+    """Send ``value`` through one control-path hop on ``core``: the packet
+    that arrived, and whether it is *intact*.
+
+    It is intact when the ``copy`` returned the sender's own bytes object
+    — a fired fault returns new bytes, so identity means nothing rewrote
+    them — and ``value`` is :func:`sealed`, so decoding those bytes would
+    give back ``value`` itself, type for type.  The receiver then takes
+    the sender's value instead of decoding.
+    """
+    packet = Packet.wrap(value)
+    arrived = transfer(core, packet, label)
+    return arrived, arrived.data is packet.data and sealed(value)
+
+
 def unwrap(packet: Packet) -> tuple[Any, int]:
     """Decode a received packet into (value, transported CRC).
 
@@ -66,6 +82,15 @@ def unwrap(packet: Packet) -> tuple[Any, int]:
     fail-stop, not an SDC.
     """
     return deserialize(packet.data), packet.checksum
+
+
+def deliver(runtime: OrthrusRuntime, value: Any, label: str) -> OrthrusPtr:
+    """Run ``value`` through the server-side control path and materialize
+    it in versioned memory with the transported CRC (Figure 3)."""
+    arrived, intact = hop(runtime.current_core(), value, label)
+    if intact:
+        return runtime.receive(value, INTACT)
+    return runtime.receive(*unwrap(arrived))
 
 
 class AppServer:
@@ -82,12 +107,9 @@ class AppServer:
     def _core(self) -> Core:
         return self.runtime.current_core()
 
-    def receive(self, packet: Packet, hop_label: str) -> OrthrusPtr:
-        """Run a packet through the server-side control path and
-        materialize it in versioned memory with the transported CRC."""
-        arrived = transfer(self._core(), packet, hop_label)
-        value, checksum = unwrap(arrived)
-        return self.runtime.receive(value, checksum)
+    def receive(self, value: Any, hop_label: str) -> OrthrusPtr:
+        """A client request's payload, delivered (:func:`deliver`)."""
+        return deliver(self.runtime, value, hop_label)
 
     def respond(self, value: Any, label: str) -> Any:
         """Return a data-path result to the client through the control path.
@@ -95,10 +117,12 @@ class AppServer:
         The CRC is attached at the data/control boundary (where the value
         leaves versioned memory) and verified client-side after transport,
         so a response corrupted by a control-path fault is flagged as a
-        checksum detection (§3.4's outbound direction).
+        checksum detection (§3.4's outbound direction).  An intact
+        response is the value sent.
         """
-        packet = Packet.wrap(value)
-        arrived = transfer(self._core(), packet, label)
+        arrived, intact = hop(self._core(), value, label)
+        if intact:
+            return value
         if crc16(arrived.data) != arrived.checksum:
             # The client verifies the CRC before decoding; a corrupted
             # response is rejected rather than consumed.
@@ -113,8 +137,7 @@ class AppServer:
                 )
             )
             return None
-        received, _ = unwrap(arrived)
-        return received
+        return unwrap(arrived)[0]
 
     # -- driver interface -------------------------------------------------
     def handle(self, op: Op) -> Any:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-from repro.apps.common import AppServer, Packet
+from repro.apps.common import AppServer
 from repro.apps.lsmtree.lsm import (
     TOMBSTONE,
     LsmTree,
@@ -43,7 +43,7 @@ class LsmTreeServer(AppServer):
     def _handle(self, op: Op) -> Any:
         command = self._dispatch(op.kind.value)
         if command == "put":
-            kv_ptr = self.receive(Packet.wrap((op.key, op.value)), "lsm.control.rx")
+            kv_ptr = self.receive((op.key, op.value), "lsm.control.rx")
             lsm_put(self.tree, kv_ptr)
             kv_ptr.delete()  # free the request buffer
             self._maybe_flush()
@@ -55,9 +55,7 @@ class LsmTreeServer(AppServer):
             value = lsm_get(self.tree, op.key)
             return self.respond(value, "lsm.control.tx")
         if command == "remove":
-            key_ptr = self.receive(
-                Packet.wrap((op.key, TOMBSTONE)), "lsm.control.rx"
-            )
+            key_ptr = self.receive((op.key, TOMBSTONE), "lsm.control.rx")
             lsm_remove(self.tree, key_ptr)
             key_ptr.delete()  # free the request buffer
             self._maybe_flush()

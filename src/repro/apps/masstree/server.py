@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-from repro.apps.common import AppServer, Packet
+from repro.apps.common import AppServer
 from repro.apps.masstree.tree import Masstree, mt_get, mt_scan, mt_update
 from repro.memory.checksum import serialize
 from repro.runtime.orthrus import OrthrusRuntime
@@ -30,7 +30,7 @@ class MasstreeServer(AppServer):
     def _handle(self, op: Op) -> Any:
         command = self._dispatch(op.kind.value)
         if command == "update":
-            kv_ptr = self.receive(Packet.wrap((op.key, op.value)), "mt.control.rx")
+            kv_ptr = self.receive((op.key, op.value), "mt.control.rx")
             mt_update(self.tree, kv_ptr)
             kv_ptr.delete()  # free the request buffer
             return "STORED"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-from repro.apps.common import AppServer, Packet
+from repro.apps.common import AppServer
 from repro.apps.memcached.storage import HashTable, mc_get, mc_incr, mc_remove, mc_set
 from repro.memory.checksum import serialize
 from repro.runtime.orthrus import OrthrusRuntime
@@ -38,7 +38,7 @@ class MemcachedServer(AppServer):
         """Process one client operation end to end (control + data path)."""
         command = self._dispatch(self._parse_token(op.kind.value))
         if command == "set":
-            kv_ptr = self.receive(Packet.wrap((op.key, op.value)), "mc.control.rx")
+            kv_ptr = self.receive((op.key, op.value), "mc.control.rx")
             mc_set(self.table, kv_ptr)
             kv_ptr.delete()  # free the request buffer (its version stays
             # readable until the closure's validation window closes)

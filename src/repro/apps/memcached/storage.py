@@ -41,9 +41,6 @@ class HashTable:
         #: bucket objects, allocated at startup (control-path setup)
         self.buckets: list[OrthrusPtr] = [runtime.new(()) for _ in range(n_buckets)]
 
-    def bucket_for(self, hashed: int) -> OrthrusPtr:
-        return self.buckets[hashed & self.mask]
-
 
 @closure(name="mc.set")
 def mc_set(table: HashTable, kv_ptr: OrthrusPtr):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.apps.common import deliver
 from repro.closures.annotation import closure
 from repro.closures.context import ops
 from repro.memory.pointer import OrthrusPtr, orthrus_new
@@ -128,15 +129,7 @@ class PhoenixJob:
     def split(self, chunks: list[str]) -> list[OrthrusPtr]:
         """Splitter (control path): each chunk travels as a checksummed
         packet through a control-path hop into versioned memory."""
-        from repro.apps.common import Packet, transfer, unwrap
-
-        core = self.runtime.current_core()
-        chunk_ptrs = []
-        for chunk in chunks:
-            packet = transfer(core, Packet.wrap(chunk), "phx.control.split")
-            value, checksum = unwrap(packet)
-            chunk_ptrs.append(self.runtime.receive(value, checksum))
-        return chunk_ptrs
+        return [deliver(self.runtime, chunk, "phx.control.split") for chunk in chunks]
 
     def run(self, chunks: list[str]) -> dict[str, int]:
         """Execute the full job; returns the merged result."""

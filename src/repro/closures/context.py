@@ -27,7 +27,6 @@ from repro.detection import DetectionEvent
 from repro.errors import ChecksumMismatch, NoActiveContext
 from repro.machine.core import Core
 from repro.machine.instruction import Trace
-from repro.memory.checksum import checksum_of
 from repro.memory.heap import PrivateHeap, VersionedHeap
 from repro.memory.pointer import OrthrusPtr
 from repro.obs.observability import NULL_OBS
@@ -177,14 +176,15 @@ class ExecutionContext:
         if self.mode == self.APP:
             version = self.heap.latest(obj_id)
             self.log.inputs.setdefault(obj_id, version.version_id)
+            # ``crc`` is the stored field: reading ``checksum`` would
+            # compute an intact version's CRC, which the probe never needs
             if (
                 self.verify_checksums
                 and obj_id not in self._verified
-                and version.checksum is not None
+                and version.crc is not None
             ):
                 self._verified.add(obj_id)
-                actual = checksum_of(version.value)
-                ok = actual == version.checksum
+                ok = version.probe()
                 self.obs.lifecycle.checksum_verified(
                     self.log, obj_id, version.version_id, ok
                 )

@@ -257,9 +257,6 @@ class FleetTopology:
             )
         return self._ring
 
-    def global_core(self, host_id: int, local_core: int) -> int:
-        return host_id * self.config.cores_per_host + local_core
-
     @property
     def total_cores(self) -> int:
         return self.config.hosts * self.config.cores_per_host

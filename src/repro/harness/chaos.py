@@ -29,7 +29,6 @@ from repro.harness.pipeline import (
     ValidatorFaultBox,
     run_orthrus_server,
 )
-from repro.memory.checksum import checksum_of
 from repro.response.quarantine import QuarantineManager
 from repro.runtime.degradation import (
     DegradationController,
@@ -249,9 +248,7 @@ class Supervisor:
             if not runtime.heap.has_version(vid):
                 continue
             version = runtime.heap.version(vid)
-            if version.checksum is None:
-                continue
-            if checksum_of(version.value) != version.checksum:
+            if version.crc is not None and not version.probe():
                 runtime._on_detection(
                     DetectionEvent(
                         kind="checksum",

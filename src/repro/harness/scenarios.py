@@ -17,7 +17,6 @@ from repro.apps.lsmtree import LsmTreeServer
 from repro.apps.masstree import MasstreeServer
 from repro.apps.memcached import MemcachedServer
 from repro.apps.phoenix import WordCountJob
-from repro.memory.version import approx_size
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.workloads.alex import AlexWorkload
 from repro.workloads.base import Op
@@ -37,9 +36,6 @@ class ServerScenario:
     externalizing: frozenset[str] = field(default_factory=frozenset)
     #: labels of the app's control-path scopes (fault-injection targets)
     control_functions: tuple[str, ...] = ()
-
-    def response_bytes(self, response: Any) -> int:
-        return approx_size(response)
 
 
 @dataclass

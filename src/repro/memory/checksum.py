@@ -9,10 +9,17 @@ is used purely for *detection* — never for recovery.
 CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, check value 0x29B1) is what
 :func:`binascii.crc_hqx` computes when seeded with 0xFFFF, so the CRC runs
 at C speed; a canonical serialization for the Python values user data can
-hold makes logically equal payloads produce equal CRCs.  Nothing here
-remembers a result: every verification serializes and checksums the
-payload again, because a remembered CRC would vouch for bytes nobody
-re-read.
+hold makes logically equal payloads produce equal CRCs.
+
+A CRC can only fail where a fault can have touched the bytes.  The
+simulator corrupts a payload one way: a faulty control-path instruction
+rewrites it in transit.  :func:`sealed` names the payloads that cannot
+change after creation and that :func:`deserialize` returns type for type,
+float bit for bit; a version of one whose bytes no fault rewrote is
+*intact* (:class:`~repro.memory.version.Version`), and its first-load
+probe passes without serializing it again.  Every other payload is
+serialized and checksummed on every probe.  Nothing is remembered by
+value.
 """
 
 from __future__ import annotations
@@ -147,6 +154,72 @@ def checksum_of(value) -> int:
 
 #: a value inside more containers than this is rejected, not recursed into
 MAX_NESTING = 200
+#: the longest int (bytes), str / bytes (bytes) and tuple / list / dict
+#: (items) :func:`deserialize` accepts: a corrupted length field must not
+#: trigger a giant allocation
+MAX_INT_BYTES, MAX_RAW_BYTES, MAX_ITEMS = 1 << 20, 1 << 24, 1 << 20
+#: an int encodes in ``(bit_length + 8) // 8 + 1`` bytes
+_MAX_INT_BITS = 8 * MAX_INT_BYTES - 8
+
+
+def sealed(value, pointers: bool = False) -> bool:
+    """True when ``value`` is made only of exact ``tuple``, ``int``,
+    ``str``, ``float``, ``bytes``, ``bool`` and ``None`` — plus
+    ``OrthrusPtr`` when ``pointers`` is set — within the decoder's limits.
+
+    No subclass is sealed (an ``IntEnum`` decodes as an ``int``), nor a
+    ``list`` or ``dict`` (mutable: the bytes a CRC covered can change under
+    it), nor a ``str`` UTF-8 cannot encode.  A sealed payload cannot change
+    after creation, :func:`serialize` cannot refuse it, and without
+    ``pointers`` (which travel by id and do not decode)
+    ``deserialize(serialize(value))`` is ``value`` type for type, float
+    bit for bit.
+    """
+    return _sealed(value, pointers, 0)
+
+
+def _sealed(value, pointers: bool, depth: int) -> bool:
+    """:func:`sealed`, one container level.  Leaves are tested in their
+    tuple's loop (as in :func:`_serialize_items`); a nested tuple, a
+    ``bytes`` or a shape that unseals costs another call."""
+    kind = type(value)
+    if kind is tuple:
+        if depth >= MAX_NESTING or len(value) > MAX_ITEMS:
+            return False
+        for item in value:
+            leaf = type(item)
+            if leaf is str:
+                if not (item.isascii() and len(item) <= MAX_RAW_BYTES or _encodes(item)):
+                    return False
+            elif leaf is int:
+                if item.bit_length() >= _MAX_INT_BITS:
+                    return False
+            elif item is None or leaf is float or leaf is bool:
+                continue
+            elif leaf.__base__ is object and getattr(leaf, "__orthrus_ptr__", False):
+                if not pointers:
+                    return False
+            elif not _sealed(item, pointers, depth + 1):
+                return False
+        return True
+    if kind is str:
+        return value.isascii() and len(value) <= MAX_RAW_BYTES or _encodes(value)
+    if kind is int:
+        return value.bit_length() < _MAX_INT_BITS
+    if kind is bytes:
+        return len(value) <= MAX_RAW_BYTES
+    return (
+        value is None or kind is float or kind is bool
+        or pointers and kind.__base__ is object and getattr(kind, "__orthrus_ptr__", False)
+    )
+
+
+def _encodes(text: str) -> bool:
+    """A non-ASCII ``str`` leaf: UTF-8 encodes it within the limit."""
+    try:
+        return len(text.encode("utf-8")) <= MAX_RAW_BYTES
+    except UnicodeEncodeError:
+        return False
 
 
 def deserialize(data: bytes):
@@ -193,7 +266,7 @@ def _deserialize_from(data: bytes, offset: int, depth: int):
     if tag == b"I":
         length = int.from_bytes(_take(data, offset, 4), "little")
         offset += 4
-        if length > 1 << 20:
+        if length > MAX_INT_BYTES:
             raise ValueError("absurd int length")
         raw = _take(data, offset, length)
         return int.from_bytes(raw, "little", signed=True), offset + length
@@ -203,7 +276,7 @@ def _deserialize_from(data: bytes, offset: int, depth: int):
     if tag in (b"S", b"Y"):
         length = int.from_bytes(_take(data, offset, 4), "little")
         offset += 4
-        if length > 1 << 24:
+        if length > MAX_RAW_BYTES:
             raise ValueError("absurd string length")
         raw = _take(data, offset, length)
         if tag == b"Y":
@@ -212,7 +285,7 @@ def _deserialize_from(data: bytes, offset: int, depth: int):
     if tag in (b"T", b"L"):
         length = int.from_bytes(_take(data, offset, 4), "little")
         offset += 4
-        if length > 1 << 20:
+        if length > MAX_ITEMS:
             raise ValueError("absurd sequence length")
         items = []
         for _ in range(length):
@@ -222,7 +295,7 @@ def _deserialize_from(data: bytes, offset: int, depth: int):
     if tag == b"D":
         length = int.from_bytes(_take(data, offset, 4), "little")
         offset += 4
-        if length > 1 << 20:
+        if length > MAX_ITEMS:
             raise ValueError("absurd dict length")
         out = {}
         for _ in range(length):

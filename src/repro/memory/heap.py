@@ -20,8 +20,8 @@ from typing import Any, Iterator
 
 from repro.clock import Clock, LogicalClock
 from repro.errors import HeapError, ReclaimedVersionError
-from repro.memory.checksum import checksum_of
-from repro.memory.version import RECLAIMED, Version, approx_size
+from repro.memory.checksum import checksum_of, sealed
+from repro.memory.version import INTACT, RECLAIMED, Version, approx_size
 
 
 class _ObjectRecord:
@@ -71,7 +71,7 @@ class VersionedHeap:
         self,
         value: Any,
         creator: int | None = None,
-        checksum_override: int | None = None,
+        checksum_override: Any = None,
     ) -> int:
         """OrthrusNew: place a new user-data object into versioned memory.
 
@@ -79,7 +79,9 @@ class VersionedHeap:
         recomputing one — used when materializing an object received over
         the network, whose header CRC was computed at the *sender* and must
         travel with the payload so control-path corruption is detectable
-        (Figure 3).
+        (Figure 3).  The override :data:`~repro.memory.version.INTACT`
+        says ``value`` is the sender's own sealed payload and its bytes
+        arrived unchanged, so the CRC they carried is the payload's own.
         """
         obj_id = self._next_obj
         self._next_obj += 1
@@ -113,19 +115,15 @@ class VersionedHeap:
         obj_id: int,
         value: Any,
         creator: int | None,
-        checksum_override: int | None = None,
+        checksum_override: Any = None,
     ) -> Version:
         record = self._objects[obj_id]
         now = self._advance()
-        if checksum_override is not None:
-            checksum = checksum_override
-        else:
-            checksum = checksum_of(value) if self._checksums else None
         version = Version(
             version_id=self._next_version,
             obj_id=obj_id,
             value=value,
-            checksum=checksum,
+            crc=self._header(value) if checksum_override is None else checksum_override,
             created_at=now,
             creator=creator,
             size=approx_size(value),
@@ -143,6 +141,14 @@ class VersionedHeap:
         self.live_bytes += version.size
         self.versions_created += 1
         return version
+
+    def _header(self, value: Any) -> Any:
+        """Header CRC field of a payload the heap installs: a sealed
+        payload cannot change, so it is intact; any other's CRC is taken
+        now, before anyone can mutate it."""
+        if not self._checksums:
+            return None
+        return INTACT if sealed(value, pointers=True) else checksum_of(value)
 
     def _advance(self) -> float:
         clock = self._clock
@@ -199,8 +205,8 @@ class VersionedHeap:
         Unlike :meth:`store` this does *not* create a new version: the
         repaired value keeps the original visible window and version id,
         so closure logs that pinned this version re-execute against the
-        corrected payload.  The header CRC is recomputed (the old one
-        covered corrupt bytes) and the byte accounting adjusted.
+        corrected payload.  The header CRC is replaced (the old one covered
+        corrupt bytes) and the byte accounting adjusted.
         """
         version = self.version(version_id)
         new_size = approx_size(value)
@@ -213,7 +219,7 @@ class VersionedHeap:
         version.value = value
         version.size = new_size
         if self._checksums:
-            version.checksum = checksum_of(value)
+            version.crc = self._header(value)
         return version
 
     def visible_at(self, obj_id: int, when: float) -> Version:

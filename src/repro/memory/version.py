@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.memory.checksum import checksum_of
+
 #: Sentinel stored in place of a reclaimed payload so stale accesses fail
 #: loudly instead of returning garbage.
 RECLAIMED = object()
@@ -63,16 +65,33 @@ def approx_size(value: Any) -> int:
     return sys.getsizeof(value)
 
 
+#: :attr:`Version.crc` of an intact version: its header CRC is its own
+#: payload's, computed when read
+INTACT = object()
+
+
 @dataclass(slots=True)
 class Version:
     """One immutable version of a user-data object.
+
+    A version is *intact* when nothing can have changed its payload since
+    its header CRC covered it: the payload is :func:`sealed
+    <repro.memory.checksum.sealed>` (immutable, exact builtin types) and
+    either the heap made it (:meth:`VersionedHeap.store
+    <repro.memory.heap.VersionedHeap.store>`, ``allocate`` without an
+    override, ``repair_version``) or it arrived as the sender's own bytes
+    (``repro.apps.common.hop``).  The simulator corrupts a payload only in
+    transit (a faulty control-path instruction), so an intact version's
+    :meth:`probe` passes without serializing it, and its header CRC is
+    computed when :attr:`checksum` is read — the payload cannot change, so
+    it is the same number whenever it is computed.
 
     Attributes:
         version_id: globally unique, monotonically increasing.
         obj_id: the object this version belongs to.
         value: the payload (treated as immutable by convention).
-        checksum: CRC-16 of the payload, stored in the version header
-            (§3.4); ``None`` when checksums are disabled.
+        crc: the header CRC field (§3.4) as stored: ``None`` when checksums
+            are disabled, :data:`INTACT` for an intact version.
         created_at: visible-window open time.
         superseded_at: visible-window close time (next version created or
             object deleted); ``None`` while this is the live version.
@@ -84,11 +103,30 @@ class Version:
     version_id: int
     obj_id: int
     value: Any
-    checksum: int | None
+    crc: Any
     created_at: float
     superseded_at: float | None = None
     creator: int | None = None
     size: int = field(default=0)
+
+    @property
+    def intact(self) -> bool:
+        return self.crc is INTACT
+
+    @property
+    def checksum(self) -> int | None:
+        """CRC-16 of the payload, stored in the version header (§3.4);
+        ``None`` when checksums are disabled."""
+        crc = self.crc
+        return checksum_of(self.value) if crc is INTACT else crc
+
+    def probe(self) -> bool:
+        """The first-load CRC probe (§3.4): does the payload still match
+        its header CRC?  An intact version does, without being read; any
+        other is serialized and checksummed.  Only a version with a CRC
+        (``crc is not None``) is probed."""
+        crc = self.crc
+        return crc is INTACT or checksum_of(self.value) == crc
 
     @property
     def live(self) -> bool:
@@ -97,10 +135,6 @@ class Version:
     @property
     def reclaimed(self) -> bool:
         return self.value is RECLAIMED
-
-    def window_ends_before(self, watermark: float) -> bool:
-        """True when the visible window closed strictly before ``watermark``."""
-        return self.superseded_at is not None and self.superseded_at < watermark
 
     def __repr__(self) -> str:
         state = "reclaimed" if self.reclaimed else ("live" if self.live else "stale")

@@ -135,9 +135,6 @@ class LatencyAttribution:
     def chain_count(self) -> int:
         return len(self._chains)
 
-    def chain(self, seq: int) -> list[Span]:
-        return list(self._chains.get(seq, ()))
-
     def stages(self) -> dict[str, StageStats]:
         """Per-stage stats, in canonical stage order."""
         return {

@@ -125,33 +125,12 @@ class OrthrusRuntime:
         #: incident-response coordinator (repro.response); attached by
         #: ResponseCoordinator, observes logs/outcomes/detections.
         self.responder = None
-        #: a ``repro.obs.TimeSeriesRecorder`` sampled opportunistically
-        #: after each closure run / pump step (cadence-gated inside the
-        #: recorder); attach via :meth:`attach_timeseries`.  The DES
-        #: drivers instead run a dedicated sampling process so telemetry
-        #: ticks even while the runtime is idle.
-        self.timeseries = None
         if self.obs.enabled:
             self._register_gauges()
         #: False = close each closure's active window immediately after the
         #: APP run (no deferred validation will reference its versions) —
         #: used by vanilla/RBV configurations that do not validate logs.
         self._hold_versions = hold_versions
-
-    def attach_timeseries(self, recorder) -> None:
-        """Sample ``recorder`` on this runtime's clock as work happens.
-
-        The recorder must be built over this runtime's obs registry (its
-        probes read the families the runtime writes).  Sampling piggybacks
-        on closure completion and validation pumping — adequate for the
-        library modes, where the clock only advances when work happens.
-        """
-        if not self.obs.enabled:
-            raise ConfigurationError(
-                "attach_timeseries needs an observability-enabled runtime "
-                "(pass obs=Observability() to OrthrusRuntime)"
-            )
-        self.timeseries = recorder
 
     def _register_gauges(self) -> None:
         """Callback gauges over live runtime state: sampled only at export
@@ -204,8 +183,12 @@ class OrthrusRuntime:
         """Allocate user data outside any closure (control-path setup)."""
         return OrthrusPtr(self.heap, self.heap.allocate(value))
 
-    def receive(self, value: Any, checksum: int) -> OrthrusPtr:
-        """Materialize user data received over the control path (§3.4)."""
+    def receive(self, value: Any, checksum: Any) -> OrthrusPtr:
+        """Materialize user data received over the control path (§3.4)
+        with the CRC that travelled with it — or
+        :data:`~repro.memory.version.INTACT` when ``value`` is the sender's
+        own sealed payload and its bytes arrived unchanged
+        (``repro.apps.common.hop``)."""
         return OrthrusPtr(
             self.heap, self.heap.allocate(value, checksum_override=checksum)
         )
@@ -303,8 +286,6 @@ class OrthrusRuntime:
                 now = self.clock.now()
                 lifecycle.abandoned(pushed.dropped, now, pushed.reason)
                 self.validator.drop(pushed.dropped, pushed.reason, now)
-        if self.timeseries is not None:
-            self.timeseries.sample(self.clock.now())
         # mode == "external": an external driver (the discrete-event
         # harness, or an RBV baseline that validates whole requests) owns
         # the log via the _on_log hook; nothing is queued here.
@@ -350,8 +331,6 @@ class OrthrusRuntime:
                 lifecycle.sampled_out(log, now, decision.reason)
                 continue
             self._validate(log, validate_from=now)
-            if self.timeseries is not None:
-                self.timeseries.sample(self.clock.now())
         return processed
 
     def drain(self) -> int:

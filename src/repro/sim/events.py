@@ -160,7 +160,7 @@ class Environment:
         self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._eid = 0
-        #: engine events retired by step(); a plain counter the
+        #: engine events retired by run(); a plain counter the
         #: host-time benchmark reads from outside (benchmarks/perf)
         self.events_processed = 0
 
@@ -185,20 +185,12 @@ class Environment:
         return Store(self)
 
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        when, _, event = heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimulationError("time ran backwards")
-        self.now = when
-        self.events_processed += 1
-        event._fire()
-
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the heap empties, time passes ``until``, or the given
         event fires (returning its value).
 
-        Both loops are :meth:`step`, inlined: every simulated event passes
-        through them.
+        Each loop pops the earliest event, advances the clock to it and
+        fires it: every simulated event passes through them.
         """
         heap, pop = self._heap, heapq.heappop
         if isinstance(until, Event):

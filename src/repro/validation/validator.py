@@ -43,10 +43,6 @@ class ValidationOutcome:
     #: validation latency: log completion to validation completion
     latency: float
 
-    @property
-    def detected_sdc(self) -> bool:
-        return not self.passed
-
 
 @dataclass(slots=True)
 class Reexecution:

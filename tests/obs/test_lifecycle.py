@@ -45,7 +45,7 @@ _WRITES = {("spans", "record"), ("tracer", "emit"),
            ("registry", "counter"), ("registry", "histogram")}
 #: functions that may read ``.enabled``: set-up code (constructors,
 #: callback gauges, observers, the store-depth gauge)
-_SETUP = {"__init__", "_register_gauges", "attach_timeseries", "run_orthrus_server"}
+_SETUP = {"__init__", "_register_gauges", "run_orthrus_server"}
 #: layers whose telemetry is not a closure-log transition
 _OTHER_LAYERS = ("response/", "runtime/degradation.py", "runtime/safemode.py")
 
