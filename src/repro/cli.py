@@ -6,7 +6,6 @@ Usage (also exposed as the ``repro-bench`` console script)::
     python -m repro.cli perf --app memcached --ops 2000
     python -m repro.cli coverage --app masstree --faults 32 --cores 2
     python -m repro.cli latency --app lsmtree --ops 2000
-    python -m repro.cli respond --app memcached --fault-kind misdirected
     python -m repro.cli perf --metrics-out run.json --trace-out run.jsonl
     python -m repro.cli perf --timeline-out timeline.json
     python -m repro.cli timeline timeline.json --stat p95
@@ -26,13 +25,7 @@ renders such an artifact as terminal sparklines.  The paper's tables and
 figures are not a subcommand: ``benchmarks/bench_*.py`` render them from
 one definition each (``benchmarks/figures.py``).
 
-``respond`` runs one full inject→detect→quarantine→repair incident
-episode and prints the resulting IncidentReport; ``--quarantine`` on
-perf/latency/coverage attaches the response layer (arbitration +
-quarantine) to the Orthrus arm of those experiments.
-
-``--validator-faults`` / ``--degradation`` on perf, latency, and respond
-give the Orthrus arm's validator loop the fault-tolerant policies (bounded
+``--validator-faults`` / ``--degradation`` on perf and latency give the Orthrus arm's validator loop the fault-tolerant policies (bounded
 queues, watchdog re-dispatch, degradation ladder) and print the
 conservation ledger; ``--ft-json`` saves the report, and a run whose
 terminal degradation state is ``SAFE_HOLD`` exits nonzero (status 2).
@@ -60,7 +53,7 @@ contradictions — a quarantined-out validator pool, a watchdog deadline
 outliving the fleet's SLO window, a sampler targeting unregistered
 closures — and exits 1 when any ERROR-severity finding survives;
 ``--out`` saves the ``orthrus-audit/1`` artifact (``obs-summary`` renders
-it).  ``--audit`` on perf/latency/respond/fleet additionally attaches the
+it).  ``--audit`` on perf/latency/fleet additionally attaches the
 *runtime* drift monitor, which compares declared config against observed
 behavior (verdict-producing cores, ledger residuals) and folds every
 unvalidated log into the per-closure ``orthrus_exposure_seconds``
@@ -89,12 +82,6 @@ from repro.faultinject.fleet_faults import FleetFaultPlan
 from repro.fleet import FleetConfig, FleetConfigError, run_fleet
 from repro.faultinject.config import InjectionConfig
 from repro.faultinject.validator_faults import ValidatorChaosConfig
-from repro.harness.incident import (
-    IncidentConfig,
-    misdirected_fault,
-    run_incident,
-    value_fault,
-)
 from repro.harness.phoenix import run_phoenix
 from repro.harness.pipeline import (
     PipelineConfig,
@@ -135,7 +122,6 @@ from repro.obs import (
     write_timeline_json,
     write_trace_jsonl,
 )
-from repro.response import ResponseConfig
 from repro.runtime.degradation import FaultToleranceConfig
 from repro.sim.metrics import slowdown
 from repro.validation.queues import OVERFLOW_POLICIES
@@ -178,11 +164,6 @@ def _workload_size(args, default: int) -> int:
     if args.ops < 1:
         raise SystemExit(f"--ops: the workload size must be at least 1, got {args.ops}")
     return args.ops
-
-
-#: per-app closure the ``respond`` fault defaults target (the insert path
-#: — the closure whose outputs feed everything downstream)
-_RESPOND_CLOSURES = {"memcached": "mc.set", "lsmtree": "lsm.put"}
 
 
 def subcommand_names(parser=None) -> list[str]:
@@ -297,27 +278,6 @@ def _report_timeline(result, args) -> None:
         print(
             f"timeline           : {timeline.samples_taken} samples, "
             f"{len(timeline.summary())} series -> {timeline_out}"
-        )
-
-
-def _print_response(result) -> None:
-    """Response-layer rollup for a RunResult produced with --quarantine."""
-    if result.incident is None:
-        print("response           : (runner does not attach the response layer)")
-        return
-    summary = result.runtime.report.summary()
-    kinds = ", ".join(f"{k}={v}" for k, v in sorted(summary["by_kind"].items()))
-    print(
-        f"detections         : {summary['total']}"
-        + (f" ({kinds})" if kinds else "")
-    )
-    incident = result.incident
-    print(f"quarantined cores  : {incident.quarantined_cores or 'none'}")
-    if incident.faulty_core >= 0:
-        print(f"implicated core    : {incident.faulty_core}")
-        print(
-            f"repaired versions  : {incident.versions_repaired}"
-            f"/{incident.versions_corrupted} corrupted"
         )
 
 
@@ -491,14 +451,14 @@ def _decode_value(value, hint, path: str):
 
 
 #: the keys a pipeline spec may set: the doctor ``pipeline`` section and
-#: what run flags lower to.  ``quarantine`` attaches the response layer;
-#: ``validator_faults`` holds KIND=N chaos specs, seeded by ``seed``, and
-#: implies ``fault_tolerance``, whose fields _decode_fault_tolerance reads
+#: what run flags lower to.  ``validator_faults`` holds KIND=N chaos specs,
+#: seeded by ``seed``, and implies ``fault_tolerance``, whose fields
+#: _decode_fault_tolerance reads
 _PIPELINE_SPEC = {
     "app_threads": int, "validation_cores": int, "seed": int,
     "dynamic_scaling": bool, "drain_grace_fraction": float,
     "sampler_targets": tuple[str, ...], "canary": CanaryConfig,
-    "audit": AuditConfig, "fault_tolerance": dict, "quarantine": bool,
+    "audit": AuditConfig, "fault_tolerance": dict,
     "validator_faults": tuple[str, ...],
 }
 
@@ -516,7 +476,6 @@ _PIPELINE_FLAGS = {
     "overflow_policy": "fault_tolerance.overflow_policy",
     "watchdog_deadline": "fault_tolerance.watchdog_deadline",
     "validator_faults": "validator_faults",
-    "quarantine": "quarantine",
     "degradation": "fault_tolerance",
     "audit": "audit",
     "audit_out": "audit",
@@ -583,8 +542,6 @@ def _decode_pipeline(spec, **fixed) -> PipelineConfig:
         kwargs["fault_tolerance"] = _decode_fault_tolerance(
             kwargs["fault_tolerance"], "pipeline.fault_tolerance"
         )
-    if kwargs.pop("quarantine", False):
-        kwargs["response"] = ResponseConfig()
     return PipelineConfig(**{**kwargs, **fixed})
 
 
@@ -684,11 +641,9 @@ def _arm_configs(args):
 
 
 def _finish_orthrus_arm(result, config: PipelineConfig, args) -> int:
-    """Print the Orthrus arm's response, canary, fault-tolerance and audit
-    reports, save its artifacts, and return the first nonzero exit status
-    in that order (SAFE_HOLD, CANARY_MISSED, audit FAILURE)."""
-    if args.quarantine:
-        _print_response(result)
+    """Print the Orthrus arm's canary, fault-tolerance and audit reports,
+    save its artifacts, and return the first nonzero exit status in that
+    order (SAFE_HOLD, CANARY_MISSED, audit FAILURE)."""
     canary_rc = _finish_canary(result) if config.canary is not None else 0
     ft_rc = (
         _finish_fault_tolerance(result, args)
@@ -753,13 +708,7 @@ def cmd_coverage(args) -> int:
         injection=injection,
         # All trials share the handle, so the export aggregates the
         # whole campaign (per-trial traces interleave in trial order).
-        # auto_repair stays off under --quarantine: repairing before the
-        # digest is taken would reclassify genuine SDC trials as masked.
-        make_pipeline=lambda: _run_config(
-            spec,
-            obs=obs,
-            response=ResponseConfig(auto_repair=False) if args.quarantine else None,
-        ),
+        make_pipeline=lambda: _run_config(spec, obs=obs),
         runner=orthrus,
         rbv_runner=rbv if args.rbv else None,
     )
@@ -792,87 +741,6 @@ def cmd_coverage(args) -> int:
         )
     _export_obs(obs, args)
     return int(ExitCode.OK)
-
-
-def cmd_respond(args) -> int:
-    if args.app not in _RESPOND_CLOSURES:
-        raise SystemExit(
-            f"respond supports {', '.join(sorted(_RESPOND_CLOSURES))}; "
-            f"got {args.app!r}"
-        )
-    scenario = _APPS[args.app][0]()
-    n_ops = _workload_size(args, 200)
-    obs = _make_obs(args)
-    # the optional stress arm (decoded before any run, so a bad flag fails
-    # first) replays the scenario through the fault-tolerant plane, scoring
-    # how detection holds up when the detectors themselves fail
-    stress_config = _run_config(_lower_flags(args, {}))
-    if stress_config.fault_tolerance is None and stress_config.audit is None:
-        stress_config = None
-    closure = _RESPOND_CLOSURES[args.app]
-    fault = (
-        value_fault(closure)
-        if args.fault_kind == "value"
-        else misdirected_fault(closure)
-    )
-    config = IncidentConfig(
-        n_ops=n_ops,
-        seed=args.seed,
-        app_threads=args.threads,
-        validation_cores=args.cores,
-        faulty_core=args.faulty_core,
-        fault=fault,
-        arm_after=args.arm_after,
-        probation=args.probation,
-        obs=obs,
-    )
-    result = run_incident(scenario, config)
-    report = result.report
-    print(
-        f"injected           : {args.fault_kind} fault on core "
-        f"{config.faulty_core} ({closure})"
-    )
-    for line in report.summary_lines():
-        print(line)
-    blamed = str(report.faulty_core) if report.faulty_core >= 0 else "none"
-    print(
-        "attribution        : "
-        + ("correct" if result.attribution_correct else "WRONG")
-        + f" (injected core {result.injected_core}, blamed {blamed})"
-    )
-    print(
-        "repair fidelity    : "
-        + (
-            "heap byte-identical to the fault-free run"
-            if result.repaired
-            else "heap DIVERGED from the fault-free run"
-        )
-    )
-    if args.probation:
-        print(f"readmitted cores   : {result.readmitted or 'none'}")
-    stress = None
-    ft_rc = 0
-    if stress_config is not None:
-        print("validation-plane stress arm:")
-        stress = run_orthrus_server(scenario, n_ops, stress_config)
-        if stress_config.fault_tolerance is not None:
-            ft_rc = _finish_fault_tolerance(stress, args)
-        # evaluated unconditionally: a SAFE_HOLD must not skip the audit report
-        audit_rc = _finish_audit(stress, args)
-        ft_rc = ft_rc or audit_rc
-    if args.json is not None:
-        payload = json.loads(report.to_json())
-        if stress is not None and stress.ft is not None:
-            payload["fault_tolerance"] = stress.ft.summary()
-        _write_or_exit(args.json, _json_text(payload))
-        print(f"incident report    : {args.json}")
-    _export_obs(obs, args)
-    rc = (
-        int(ExitCode.OK)
-        if result.repaired and result.attribution_correct
-        else int(ExitCode.FAILURE)
-    )
-    return rc or ft_rc
 
 
 def _summarize_trace_jsonl(path: str) -> int:
@@ -1356,13 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--canary-period",
         )
 
-    def quarantine_flag(p):
-        p.add_argument(
-            "--quarantine", action="store_true",
-            help="attach the response layer (arbitration + quarantine) to "
-            "the Orthrus arm and report what it concluded",
-        )
-
     def timeline_flags(p):
         p.add_argument(
             "--timeline-out", default=None, metavar="PATH",
@@ -1456,7 +1317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser("perf", help="Fig 6-style performance comparison")
     common(perf)
-    quarantine_flag(perf)
     timeline_flags(perf)
     fault_tolerance_flags(perf)
     canary_flags(perf)
@@ -1464,7 +1324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     latency = sub.add_parser("latency", help="Fig 8-style validation latency")
     common(latency)
-    quarantine_flag(latency)
     timeline_flags(latency)
     fault_tolerance_flags(latency)
     canary_flags(latency)
@@ -1472,44 +1331,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     coverage = sub.add_parser("coverage", help="Table 2-style fault campaign")
     common(coverage)
-    quarantine_flag(coverage)
     coverage.add_argument("--faults", type=int, default=24)
     coverage.add_argument("--trigger-rate", type=float, default=1.0)
     coverage.add_argument("--grace", type=float, default=4.0,
                           help="drain window as a fraction of run duration")
     coverage.add_argument("--rbv", action="store_true",
                           help="also run the RBV arm per SDC trial")
-
-    respond = sub.add_parser(
-        "respond",
-        help="one inject→detect→quarantine→repair incident episode",
-    )
-    common(respond)
-    respond.add_argument(
-        "--fault-kind", choices=("value", "misdirected"), default="value",
-        help="value: corrupt a computed digest in place; misdirected: "
-        "corrupt the hash so writes land on the wrong object",
-    )
-    respond.add_argument(
-        "--faulty-core", type=int, default=0,
-        help="core armed with the persistent fault (a validation-core id "
-        "exercises the faulty-validator arbitration case)",
-    )
-    respond.add_argument(
-        "--arm-after", type=int, default=10,
-        help="ops served healthy before the fault is armed",
-    )
-    respond.add_argument(
-        "--probation", action="store_true",
-        help="disarm the fault after repair and run probation probes",
-    )
-    respond.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="save the IncidentReport as JSON (includes the "
-        "fault_tolerance summary when the stress arm ran)",
-    )
-    fault_tolerance_flags(respond)
-    audit_flags(respond)
 
     fleet = sub.add_parser(
         "fleet",
@@ -1591,7 +1418,6 @@ _HANDLERS = {
     "perf": cmd_perf,
     "latency": cmd_latency,
     "coverage": cmd_coverage,
-    "respond": cmd_respond,
     "fleet": cmd_fleet,
     "obs-summary": cmd_obs_summary,
     "timeline": cmd_timeline,

@@ -160,7 +160,6 @@ class ExecutionContext:
             self.log.allocated.append(obj_id)
             version = self.heap.latest(obj_id)
             self.log.output_versions.append(version.version_id)
-            self.log.output_objects.append(obj_id)
             if checksum_override is None:
                 # Objects created inside the closure need no checksum probe
                 # on first load — they never crossed the control path.  An
@@ -204,7 +203,6 @@ class ExecutionContext:
         if self.mode == self.APP:
             version = self.heap.store(obj_id, value, creator=self.log.seq)
             self.log.output_versions.append(version.version_id)
-            self.log.output_objects.append(obj_id)
             self._verified.add(obj_id)
         else:
             self.private.store(obj_id, value)

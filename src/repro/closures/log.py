@@ -35,10 +35,6 @@ class ClosureLog:
         args/kwargs: invocation inputs (Orthrus pointers and plain values).
         inputs: obj_id → version_id pinned at first load (§3.1).
         output_versions: version ids created by stores, in creation order.
-        output_objects: obj_id owning each output version, parallel to
-            ``output_versions`` — kept on the log so blast-radius analysis
-            can attribute outputs to objects even after the versions
-            themselves have been reclaimed.
         allocated: obj_ids created by OrthrusNew, in creation order.
         deletes: obj_ids deleted, in order.
         retval: canonicalized return value (pointers canonicalized by the
@@ -60,7 +56,6 @@ class ClosureLog:
     kwargs: dict = field(default_factory=dict)
     inputs: dict[int, int] = field(default_factory=dict)
     output_versions: list[int] = field(default_factory=list)
-    output_objects: list[int] = field(default_factory=list)
     allocated: list[int] = field(default_factory=list)
     deletes: list[int] = field(default_factory=list)
     retval: Any = None

@@ -7,9 +7,8 @@ boundary (§3.4) and re-execution mismatch in the validator (§3.3) — emit
 
 Each event carries the identities of the cores involved (the APP core that
 produced the suspect result and, for re-execution mismatches, the
-validation core that disagreed) so the incident-response layer
-(:mod:`repro.response`) can arbitrate which core is actually faulty and
-score its verdicts against fault-injection ground truth.
+validation core that disagreed) so a fault-injection campaign can score
+its verdicts against ground truth.
 """
 
 from __future__ import annotations

@@ -24,13 +24,11 @@ class ExitCode(enum.IntEnum):
     code      meaning
     ========  =====================================================
     OK        run completed; every gate passed
-    FAILURE   rejected config, unrepaired incident, unreconciled
-              attribution, missing/invalid artifact, bench
-              regression, or ERROR-severity audit findings
-              (``doctor``, ``--audit``)
+    FAILURE   rejected config, unreconciled attribution,
+              missing/invalid artifact, bench regression, or
+              ERROR-severity audit findings (``doctor``, ``--audit``)
     SAFE_HOLD the degradation ladder ended the run in SAFE_HOLD
-              (``perf``/``latency``/``respond`` fault-tolerance
-              runs, ``fleet``)
+              (``perf``/``latency`` fault-tolerance runs, ``fleet``)
     CANARY_MISSED  a canary probe missed its detection deadline
               (``perf``/``latency`` canary runs, ``obs-summary``,
               ``timeline``)

@@ -25,8 +25,7 @@ DESIGN §12 survives chaos untouched:
   a dead peer, and ``-1`` (fall back to local checksum-only coverage)
   when no route survives;
 * **probation** — a restarted host idles through ``probation_epochs``
-  before its shards re-admit and arrivals flow home, mirroring
-  :class:`~repro.response.quarantine.QuarantineManager` re-admission.
+  before its shards re-admit and arrivals flow home.
 
 Everything the compiler emits is plain picklable data (tuples of ints
 and floats), attached to each :class:`~repro.fleet.shardsim.ShardPlan`

@@ -4,8 +4,8 @@ Importing the package fills the DES extension table
 (:data:`repro.harness.pipeline.EXTENSIONS`, DESIGN §3) — Python runs this
 file before any ``repro.harness.*`` module.  The order is the order in
 which every hook runs: canaries settle, then the drift probe's terminal
-sweep, then the last telemetry sample sees both, then incident response
-closes, and the fault-tolerant report comes last.
+sweep, then the last telemetry sample sees both, and the fault-tolerant
+report comes last.
 """
 
 from repro.harness import chaos, pipeline
@@ -28,11 +28,8 @@ from repro.harness.scenarios import (
     phoenix_scenario,
 )
 from repro.obs import audit, canary, timeseries
-from repro.response import coordinator
 
-pipeline.EXTENSIONS[:] = (
-    canary.attach, audit.attach, timeseries.attach, coordinator.attach, chaos.attach,
-)
+pipeline.EXTENSIONS[:] = (canary.attach, audit.attach, timeseries.attach, chaos.attach)
 
 __all__ = [
     "BatchScenario",

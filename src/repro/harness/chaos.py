@@ -6,7 +6,9 @@ this module's row of the extension table (:func:`attach`): bounded
 per-core queues with work stealing (:class:`QueueAdmission`); a watchdog
 :class:`Supervisor` that re-dispatches logs stranded by validator cores
 that crash, hang, slow down or lose verdicts (armed via
-:mod:`repro.faultinject.validator_faults`); and the degradation ladder.
+:mod:`repro.faultinject.validator_faults`) and quarantines the cores that
+keep missing deadlines (:class:`OffenderQuarantine`); and the degradation
+ladder.
 
 The supervisor's contract is *conservation*: every closure log reaches
 exactly one terminal state — validated, skipped, dropped with a reason, or
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.detection import DetectionEvent, is_canary_closure
+from repro.errors import ConfigurationError
 from repro.harness.pipeline import (
     DriverSession,
     PipelineConfig,
@@ -29,7 +32,6 @@ from repro.harness.pipeline import (
     ValidatorFaultBox,
     run_orthrus_server,
 )
-from repro.response.quarantine import QuarantineManager
 from repro.runtime.degradation import (
     DegradationController,
     DegradationLevel,
@@ -187,6 +189,50 @@ class QueueAdmission:
         return self.queues.pop(self.index[core_id], allow_steal=True)
 
 
+#: score each missed deadline an offender report stands for adds
+FAULT_WEIGHT = 1.0
+#: score at which an offending validation core is pulled from service
+QUARANTINE_THRESHOLD = 2.0
+
+
+class OffenderQuarantine:
+    """Validation cores the watchdog reports as offenders: each report adds
+    to the core's score, and a core whose score reaches
+    :data:`QUARANTINE_THRESHOLD` is pulled from the validator pool.  The
+    scheduler refuses to empty the pool, so the last validation core stays
+    in service, flagged by a ``response.quarantine_refused`` trace event."""
+
+    def __init__(self, runtime, obs):
+        self._machine, self._scheduler = runtime.machine, runtime.scheduler
+        self._lifecycle = obs.lifecycle
+        self._faults: dict[int, int] = {}
+        self.quarantined: list[int] = []
+        if obs.enabled:
+            machine = self._machine
+            obs.registry.gauge(
+                "orthrus_quarantined_cores",
+                help="cores currently removed from service",
+            ).set_function(lambda: float(len(machine.quarantined_cores)))
+
+    def record_fault(self, core_id: int, when: float) -> bool:
+        """One missed deadline against ``core_id``; True when it tipped the
+        core into quarantine."""
+        faults = self._faults[core_id] = self._faults.get(core_id, 0) + 1
+        score = faults * FAULT_WEIGHT
+        if core_id in self.quarantined or score < QUARANTINE_THRESHOLD:
+            return False
+        try:
+            self._scheduler.remove_core(core_id)
+        except ConfigurationError:
+            # The last validation core: keep it scheduled, but flagged.
+            self._lifecycle.quarantine_refused(core_id, score, when)
+            return False
+        self._machine.core(core_id).quarantined = True
+        self.quarantined.append(core_id)
+        self._lifecycle.quarantined(core_id, score, faults, when)
+        return True
+
+
 class Supervisor:
     """Deadline supervision (DESIGN §10.3): the watchdog and its tick
     (re-dispatch, the ladder's observations, the total-death sweep),
@@ -198,17 +244,7 @@ class Supervisor:
     def __init__(self, session: DriverSession, ft: FaultToleranceConfig, plane: Plane):
         self.session, self.ft, self.plane = session, ft, plane
         session.supervised = True
-        runtime = session.runtime
-        self.quarantine = (
-            runtime.responder.quarantine
-            if runtime.responder is not None
-            else QuarantineManager(
-                machine=runtime.machine,
-                scheduler=runtime.scheduler,
-                heap=runtime.heap,
-                obs=session.obs,
-            )
-        )
+        self.quarantine = OffenderQuarantine(session.runtime, session.obs)
         self.watchdog = ValidationWatchdog(
             ft.watchdog, obs=session.obs, on_offender=self.on_offender
         )
@@ -216,19 +252,11 @@ class Supervisor:
 
     def on_offender(self, core_id: int, when: float) -> None:
         # An offender already represents ``offender_threshold`` missed
-        # deadlines; record them as that many faults so the health score
-        # crosses the quarantine threshold in one report.
+        # deadlines; record them as that many faults so the score crosses
+        # the quarantine threshold in one report.
         newly = False
         for _ in range(max(1, self.watchdog.config.offender_threshold)):
             newly = self.quarantine.record_fault(core_id, when) or newly
-        responder = self.session.runtime.responder
-        if responder is not None:
-            responder.report.add(
-                when,
-                "watchdog-offender",
-                f"validation core {core_id} repeatedly missed deadlines"
-                + (" -> quarantined" if newly else ""),
-            )
         if newly:
             self.session.serving.discard(core_id)
             # Hand the quarantined core's backlog to the healthy queues;
@@ -369,9 +397,7 @@ class Supervisor:
             degradation=ladder.summary() if ladder is not None else None,
             terminal_level=ladder.level.label if ladder is not None else "normal",
             peak_level=ladder.peak.label if ladder is not None else "normal",
-            quarantined_validators=sorted(
-                c for c in self.quarantine.quarantined if c in self.session.val_cores
-            ),
+            quarantined_validators=sorted(self.quarantine.quarantined),
             faulted_cores=faulted,
             chaos_digest=chaos.digest() if chaos is not None else None,
             queue_drops=plane.admission.queues.drops,

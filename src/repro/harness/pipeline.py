@@ -17,7 +17,7 @@ which wires the scenario into the discrete-event engine:
   applying the sampler under queueing-delay or memory-budget feedback.
   The vanilla deployment is the session with no plane at all;
 * **extensions** — the fault-tolerant policies, telemetry, liveness
-  canaries, audit probes, incident response — attach through one table
+  canaries, audit probes — attach through one table
   (:data:`EXTENSIONS`, DESIGN.md §3); this module imports none of them;
 * **the RBV replica** replays full requests *in submission order* on a
   separate healthy server, paying serialization + network transfer per
@@ -98,10 +98,6 @@ class PipelineConfig:
     #: an ``repro.obs.Observability`` handle; None (the default) runs the
     #: pipeline fully uninstrumented
     obs: Any = None
-    #: a ``repro.response.ResponseConfig``; when set the Orthrus driver
-    #: attaches a ResponseCoordinator (arbitration + quarantine + repair)
-    #: and the finalized IncidentReport lands on ``RunResult.incident``
-    response: Any = None
     #: a ``repro.obs.TimeSeriesConfig``; with ``obs`` also set, the Orthrus
     #: driver runs a virtual-time sampling process over the registry and
     #: lands the recorder on ``RunResult.timeline``
@@ -158,9 +154,6 @@ class RunResult:
     crashed: bool = False
     crash_reason: str = ""
     rbv_detections: int = 0
-    #: finalized ``repro.response.IncidentReport`` when the run was
-    #: configured with a response layer (``PipelineConfig.response``)
-    incident: Any = None
     #: ``repro.obs.TimeSeriesRecorder`` when the run was configured with
     #: ``PipelineConfig.timeseries`` (and obs); None otherwise
     timeline: Any = None
@@ -350,7 +343,7 @@ class DriverSession:
     def attach(self) -> None:
         """Bind :data:`EXTENSIONS` to this run: one tuple per hook, in table
         order.  Runs before the scenario is built, so an extension that
-        watches the runtime (incident response) sees every closure."""
+        watches the runtime sees every closure."""
         attached = [a for a in (row(self) for row in EXTENSIONS) if a is not None]
         self.hooks = {
             hook: tuple(getattr(a, hook) for a in attached if hasattr(a, hook))
@@ -663,7 +656,7 @@ class ValidatorFaultBox:
         return None
 
     def disarm(self, core_id: int) -> None:
-        """Clear a core's fault (probation readmits a repaired core)."""
+        """Clear a core's fault."""
         self._by_core.pop(core_id, None)
 
     @property

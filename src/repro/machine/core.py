@@ -57,9 +57,9 @@ class Core:
         #: instruction there, in arming order; filled as instructions ask,
         #: emptied by arm()/disarm()
         self._fault_index: dict[tuple[Unit, str, str], tuple[Fault, ...]] = {}
-        #: set by the incident-response layer when this core is pulled from
-        #: service (suspected mercurial); schedulers must not place work on
-        #: a quarantined core except for probation probes.
+        #: set by the fault-tolerant plane's offender quarantine when this
+        #: validation core is pulled from service; schedulers must not place
+        #: work on a quarantined core.
         self.quarantined = False
         self._rng = random.Random(seed if seed is not None else core_id)
         self._function = "<none>"

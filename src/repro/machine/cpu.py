@@ -43,10 +43,6 @@ class Machine:
         core.arm(fault)
         return core
 
-    def disarm_all(self) -> None:
-        for core in self.cores:
-            core.disarm()
-
     @property
     def mercurial_cores(self) -> list[Core]:
         return [c for c in self.cores if c.is_mercurial]
@@ -57,18 +53,13 @@ class Machine:
 
     @property
     def quarantined_cores(self) -> list[Core]:
-        """Cores pulled from service by the incident-response layer."""
-        return [c for c in self.cores if c.quarantined]
-
-    @property
-    def serviceable_cores(self) -> list[Core]:
-        """Cores the schedulers may place work on (not quarantined).
+        """Validation cores the fault-tolerant plane pulled from service.
 
         Note the asymmetry with :attr:`healthy_cores`: whether a core is
         *actually* mercurial is ground truth only the fault injector knows;
-        quarantine reflects what the response layer has *inferred*.
+        quarantine reflects what the watchdog has *inferred*.
         """
-        return [c for c in self.cores if not c.quarantined]
+        return [c for c in self.cores if c.quarantined]
 
     def sibling_core(self, core_id: int, prefer_same_node: bool = True) -> Core:
         """Pick a different core for validation, preferring the same socket.

@@ -190,37 +190,10 @@ class VersionedHeap:
         return version
 
     def has_version(self, version_id: int) -> bool:
-        """True while ``version_id`` is present and unreclaimed.
-
-        Blast-radius analysis probes versions that may be past the
-        reclamation window; a reclaimed version is unrecoverable rather
-        than an error.
-        """
+        """True while ``version_id`` is present and unreclaimed (a
+        reclaimed version is unrecoverable rather than an error)."""
         version = self._versions.get(version_id)
         return version is not None and not version.reclaimed
-
-    def repair_version(self, version_id: int, value: Any) -> Version:
-        """Overwrite a corrupted version's payload in place (repair, §2.3).
-
-        Unlike :meth:`store` this does *not* create a new version: the
-        repaired value keeps the original visible window and version id,
-        so closure logs that pinned this version re-execute against the
-        corrected payload.  The header CRC is replaced (the old one covered
-        corrupt bytes) and the byte accounting adjusted.
-        """
-        version = self.version(version_id)
-        new_size = approx_size(value)
-        delta = new_size - version.size
-        self.versioned_bytes += delta
-        if version.superseded_at is None:
-            record = self._objects.get(version.obj_id)
-            if record is None or record.deleted_at is None:
-                self.live_bytes += delta
-        version.value = value
-        version.size = new_size
-        if self._checksums:
-            version.crc = self._header(value)
-        return version
 
     def visible_at(self, obj_id: int, when: float) -> Version:
         """The version of ``obj_id`` whose visible window contains ``when``.
@@ -344,16 +317,6 @@ class PrivateHeap:
         self._values[obj_id] = value
         self.writes.append((obj_id, value))
         return obj_id
-
-    def seed(self, obj_id: int, value: Any) -> None:
-        """Pre-load a value that shadows the pinned input version.
-
-        Unlike :meth:`store` this records no write: the repairer seeds the
-        private heap with already-corrected upstream values so a replay
-        reads repaired state, without the seeds polluting the replay's
-        observed outputs.
-        """
-        self._values[obj_id] = value
 
     def store(self, obj_id: int, value: Any) -> None:
         self._values[obj_id] = value

@@ -34,7 +34,6 @@ class ReclamationManager:
         self._batch_size = batch_size
         self._active: OrderedDict[int, float] = OrderedDict()
         self._completed_since_reclaim = 0
-        self._paused = 0
         self.reclaim_passes = 0
         obs = obs if obs is not None else NULL_OBS
         self._lifecycle = obs.lifecycle
@@ -61,41 +60,12 @@ class ReclamationManager:
         """
         self._active.pop(seq, None)
         self._completed_since_reclaim += 1
-        if self._paused or self._completed_since_reclaim < self._batch_size:
+        if self._completed_since_reclaim < self._batch_size:
             return 0
         return self.reclaim_now()
 
-    # ------------------------------------------------------------------
-    # incident hold (evidence preservation)
-    # ------------------------------------------------------------------
-    def pause(self) -> None:
-        """Suspend reclamation passes (nestable).
-
-        The incident-response layer pauses reclamation the moment a
-        corruption is confirmed: every version still inside the window is
-        potential evidence (blast-radius input) or repair material, and a
-        batched GC pass would destroy it.  Windows keep closing; the
-        deferred passes run at :meth:`resume`.
-        """
-        self._paused += 1
-
-    def resume(self) -> int:
-        """Re-enable reclamation; runs the deferred pass immediately."""
-        if self._paused == 0:
-            raise ConfigurationError("ReclamationManager.resume() without pause()")
-        self._paused -= 1
-        if self._paused == 0 and self._completed_since_reclaim >= self._batch_size:
-            return self.reclaim_now()
-        return 0
-
-    @property
-    def paused(self) -> bool:
-        return self._paused > 0
-
     def reclaim_now(self) -> int:
-        """Run a reclamation pass immediately (deferred while paused)."""
-        if self._paused:
-            return 0
+        """Run a reclamation pass immediately."""
         self._completed_since_reclaim = 0
         self.reclaim_passes += 1
         watermark = self.watermark

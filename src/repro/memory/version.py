@@ -79,7 +79,7 @@ class Version:
     <repro.memory.checksum.sealed>` (immutable, exact builtin types) and
     either the heap made it (:meth:`VersionedHeap.store
     <repro.memory.heap.VersionedHeap.store>`, ``allocate`` without an
-    override, ``repair_version``) or it arrived as the sender's own bytes
+    override) or it arrived as the sender's own bytes
     (``repro.apps.common.hop``).  The simulator corrupts a payload only in
     transit (a faulty control-path instruction), so an intact version's
     :meth:`probe` passes without serializing it, and its header CRC is

@@ -451,12 +451,10 @@ class ComponentConfigsValid(AuditRule):
 
     def check(self, config) -> list[Finding]:
         ft = getattr(config, "fault_tolerance", None)
-        response = getattr(config, "response", None)
         components = (
             ("watchdog", getattr(ft, "watchdog", None) if ft else None),
             ("degradation", getattr(ft, "degradation", None) if ft else None),
             ("canary", getattr(config, "canary", None)),
-            ("quarantine", getattr(response, "quarantine", None)),
             ("audit", getattr(config, "audit", None)),
         )
         findings = []
@@ -466,30 +464,6 @@ class ComponentConfigsValid(AuditRule):
             for message in component_violations(component):
                 findings.append(self.finding(name, message))
         return findings
-
-
-class QuarantineKeepsPool(AuditRule):
-    rule_id = "quarantine-empties-pool"
-    severity = Severity.WARN
-    description = "quarantine cannot empty a single-core validator pool"
-    remediation = (
-        "provision at least two validation cores when quarantine is enabled"
-    )
-
-    def check(self, config) -> list[Finding]:
-        if getattr(config, "response", None) is None:
-            return []
-        cores = getattr(config, "validation_cores", 0)
-        if cores != 1:
-            return []
-        return [
-            self.finding(
-                "response",
-                "quarantining the only validation core would empty the "
-                "pool; the scheduler will hold offenders in service instead",
-                validation_cores=cores,
-            )
-        ]
 
 
 def pipeline_rules(known_closures=None) -> tuple:
@@ -502,7 +476,6 @@ def pipeline_rules(known_closures=None) -> tuple:
         OverflowPolicyGuarded(),
         QueueCapacityPositive(),
         ComponentConfigsValid(),
-        QuarantineKeepsPool(),
     )
 
 

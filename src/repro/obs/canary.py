@@ -20,7 +20,7 @@ Canary closures are namespaced (``canary.probe`` from caller
 * samplers must always validate them (a skipped canary proves nothing),
 * detection accounting keeps them out of organic coverage numbers
   (:func:`repro.detection.is_canary_closure`), and
-* incident response ignores them — a canary mismatch is the probe
+* the abort policy ignores them — a canary mismatch is the probe
   *working*, not a faulty core.
 
 Schedules are deterministic: nonces come from
@@ -230,7 +230,7 @@ class LivenessMonitor:
                 self.first_missed_at = now
             # Recorded directly (not via the runtime detection hook): a
             # missed canary is a liveness incident, not an SDC — it must
-            # not trip abort policies or arbitration.
+            # not trip abort policies.
             self._report.record(
                 DetectionEvent(
                     kind="canary.missed",

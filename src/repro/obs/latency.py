@@ -3,7 +3,7 @@
 The paper's fig. 8 reports detection latency as one end-to-end number per
 configuration.  This module decomposes it: given the causal span chains
 from :mod:`repro.obs.spans`, it answers *where the time went* — queue
-wait vs dispatch vs re-execution vs watchdog re-dispatch vs arbitration —
+wait vs dispatch vs re-execution vs watchdog re-dispatch —
 as per-stage distributions (p50/p95/p99), grouped overall, per closure
 kind, and per degradation level.
 

@@ -231,6 +231,19 @@ class Lifecycle:
         """A validation core missed deadlines often enough to be reported."""
         self.tracer.emit("watchdog.offender", ts=now, core=core_id, timeouts=timeouts)
 
+    def quarantined(self, core_id: int, score: float, faults: int, now: float) -> None:
+        """An offending validation core was pulled from service."""
+        self.registry.counter(
+            "orthrus_quarantines_total", {"core": str(core_id)},
+            help="cores pulled from service by the response layer",
+        ).inc()
+        self.tracer.emit("response.quarantine", ts=now, core=core_id, score=score,
+                         faults=faults)
+
+    def quarantine_refused(self, core_id: int, score: float, now: float) -> None:
+        """An offending core is the last validation core: it stays in service."""
+        self.tracer.emit("response.quarantine_refused", ts=now, core=core_id, score=score)
+
     def stalled(self, dispatch, now: float) -> None:
         """The dead time on the faulted core, from dispatch to expiry."""
         self.spans.record("stalled", dispatch.log.seq, dispatch.dispatched_at, now,
@@ -301,6 +314,8 @@ class NullLifecycle:
     def fell_back(self, log, now): pass
     def timed_out(self, dispatch, now): pass
     def offender(self, core_id, timeouts, now): pass
+    def quarantined(self, core_id, score, faults, now): pass
+    def quarantine_refused(self, core_id, score, now): pass
     def stalled(self, dispatch, now): pass
     def redispatched(self, log, now, delay): pass
     def retried(self): pass

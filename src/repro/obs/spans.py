@@ -8,7 +8,6 @@ previous span of the same log, so a finished run decomposes into causal
 chains::
 
     closure.run → queue.wait → dispatch → validate → verdict
-                              [→ arbitrate → quarantine → repair]
 
 with the fault-tolerance detours (``stalled``, ``redispatch``,
 ``fallback``, ``skip``, ``drop``) spliced in where the chaos layer takes
@@ -18,8 +17,8 @@ exactly ``verdict_time - start_time`` — the invariant the latency
 attribution engine (:mod:`repro.obs.latency`) checks and exploits.
 
 Lifecycle spans are recorded by :mod:`repro.obs.lifecycle` (DESIGN §7.1
-names the method behind each stage; the response layer adds its own
-markers); :data:`NULL_SPANS` records nothing.  :func:`write_spans_chrome`
+names the method behind each stage); :data:`NULL_SPANS` records
+nothing.  :func:`write_spans_chrome`
 exports the chain as a Chrome trace-event file (one timeline row per
 stage) that loads directly into Perfetto / ``chrome://tracing``.
 """
@@ -41,8 +40,8 @@ __all__ = [
 ]
 
 #: canonical stage ordering — the causal lifecycle first, then the
-#: fault-tolerance detours, then the incident-response tail.  Used for
-#: waterfall rendering order and Chrome trace row assignment.
+#: fault-tolerance detours.  Used for waterfall rendering order and Chrome
+#: trace row assignment.
 STAGE_ORDER = (
     "closure.run",
     "queue.wait",
@@ -54,9 +53,6 @@ STAGE_ORDER = (
     "fallback",
     "skip",
     "drop",
-    "arbitrate",
-    "quarantine",
-    "repair",
 )
 
 

@@ -122,9 +122,6 @@ class OrthrusRuntime:
         self._pop_cursor = 0
         self._bound = _Binding()
         self._on_log: Callable[[ClosureLog], None] | None = None
-        #: incident-response coordinator (repro.response); attached by
-        #: ResponseCoordinator, observes logs/outcomes/detections.
-        self.responder = None
         if self.obs.enabled:
             self._register_gauges()
         #: False = close each closure's active window immediately after the
@@ -268,8 +265,6 @@ class OrthrusRuntime:
             self.reclaimer.closure_finished(log.seq)
         if self._on_log is not None:
             self._on_log(log)
-        if self.responder is not None:
-            self.responder.on_log(log)
         if self.mode == "inline":
             self._validate(log, validate_from=log.end_time)
         elif self.mode == "queued":
@@ -294,8 +289,7 @@ class OrthrusRuntime:
     def _validate(self, log: ClosureLog, validate_from: float) -> None:
         """The library's one verdict path: re-execute ``log`` on the
         validation core paired with its app core, feed the sampler and the
-        scaling stats, keep the outcome, close the span chain and tell the
-        responder."""
+        scaling stats, keep the outcome and close the span chain."""
         val_core = self.scheduler.validation_core_for(log.core_id)
         outcome = self.validator.validate(log, val_core)
         now = self.clock.now()
@@ -303,8 +297,6 @@ class OrthrusRuntime:
         self.latency.record(log.closure_name, outcome.latency)
         self.outcomes.append(outcome)
         self.obs.lifecycle.verdict(log, outcome.passed, validate_from, now)
-        if self.responder is not None:
-            self.responder.on_outcome(outcome)
 
     # ------------------------------------------------------------------
     # validation pumping (queued mode)
@@ -357,10 +349,6 @@ class OrthrusRuntime:
     def _on_detection(self, event: DetectionEvent) -> None:
         self.report.record(event)
         self.obs.lifecycle.detected(event)
-        # Response runs before the abort policy so the incident record is
-        # complete even when the strict deployment stops the application.
-        if self.responder is not None:
-            self.responder.on_detection(event)
         # Canary probes are *supposed* to mismatch; they prove liveness,
         # they do not stop the application.
         if self.detection_policy == "abort" and not is_canary_closure(event.closure):

@@ -43,10 +43,6 @@ class Scheduler:
         self.machine = machine
         self.app_cores = [machine.core(i) for i in app_cores]
         self.validation_cores = [machine.core(i) for i in validation_cores]
-        #: the configured pools, kept for :meth:`restore_core` so a core
-        #: re-admitted after probation rejoins the role it was assigned
-        self._configured_app = list(self.app_cores)
-        self._configured_val = list(self.validation_cores)
         self._next_app = 0
         self._next_val = 0
 
@@ -56,57 +52,21 @@ class Scheduler:
         return core
 
     # ------------------------------------------------------------------
-    # quarantine support (repro.response)
+    # quarantine support (the fault-tolerant plane's offender quarantine)
     # ------------------------------------------------------------------
     def remove_core(self, core_id: int) -> None:
-        """Pull a core from both scheduling pools (quarantine).
+        """Pull a validation core from the validator pool (quarantine).
 
-        Refuses to empty a pool: a deployment cannot run with zero
-        application cores or zero validation cores, so quarantining the
-        last core of either role is rejected and the caller must keep the
-        suspect in service (flagged, but scheduled).
+        Refuses to empty the pool: a deployment cannot run with zero
+        validation cores, so quarantining the last one is rejected and the
+        caller must keep the suspect in service (flagged, but scheduled).
         """
-        in_app = any(c.core_id == core_id for c in self.app_cores)
-        in_val = any(c.core_id == core_id for c in self.validation_cores)
-        if in_app and len(self.app_cores) == 1:
-            raise ConfigurationError(
-                f"cannot quarantine core {core_id}: it is the last application core"
-            )
-        if in_val and len(self.validation_cores) == 1:
+        remaining = [c for c in self.validation_cores if c.core_id != core_id]
+        if not remaining:
             raise ConfigurationError(
                 f"cannot quarantine core {core_id}: it is the last validation core"
             )
-        if in_app:
-            self.app_cores = [c for c in self.app_cores if c.core_id != core_id]
-            self._next_app %= len(self.app_cores)
-        if in_val:
-            self.validation_cores = [
-                c for c in self.validation_cores if c.core_id != core_id
-            ]
-
-    def restore_core(self, core_id: int) -> None:
-        """Return a quarantined core to the pools it was configured into
-        (probation passed), preserving the configured ordering."""
-        if any(c.core_id == core_id for c in self._configured_app):
-            if not any(c.core_id == core_id for c in self.app_cores):
-                self.app_cores = [
-                    c
-                    for c in self._configured_app
-                    if c in self.app_cores or c.core_id == core_id
-                ]
-        if any(c.core_id == core_id for c in self._configured_val):
-            if not any(c.core_id == core_id for c in self.validation_cores):
-                self.validation_cores = [
-                    c
-                    for c in self._configured_val
-                    if c in self.validation_cores or c.core_id == core_id
-                ]
-
-    def in_service(self, core_id: int) -> bool:
-        """Is the core currently schedulable in either role?"""
-        return any(
-            c.core_id == core_id for c in self.app_cores + self.validation_cores
-        )
+        self.validation_cores = remaining
 
     def validation_core_for(self, app_core_id: int) -> Core:
         """A validation core ≠ the APP core, same NUMA node when possible."""

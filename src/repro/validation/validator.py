@@ -48,16 +48,15 @@ class ValidationOutcome:
 class Reexecution:
     """One re-execution of a closure log, compared against its APP record.
 
-    Shared by the validator, the arbitration referee, quarantine probes
-    and the repairer — everything that replays a log on some core and asks
-    "does this execution agree with what the application recorded?".
+    What the validator gets back from replaying a log on some core: "does
+    this execution agree with what the application recorded?".
     """
 
     result: ComparisonResult
     #: cycles the re-execution consumed on its core
     val_cycles: int
     #: the execution context (its private heap holds the re-executed
-    #: writes/deletes — the repairer installs corrected versions from it)
+    #: writes/deletes)
     context: ExecutionContext
     #: set when the re-execution raised (the APP run did not)
     error: str | None = None
@@ -121,15 +120,8 @@ def reexecute(
     heap: VersionedHeap,
     log: ClosureLog,
     core: Core,
-    private_seed: dict[int, object] | None = None,
 ) -> Reexecution:
-    """Re-execute ``log`` on ``core`` in VAL mode and compare (§3.3).
-
-    ``private_seed`` pre-loads the context's private heap with object
-    values that should shadow the pinned input versions — the repairer
-    uses it to replay a log against already-corrected upstream state
-    without recording the seeds as outputs.
-    """
+    """Re-execute ``log`` on ``core`` in VAL mode and compare (§3.3)."""
     if core.core_id == log.core_id:
         raise ConfigurationError(
             f"re-execution of {log.closure_name} scheduled on its own APP "
@@ -142,9 +134,6 @@ def reexecute(
         log=log,
         verify_checksums=False,
     )
-    if private_seed:
-        for obj_id, value in private_seed.items():
-            ctx.private.seed(obj_id, value)
     failure: str | None = None
     val_retval = None
     try:

@@ -12,8 +12,7 @@ deadline; a dispatch that neither completes nor cancels by its deadline is
 *expired* — the log is taken back and re-dispatched to a healthy core with
 capped exponential backoff, up to a retry budget.  Cores that repeatedly
 eat deadlines are reported to an offender hook (wired to the
-:class:`~repro.response.quarantine.QuarantineManager`, the same machinery
-that handles mercurial data-path cores).
+fault-tolerant plane's :class:`~repro.harness.chaos.OffenderQuarantine`).
 
 The :class:`ValidationLedger` is the conservation check that makes
 "nothing is silently stranded" a testable invariant: every enqueued log

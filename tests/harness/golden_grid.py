@@ -30,7 +30,6 @@ from repro.machine.faults import Fault, FaultKind, Site
 from repro.machine.units import Unit
 from repro.obs import Observability, TimeSeriesConfig
 from repro.obs.canary import CanaryConfig
-from repro.response import ResponseConfig
 from repro.runtime.degradation import FaultToleranceConfig
 from repro.runtime.sampling import AlwaysSampler
 from repro.validation.watchdog import WatchdogConfig
@@ -40,7 +39,7 @@ _SIMD_FAULT = (
               site=Site("mc.set", "vsum", 0))),
 )
 #: unscoped: only the re-executions on validation core 2 compute wrongly,
-#: so the response layer quarantines core 2 early in the run
+#: so every log it validates is a false mismatch
 _VALIDATOR_FAULT = ((2, Fault(unit=Unit.SIMD, kind=FaultKind.BITFLIP, bit=3)),)
 _OVERLOAD = dict(app_threads=4, validation_cores=1, seed=3)
 _CHAOS = dict(
@@ -81,14 +80,10 @@ GRID = {
                                    dynamic_scaling=True)),
     "plain/memory-budget": (run_orthrus_server, lsmtree_scenario, 300,
                             dict(validation_cores=1, memory_budget_bytes=2000)),
-    "plain/response-fault": (run_orthrus_server, memcached_scenario, 200,
-                             dict(response=ResponseConfig(),
-                                  deferred_faults=_SIMD_FAULT)),
     "plain/deferred-fault": (run_orthrus_server, memcached_scenario, 200,
                              dict(deferred_faults=_SIMD_FAULT)),
-    "plain/validator-quarantine": (run_orthrus_server, memcached_scenario, 400,
-                                   dict(response=ResponseConfig(),
-                                        deferred_faults=_VALIDATOR_FAULT)),
+    "plain/validator-fault": (run_orthrus_server, memcached_scenario, 400,
+                              dict(deferred_faults=_VALIDATOR_FAULT)),
     "plain/overload-all-observers": (run_orthrus_server, masstree_scenario, 500,
                                      dict(_OVERLOAD, **_ALL_OBSERVERS)),
     "plain/canary-past-deadline": (run_orthrus_server, masstree_scenario, 600,
@@ -111,14 +106,18 @@ GRID = {
     "ft/memory-budget": (run_orthrus_server, lsmtree_scenario, 300,
                          dict(fault_tolerance=_ft(), validation_cores=1,
                               memory_budget_bytes=2000)),
-    "ft/response-fault": (run_orthrus_server, memcached_scenario, 200,
-                          dict(fault_tolerance=_ft(), response=ResponseConfig(),
-                               deferred_faults=_SIMD_FAULT)),
-    "ft/validator-quarantine": (run_orthrus_server, memcached_scenario, 400,
-                                dict(fault_tolerance=_ft(), response=ResponseConfig(),
-                                     deferred_faults=_VALIDATOR_FAULT)),
+    "ft/deferred-fault": (run_orthrus_server, memcached_scenario, 200,
+                          dict(fault_tolerance=_ft(), deferred_faults=_SIMD_FAULT)),
+    "ft/validator-fault": (run_orthrus_server, memcached_scenario, 400,
+                           dict(fault_tolerance=_ft(), deferred_faults=_VALIDATOR_FAULT)),
     "ft/chaos-all-observers": (run_orthrus_server, memcached_scenario, 300,
                                dict(_CHAOS, sampler=AlwaysSampler, **_ALL_OBSERVERS)),
+    # the canary period equals the audit cadence, so the canary issuer and
+    # the audit probe wake at the same instants in the order their start
+    # hooks ran: the stream sees the extension table's order
+    "ft/chaos-canary-audit-tie": (run_orthrus_server, memcached_scenario, 300,
+                                  dict(_CHAOS, canary=CanaryConfig(period=25e-6),
+                                       audit=True)),
     "ft/overload-ladder": (run_orthrus_server, masstree_scenario, 500,
                            dict(_OVERLOAD, fault_tolerance=_ft(queue_capacity=16),
                                 **_ALL_OBSERVERS)),

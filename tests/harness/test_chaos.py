@@ -8,6 +8,8 @@ and under 2x overload the degradation ladder reaches CHECKSUM_ONLY,
 recovers to NORMAL once load subsides, and does not flap.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.faultinject.validator_faults import ValidatorChaosConfig
@@ -18,6 +20,7 @@ from repro.harness.pipeline import (
     run_vanilla_server,
 )
 from repro.detection import is_canary_closure
+from repro.harness.chaos import fault_tolerant_plane
 from repro.harness.scenarios import masstree_scenario, memcached_scenario
 from repro.obs.canary import CanaryConfig
 from repro.obs.observability import Observability
@@ -133,7 +136,71 @@ class TestConservationUnderValidatorFaults:
         assert result.ft.conserved
 
 
+def _supervisor(validation_cores: int, offender_threshold: int):
+    """The fault-tolerant plane's Supervisor over a fresh session
+    (validation cores start at core 2), and its Observability."""
+    obs = Observability()
+    config = PipelineConfig(
+        validation_cores=validation_cores, obs=obs,
+        fault_tolerance=FaultToleranceConfig(
+            watchdog=WatchdogConfig(offender_threshold=offender_threshold)
+        ),
+    )
+    session = DriverSession.open(memcached_scenario(n_keys=8), 4, config)
+    return fault_tolerant_plane(session).supervisor, obs
+
+
+def _miss_deadlines(supervisor, core_id: int, misses: int) -> None:
+    """``misses`` dispatches on ``core_id`` that each expire; the watchdog
+    reports the core to the supervisor once they reach its threshold."""
+    watchdog = supervisor.watchdog
+    for seq in range(misses):
+        watchdog.dispatched(SimpleNamespace(seq=seq, closure_name="op"), core_id, 0.0)
+        watchdog.expired(1.0 + seq)
+
+
 class TestOffenderQuarantine:
+    def test_one_report_below_threshold_keeps_core_in_service(self):
+        # One miss reported at threshold 1 scores 1, below the quarantine
+        # threshold of 2: the core keeps validating.
+        supervisor, obs = _supervisor(validation_cores=2, offender_threshold=1)
+        _miss_deadlines(supervisor, 2, 1)
+        assert obs.tracer.of_kind("watchdog.offender")
+        assert supervisor.quarantine.quarantined == []
+        runtime = supervisor.session.runtime
+        assert 2 in [c.core_id for c in runtime.scheduler.validation_cores]
+        assert not runtime.machine.core(2).quarantined
+        assert obs.tracer.of_kind("response.quarantine") == []
+
+    def test_crossing_threshold_quarantines(self):
+        supervisor, obs = _supervisor(validation_cores=2, offender_threshold=2)
+        _miss_deadlines(supervisor, 2, 2)
+        assert supervisor.quarantine.quarantined == [2]
+        (event,) = obs.tracer.of_kind("response.quarantine")
+        assert (event.ts, event.fields) == (2.0, {"core": 2, "score": 2.0, "faults": 2})
+        assert obs.registry.value("orthrus_quarantines_total", {"core": "2"}) == 1
+        assert obs.registry.value("orthrus_quarantined_cores") == 1
+        assert supervisor.report().quarantined_validators == [2]
+
+    def test_validation_core_pulled_from_validator_pool(self):
+        supervisor, _ = _supervisor(validation_cores=2, offender_threshold=2)
+        _miss_deadlines(supervisor, 2, 2)
+        runtime = supervisor.session.runtime
+        assert [c.core_id for c in runtime.scheduler.validation_cores] == [3]
+        assert runtime.machine.core(2).quarantined
+        assert 2 not in supervisor.session.serving
+
+    def test_last_validation_core_held_in_service(self):
+        supervisor, obs = _supervisor(validation_cores=1, offender_threshold=2)
+        _miss_deadlines(supervisor, 2, 2)
+        runtime = supervisor.session.runtime
+        assert supervisor.quarantine.quarantined == []
+        assert [c.core_id for c in runtime.scheduler.validation_cores] == [2]
+        assert not runtime.machine.core(2).quarantined
+        (event,) = obs.tracer.of_kind("response.quarantine_refused")
+        assert event.fields == {"core": 2, "score": 2.0}
+        assert obs.registry.value("orthrus_quarantined_cores") == 0
+
     def test_verdict_loss_core_is_quarantined(self):
         # A verdict-loss core does the work, loses every verdict, and eats
         # deadline after deadline — the watchdog must feed it to quarantine.

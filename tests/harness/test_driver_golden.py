@@ -12,9 +12,10 @@ cover four configurations; this grid covers the options they leave out.
 The two ``lsmtree-compacting`` entries, and ``peak_live_bytes`` on every
 lsmtree entry, were recorded at the commit before ``LsmTree`` began keeping
 ``disk_bytes`` as a running total (same ``_run``, that commit's ``src``).
-The two ``validator-quarantine`` entries were recorded at the commit
-before the plain and fault-tolerant planes became one validator loop
-(same ``_run``, that commit's ``src``).
+``plain/validator-fault``, ``ft/deferred-fault``, ``ft/validator-fault``
+and ``ft/chaos-canary-audit-tie`` were recorded at the commit before the
+incident-response extension was deleted, so they prove the fault paths
+did not move with it.
 
 The grid and its one shared run per config live in
 ``tests/harness/golden_grid.py``.
@@ -22,8 +23,7 @@ The grid and its one shared run per config live in
 ``PERMITTED`` lists, by config key, the only fields allowed to differ from
 the fixture and why: the canary-deadline bug fix, the two places where
 the validator loops had drifted apart and now share one decide step, the
-plain plane's quarantined validator that kept validating, the one
-``anomaly.flag`` trace event the deleted EWMA hooks emitted, and the
+one ``anomaly.flag`` trace event the deleted EWMA hooks emitted, and the
 ``drop`` marker every queue drop now ends its span chain with.  The two
 ``timeseries-slo`` keys keep their names so the fixture stays as
 recorded; they now run the time-series recorder alone.
@@ -54,11 +54,6 @@ _CANARY_DEADLINE = (
     "canaries dequeued past the drain deadline no longer count as organic "
     "skips / validator drops (nor tick the reclaimer's batch counter)"
 )
-_QUARANTINED_VALIDATOR = (
-    "a quarantined validation core now leaves the loop on the plain plane "
-    "too, handing back the log it dequeued, instead of validating (and "
-    "detecting) for the rest of the run"
-)
 _ANOMALY_FLAG = (
     _DECISION_EVENT + "; and one trace event fewer: the single anomaly.flag "
     "the EWMA anomaly hooks emitted here is gone with them (DESIGN §14.3)"
@@ -73,7 +68,9 @@ _PAST_DEADLINE = dict.fromkeys(
     ("skipped", "registry", "registry_series", "trace_events"), _CANARY_DEADLINE
 )
 #: recorded after the decide step was shared, so no decision-event allowance
-_RECORDED_AFTER_SHARED_DECIDE = {"ft/validator-quarantine"}
+_RECORDED_AFTER_SHARED_DECIDE = {
+    "ft/deferred-fault", "ft/validator-fault", "ft/chaos-canary-audit-tie",
+}
 PERMITTED = {
     **{
         key: {"trace_events": _DECISION_EVENT}
@@ -92,9 +89,6 @@ PERMITTED = {
         "registry_series": _QUEUE_DROP_MARKER,
     },
     "plain/canary-past-deadline": _PAST_DEADLINE,
-    "plain/validator-quarantine": dict.fromkeys(
-        ("detections", "registry", "spans", "trace_events"), _QUARANTINED_VALIDATOR
-    ),
     "ft/canary-past-deadline": _PAST_DEADLINE,
 }
 

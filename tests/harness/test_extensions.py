@@ -5,14 +5,14 @@ The orders are behaviour: processes started at the same virtual instant
 run in creation order, and the last telemetry sample must come after the
 canaries settle and the drift probe's terminal sweep.  The stream golden
 (``test_stream_golden.py``) sees an order change only where the golden
-grid makes it visible, so the binding itself is pinned here.
+grid makes it visible (``ft/chaos-canary-audit-tie`` sees the canary and
+audit start order), so the binding itself is pinned here.
 """
 
 from repro.harness.pipeline import DriverSession, PipelineConfig
 from repro.harness.scenarios import memcached_scenario
 from repro.obs import Observability, TimeSeriesConfig
 from repro.obs.canary import CanaryConfig
-from repro.response import ResponseConfig
 from repro.runtime.degradation import FaultToleranceConfig
 
 
@@ -28,8 +28,7 @@ def _owners(config: PipelineConfig) -> dict:
 def test_every_stage_keeps_its_order():
     assert _owners(PipelineConfig(
         obs=Observability(), canary=CanaryConfig(), audit=True,
-        timeseries=TimeSeriesConfig(), response=ResponseConfig(),
-        fault_tolerance=FaultToleranceConfig(),
+        timeseries=TimeSeriesConfig(), fault_tolerance=FaultToleranceConfig(),
     )) == {
         "plane": ["chaos"],
         # audit's ledger and monitor exist before the recorder's probes
@@ -37,10 +36,10 @@ def test_every_stage_keeps_its_order():
         # telemetry starts in ``observe``: it precedes the canary issuer,
         # the canary poller and the audit probe
         "start": ["canary", "audit"],
-        "verdict": ["audit", "coordinator"],
+        "verdict": ["audit"],
         "exposed": ["audit"],
         # the last sample sees every canary miss and every violation
-        "finish": ["canary", "audit", "timeseries", "coordinator", "chaos"],
+        "finish": ["canary", "audit", "timeseries", "chaos"],
     }
 
 

@@ -29,7 +29,7 @@ def test_arm_and_disarm():
     machine.arm(1, Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP))
     assert [c.core_id for c in machine.mercurial_cores] == [1]
     assert [c.core_id for c in machine.healthy_cores] == [0]
-    machine.disarm_all()
+    machine.core(1).disarm()
     assert machine.mercurial_cores == []
 
 

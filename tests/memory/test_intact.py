@@ -166,15 +166,6 @@ class TestIntactVersions:
         version = runtime.heap.latest(runtime.receive(("k", 1), crc).obj_id)
         assert not version.intact and version.checksum == crc
 
-    def test_repair_reinstalls_the_header(self):
-        heap = VersionedHeap()
-        version = heap.latest(heap.allocate(("k", 1), checksum_override=0x1234))
-        assert not version.probe()
-        heap.repair_version(version.version_id, ["k", 2])
-        assert not version.intact and version.checksum == checksum_of(["k", 2])
-        heap.repair_version(version.version_id, ("k", 3))
-        assert version.intact and version.checksum == checksum_of(("k", 3))
-
     def test_no_checksums_no_header(self):
         heap = VersionedHeap(checksums=False)
         version = heap.latest(heap.allocate(("k", 1)))

@@ -30,7 +30,6 @@ from repro.obs.audit import (
     render_audit,
 )
 from repro.obs.canary import CanaryConfig
-from repro.response.coordinator import ResponseConfig
 from repro.runtime.degradation import FaultToleranceConfig
 
 
@@ -185,11 +184,6 @@ class TestPipelineRules:
         errors = [f for f in report.errors
                   if f.rule == "component-config-invalid"]
         assert errors and errors[0].subject == "audit"
-
-    def test_single_core_quarantine_warns(self):
-        config = PipelineConfig(validation_cores=1, response=ResponseConfig())
-        report = audit_pipeline(config)
-        assert "quarantine-empties-pool" in {f.rule for f in report.warnings}
 
 
 class TestFleetRules:

@@ -47,7 +47,7 @@ _WRITES = {("spans", "record"), ("tracer", "emit"),
 #: callback gauges, observers, the store-depth gauge)
 _SETUP = {"__init__", "_register_gauges", "run_orthrus_server"}
 #: layers whose telemetry is not a closure-log transition
-_OTHER_LAYERS = ("response/", "runtime/degradation.py", "runtime/safemode.py")
+_OTHER_LAYERS = ("runtime/degradation.py", "runtime/safemode.py")
 
 
 def _public_methods(cls) -> dict:
@@ -184,7 +184,8 @@ def _taxonomy() -> dict:
 
 #: three golden-grid runs between them take both DES plane policy sets and
 #: every observer; the slowed validators add the watchdog's timeouts,
-#: offenders, duplicates and fallbacks and the deadline drop; the bounded
+#: offenders, quarantines, duplicates and fallbacks and the deadline drop;
+#: a slowed last validator adds the refused quarantine; the bounded
 #: library run adds the library-only pops and its queue drops
 _GOLDEN_RUNS = ("plain/overload-all-observers", "ft/chaos-all-observers",
                 "ft/overload-ladder")
@@ -196,21 +197,26 @@ _SLOW_VALIDATORS = dict(
     ),
     validator_faults=ValidatorChaosConfig.parse(["slowdown=2"], seed=5, slowdown_factor=30),
 )
+_SLOW_LAST_VALIDATOR = dict(
+    _SLOW_VALIDATORS, validation_cores=1,
+    validator_faults=ValidatorChaosConfig.parse(["slowdown=1"], seed=5, slowdown_factor=30),
+)
 
 
 @pytest.fixture(scope="module")
 def emitted() -> dict:
-    slowed = Observability()
-    run_orthrus_server(masstree_scenario(), 200, PipelineConfig(
-        seed=7, obs=slowed, sampler=AlwaysSampler(), **_SLOW_VALIDATORS
-    ))
+    slowed, last = Observability(), Observability()
+    for obs, config in ((slowed, _SLOW_VALIDATORS), (last, _SLOW_LAST_VALIDATOR)):
+        run_orthrus_server(masstree_scenario(), 200, PipelineConfig(
+            seed=7, obs=obs, sampler=AlwaysSampler(), **config
+        ))
     runs = [grid_run(key) for key in _GOLDEN_RUNS] + [
         {
             "families": {f["name"] for f in obs.registry.snapshot()["metrics"]},
             "kinds": {event.kind for event in obs.tracer},
             "stages": {span.stage for span in obs.spans},
         }
-        for obs in (slowed, _bounded_library_run("reject"))
+        for obs in (slowed, last, _bounded_library_run("reject"))
     ]
     return {
         what: set().union(*(run[what] for run in runs))

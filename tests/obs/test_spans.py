@@ -133,6 +133,5 @@ class TestChromeExport:
         for stage in (
             "closure.run", "queue.wait", "dispatch", "validate", "verdict",
             "stalled", "redispatch", "fallback", "skip", "drop",
-            "arbitrate", "quarantine", "repair",
         ):
             assert stage in STAGE_ORDER

@@ -269,35 +269,6 @@ class TestFaultToleranceFlags:
         with pytest.raises(SystemExit, match="unknown validator fault"):
             main(["perf", "--ops", "100", "--validator-faults", "explode=1"])
 
-    def test_respond_embeds_ft_summary_in_json(self, tmp_path, capsys):
-        out_json = tmp_path / "incident.json"
-        assert main([
-            "respond", "--app", "memcached",
-            "--validator-faults", "crash=0.25", "--cores", "4",
-            "--watchdog-deadline", "80e-6",
-            "--json", str(out_json),
-        ]) == 0
-        assert "validation-plane stress arm" in capsys.readouterr().out
-        data = json.loads(out_json.read_text())
-        # The incident payload keeps its keys and gains the chaos summary.
-        assert data["repair_complete"] is True
-        assert data["fault_tolerance"]["conserved"] is True
-        assert data["fault_tolerance"]["terminal_level"] == "normal"
-
-    def test_respond_validator_faults_alone_runs_stress_arm(self, tmp_path, capsys):
-        # --validator-faults by itself implies the fault-tolerant plane.
-        out_json = tmp_path / "incident.json"
-        assert main([
-            "respond", "--app", "memcached",
-            "--validator-faults", "crash=0.25", "--json", str(out_json),
-        ]) == 0
-        assert "validation-plane stress arm" in capsys.readouterr().out
-        assert "fault_tolerance" in json.loads(out_json.read_text())
-
-    def test_respond_without_stress_flags_skips_stress_arm(self, capsys):
-        assert main(["respond", "--app", "memcached", "--ops", "80"]) == 0
-        assert "validation-plane stress arm" not in capsys.readouterr().out
-
     def test_safe_hold_terminal_state_exits_nonzero(self, capsys):
         from argparse import Namespace
 
@@ -623,7 +594,6 @@ HOSTILE_FLAGS = [
     ["latency", "--app", "memcached", "--ops", "50", "--cores", "-1"],
     ["perf", "--app", "memcached", "--ops", "-5"],
     ["perf", "--app", "memcached", "--ops", "0"],
-    ["respond", "--app", "memcached", "--ops", "0"],
     ["coverage", "--app", "memcached", "--ops", "50", "--faults", "-1"],
     ["coverage", "--app", "memcached", "--ops", "50", "--trigger-rate", "nan"],
     ["coverage", "--app", "memcached", "--ops", "50", "--cores", "0"],
@@ -713,6 +683,35 @@ class TestRemovedSloSurface:
         spec.write_text(json.dumps({"pipeline": {"slos": []}}))
         with pytest.raises(SystemExit, match="unknown pipeline key.*slos"):
             main(["doctor", "--config", str(spec)])
+
+
+class TestRemovedResponseSurface:
+    """Incident response is gone: Orthrus detects, it does not arbitrate or
+    repair.  Its subcommand, run flag and doctor key fail closed instead of
+    being accepted and ignored."""
+
+    @pytest.mark.parametrize("command", ["perf", "latency", "coverage"])
+    def test_argparse_rejects_the_quarantine_switch(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--quarantine"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quarantine" in capsys.readouterr().err
+
+    def test_argparse_rejects_the_respond_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["respond", "--app", "memcached"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'respond'" in capsys.readouterr().err
+
+    def test_doctor_rejects_the_quarantine_key(self, tmp_path, capsys):
+        spec = tmp_path / "c.json"
+        spec.write_text(json.dumps({"pipeline": {"quarantine": True}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["doctor", "--config", str(spec)])
+        code = exc.value.code
+        assert isinstance(code, str) and "\n" not in code  # exit status 1
+        assert code.startswith("unknown pipeline key(s): pipeline.quarantine ")
+        assert capsys.readouterr().out == ""
 
 
 class TestNonFiniteDurations:

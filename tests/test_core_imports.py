@@ -107,12 +107,12 @@ def test_the_check_catches_a_planted_import():
         "    import repro.fleet.ring\n"
         "    from repro.harness.chaos import fault_tolerant_plane\n"
         "    from repro.runtime import degradation\n"
-        "    from . import incident\n"
+        "    from . import chaos\n"
     )
     assert extension_imports(planted, "repro.harness.pipeline") == [
         "3: repro.obs.canary", "4: repro.fleet.ring",
         "5: repro.harness.chaos", "6: repro.runtime.degradation",
-        "7: repro.harness.incident",
+        "7: repro.harness.chaos",
     ]
 
 
