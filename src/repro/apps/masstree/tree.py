@@ -205,7 +205,9 @@ def _descend_scalar(o, tree: Masstree, key: int):
 @closure(name="mt.scan")
 def mt_scan(tree: Masstree, start_key: int, count: int):
     """Range query: locate ``start_key``'s leaf, scan forward through the
-    leaf chain collecting up to ``count`` pairs (externalizing)."""
+    leaf chain collecting up to ``count`` pairs (externalizing).  The
+    pairs return as a tuple, so the response is sealed and reaches the
+    client without a CRC check or a decode."""
     o = ops()
     node = _descend_scalar(o, tree, start_key)
     results: list[tuple[int, int]] = []
@@ -219,4 +221,4 @@ def mt_scan(tree: Masstree, start_key: int, count: int):
         if next_leaf is None or len(results) >= count:
             break
         node = o.cache.load_shared(next_leaf.load())
-    return results
+    return tuple(results)

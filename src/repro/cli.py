@@ -32,9 +32,7 @@ terminal degradation state is ``SAFE_HOLD`` exits nonzero (status 2).
 
 ``--spans-out`` records the causal span layer (closure.run → queue.wait →
 dispatch → validate → verdict, plus chaos detours) and saves a Chrome
-trace-event file; ``latency-attrib`` folds such a trace (or a metrics
-snapshot's span histograms) into a per-stage waterfall with
-reconciliation.  ``--canary-period`` on perf/latency injects known-corrupt
+trace-event file.  ``--canary-period`` on perf/latency injects known-corrupt
 canary closures and reports validation-plane liveness; perf/latency, and
 ``obs-summary`` / ``timeline`` on a saved run, exit with status 3 when a
 canary missed its deadline.
@@ -103,19 +101,15 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     TimeSeriesConfig,
-    attribute,
     audit_fleet,
     audit_pipeline,
     console_summary,
     format_rate,
     format_seconds,
     load_metrics_json,
-    load_spans_chrome,
     load_timeline,
     render_audit,
     render_sparkline,
-    render_waterfall,
-    stage_stats_from_registry,
     to_prometheus,
     write_metrics_json,
     write_spans_chrome,
@@ -932,12 +926,7 @@ def cmd_obs_summary(args) -> int:
         print(to_prometheus(snapshot), end="")
         return int(ExitCode.OK)
     print(console_summary(snapshot), end="")
-    registry = MetricsRegistry.from_snapshot(snapshot)
-    stages = stage_stats_from_registry(registry)
-    if stages:
-        print("\nper-stage latency waterfall (orthrus_span_stage_seconds):")
-        print(render_waterfall(stages), end="")
-    return _canary_status_from_registry(registry)
+    return _canary_status_from_registry(MetricsRegistry.from_snapshot(snapshot))
 
 
 _TIMELINE_STATS = ("count", "mean", "min", "max", "p50", "p95", "last")
@@ -993,71 +982,6 @@ def cmd_timeline(args) -> int:
         if missed:
             return int(ExitCode.CANARY_MISSED)
     return int(ExitCode.OK)
-
-
-def cmd_latency_attrib(args) -> int:
-    """Decompose a saved run's detection latency into causal stages.
-
-    Accepts either a Chrome trace from ``--spans-out`` (full per-chain
-    attribution with reconciliation) or an ``orthrus-metrics/1`` snapshot
-    from ``--metrics-out`` (per-stage waterfall only — the histogram
-    family survives even after the span buffer is gone).
-    """
-    try:
-        with open(args.path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"cannot read {args.path}: {exc}")
-    except ValueError as exc:
-        raise SystemExit(f"{args.path} is not valid JSON: {exc}")
-    if isinstance(payload, dict) and payload.get("format") == "orthrus-metrics/1":
-        registry = MetricsRegistry.from_snapshot(payload)
-        stages = stage_stats_from_registry(registry)
-        if not stages:
-            raise SystemExit(
-                f"{args.path} has no orthrus_span_stage_seconds family "
-                "(was the run made with spans enabled?)"
-            )
-        print(f"per-stage latency waterfall ({args.path}):")
-        print(render_waterfall(stages), end="")
-        print("(snapshot input: no per-chain reconciliation; use a "
-              "--spans-out trace for that)")
-        return int(ExitCode.OK)
-    try:
-        spans = load_spans_chrome(args.path)
-    except ValueError as exc:
-        raise SystemExit(f"{args.path}: {exc}")
-    attr = attribute(spans)
-    e2e = attr.end_to_end()
-    print(
-        f"causal chains      : {attr.chain_count} "
-        f"({e2e.count} verdict-terminated)"
-    )
-    print(
-        f"end-to-end latency : p50 {format_seconds(e2e.p50)}, "
-        f"p95 {format_seconds(e2e.p95)}, p99 {format_seconds(e2e.p99)}, "
-        f"max {format_seconds(e2e.max)}"
-    )
-    recon = attr.reconciliation()
-    print(
-        "reconciliation     : stage sums vs end-to-end, max residual "
-        f"{format_seconds(recon['max_residual'])} across "
-        f"{recon['chains']} chains "
-        + ("(reconciled)" if recon["reconciled"] else "(NOT RECONCILED)")
-    )
-    print()
-    print(render_waterfall(attr.stages()), end="")
-    if args.by_level:
-        for level, stages in attr.by_level().items():
-            print(f"\ndegradation level: {level}")
-            print(render_waterfall(stages), end="")
-    if args.by_closure:
-        for closure, stages in attr.by_closure().items():
-            print(f"\nclosure: {closure or '(unnamed)'}")
-            print(render_waterfall(stages), end="")
-    return (
-        int(ExitCode.OK) if recon["reconciled"] else int(ExitCode.FAILURE)
-    )
 
 
 #: every ``fleet`` flag, in --help order.  A row naming a FleetConfig
@@ -1207,8 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--spans-out", default=None, metavar="PATH",
             help="enable causal span tracing and save a Chrome trace-event "
-            "file (loadable in Perfetto / chrome://tracing, and by the "
-            "latency-attrib subcommand)",
+            "file (loadable in Perfetto / chrome://tracing)",
         )
 
     def canary_flags(p):
@@ -1387,25 +1310,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--width", type=int, default=60, help="sparkline width (columns)"
     )
 
-    latency_attrib = sub.add_parser(
-        "latency-attrib",
-        help="decompose a saved run's latency into causal stages "
-        "(queue wait, dispatch, validate, ...)",
-    )
-    latency_attrib.add_argument(
-        "path",
-        help="Chrome trace from --spans-out, or an orthrus-metrics/1 "
-        "snapshot from --metrics-out",
-    )
-    latency_attrib.add_argument(
-        "--by-level", action="store_true",
-        help="also break the waterfall down per degradation level",
-    )
-    latency_attrib.add_argument(
-        "--by-closure", action="store_true",
-        help="also break the waterfall down per closure kind",
-    )
-
     parser.epilog = "subcommands: " + ", ".join(subcommand_names(parser))
     return parser
 
@@ -1421,7 +1325,6 @@ _HANDLERS = {
     "fleet": cmd_fleet,
     "obs-summary": cmd_obs_summary,
     "timeline": cmd_timeline,
-    "latency-attrib": cmd_latency_attrib,
 }
 
 

@@ -4,9 +4,11 @@ These are the only two things a developer must do to protect an
 application (§3.1): mark the classes that represent user data, and mark
 the data operators — the units of validation.  The decorators are the
 Python stand-in for the paper's ``#pragma closure`` / ``#pragma user-data``
-plus the LLVM transformation pass: they register metadata, run the static
-analyses of :mod:`repro.closures.analysis`, and route invocation through
-the active :class:`~repro.runtime.orthrus.OrthrusRuntime`.
+plus the LLVM transformation pass: they register metadata and route
+invocation through the active :class:`~repro.runtime.orthrus.OrthrusRuntime`.
+The static analyses of :mod:`repro.closures.analysis` are not run here:
+nothing at run time reads them (the sampler tags a log by the units it
+actually issued), so a closure costs no source parse at import.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.closures.analysis import analyze_escapes, infer_units
 from repro.errors import NoActiveContext
-from repro.machine.units import Unit
 
 #: All annotated closures, keyed by name — the campaign's injection targets
 #: and the sampler's universe.
@@ -59,14 +59,6 @@ class ClosureMeta:
     fn: Callable
     name: str
     compare: Callable | None
-    static_units: frozenset[Unit]
-    escaping: frozenset[str]
-    local_allocs: frozenset[str]
-
-    @property
-    def error_prone(self) -> bool:
-        """Statically tagged as containing fp/vector instructions (§3.5)."""
-        return any(unit.error_prone for unit in self.static_units)
 
 
 def closure(fn: Callable | None = None, *, name: str | None = None, compare: Callable | None = None):
@@ -90,15 +82,7 @@ def closure(fn: Callable | None = None, *, name: str | None = None, compare: Cal
 
     def decorate(func: Callable) -> Callable:
         closure_name = name or func.__qualname__
-        escapes = analyze_escapes(func)
-        meta = ClosureMeta(
-            fn=func,
-            name=closure_name,
-            compare=compare,
-            static_units=infer_units(func),
-            escaping=frozenset(escapes.escaping),
-            local_allocs=frozenset(escapes.local),
-        )
+        meta = ClosureMeta(fn=func, name=closure_name, compare=compare)
         CLOSURE_REGISTRY[closure_name] = meta
 
         def wrapper(*args, **kwargs):

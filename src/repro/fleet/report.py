@@ -14,15 +14,12 @@ from dataclasses import dataclass, field
 
 from repro.fleet.merge import FleetTimeline
 from repro.fleet.topology import FleetConfig
+from repro.obs.exporters import format_wall
 from repro.obs.exposure import ExposureLedger
-from repro.obs.latency import format_wall
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.metrics import RunMetrics
 
 __all__ = ["FleetReport"]
-
-# one formatting helper across the repo (repro.obs.latency)
-_fmt_seconds = format_wall
 
 
 @dataclass
@@ -264,10 +261,10 @@ class FleetReport:
         ]
         if lag:
             lines.append(
-                f"  validation lag  : p50={_fmt_seconds(lag['p50'])}"
-                f" p95={_fmt_seconds(lag['p95'])}"
-                f" p99={_fmt_seconds(lag['p99'])}"
-                f" max={_fmt_seconds(lag['max'])}"
+                f"  validation lag  : p50={format_wall(lag['p50'])}"
+                f" p95={format_wall(lag['p95'])}"
+                f" p99={format_wall(lag['p99'])}"
+                f" max={format_wall(lag['max'])}"
             )
         by_kind = rollup["incidents"]["by_kind"]
         kinds = ", ".join(f"{k}={by_kind[k]}" for k in sorted(by_kind)) or "none"
@@ -295,7 +292,7 @@ class FleetReport:
         if failover.get("failovers") or failover.get("hosts_crashed"):
             lag = failover["lag"]
             lag_text = (
-                f" lag p95={_fmt_seconds(lag['p95'])}" if lag else ""
+                f" lag p95={format_wall(lag['p95'])}" if lag else ""
             )
             lines.append(
                 f"  failover        : {failover['hosts_crashed']} host"
@@ -351,7 +348,7 @@ class FleetReport:
                 f"  grounded shards : {ground['shards']} DES runs,"
                 f" {ground['operations']} ops,"
                 f" {ground['detections']} detections,"
-                f" lag p95={_fmt_seconds(ground['lag']['p95'])}"
+                f" lag p95={format_wall(ground['lag']['p95'])}"
             )
         lines.append(
             f"  determinism     : digest {self.digest[:16]}…"

@@ -655,10 +655,6 @@ class ValidatorFaultBox:
             return fault
         return None
 
-    def disarm(self, core_id: int) -> None:
-        """Clear a core's fault."""
-        self._by_core.pop(core_id, None)
-
     @property
     def faulted_cores(self) -> list[int]:
         return sorted(self._by_core)

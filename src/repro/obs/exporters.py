@@ -18,6 +18,9 @@ Formats:
   with ``le`` labels, ``_sum``/``_count`` per histogram.
 * **Console summary** (``console_summary``) — a human-readable table of
   every family, with count/mean/p95 for histograms.
+
+The human-scaled number formatters the console reports share
+(``format_seconds``, ``format_rate``, ``format_wall``) live here too.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ __all__ = [
     "load_metrics_json",
     "to_prometheus",
     "console_summary",
+    "format_rate",
+    "format_seconds",
+    "format_wall",
 ]
 
 
@@ -189,3 +195,37 @@ def console_summary(source: MetricsRegistry | dict) -> str:
     for name, labels, value in rows:
         out.append(f"{name.ljust(name_w)}  {labels.ljust(label_w)}  {value}")
     return "\n".join(out) + "\n"
+
+
+def format_seconds(value: float) -> str:
+    """Human-scaled seconds: 12.3µs / 4.56ms / 1.23s."""
+    mag = abs(value)
+    if mag >= 1.0:
+        return f"{value:.3g}s"
+    if mag >= 1e-3:
+        return f"{value * 1e3:.3g}ms"
+    if mag >= 1e-6:
+        return f"{value * 1e6:.3g}µs"
+    if mag == 0.0:
+        return "0s"
+    return f"{value * 1e9:.3g}ns"
+
+
+def format_rate(value: float, unit: str = "op/s") -> str:
+    """Human-scaled rate: ``843 op/s`` / ``97 kop/s`` / ``1.21 Mop/s``."""
+    if value >= 1e9:
+        return f"{value / 1e9:.2f} G{unit}"
+    if value >= 1e6:
+        return f"{value / 1e6:.2f} M{unit}"
+    if value >= 1e3:
+        return f"{value / 1e3:.0f} k{unit}"
+    return f"{value:.0f} {unit}"
+
+
+def format_wall(value: float) -> str:
+    """Human-scaled wall seconds: ``1.95s`` / ``48.21ms`` / ``6.1us``."""
+    if value >= 1.0:
+        return f"{value:.2f}s"
+    if value >= 1e-3:
+        return f"{value * 1e3:.2f}ms"
+    return f"{value * 1e6:.1f}us"

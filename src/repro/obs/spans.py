@@ -13,8 +13,8 @@ with the fault-tolerance detours (``stalled``, ``redispatch``,
 ``fallback``, ``skip``, ``drop``) spliced in where the chaos layer takes
 over.  Stage intervals are recorded in virtual time and *tile*: for a log
 whose chain ends in a ``verdict`` marker, the stage durations sum to
-exactly ``verdict_time - start_time`` — the invariant the latency
-attribution engine (:mod:`repro.obs.latency`) checks and exploits.
+exactly ``verdict_time - start_time``.  The one-door property
+(``tests/harness/test_one_door.py``) checks that on both planes.
 
 Lifecycle spans are recorded by :mod:`repro.obs.lifecycle` (DESIGN §7.1
 names the method behind each stage); :data:`NULL_SPANS` records
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 #: canonical stage ordering — the causal lifecycle first, then the
-#: fault-tolerance detours.  Used for waterfall rendering order and Chrome
-#: trace row assignment.
+#: fault-tolerance detours.  Used for Chrome trace row assignment.
 STAGE_ORDER = (
     "closure.run",
     "queue.wait",

@@ -177,6 +177,8 @@ class TestFaultBehaviour:
         assert runtime.detections == 1
 
     def test_lsm_tagged_error_prone(self):
+        from repro.closures.analysis import infer_units
         from repro.closures.annotation import CLOSURE_REGISTRY
 
-        assert CLOSURE_REGISTRY["lsm.put"].error_prone  # fp + simd
+        units = infer_units(CLOSURE_REGISTRY["lsm.put"].fn)
+        assert any(unit.error_prone for unit in units)  # fp + simd

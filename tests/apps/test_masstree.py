@@ -59,7 +59,7 @@ class TestFunctional:
             for key in range(0, 40, 2):
                 server.handle(update_op(key, key + 1))
             results = server.handle(scan_op(10, 5))
-        assert results == [(10, 11), (12, 13), (14, 15), (16, 17), (18, 19)]
+        assert results == ((10, 11), (12, 13), (14, 15), (16, 17), (18, 19))
 
     def test_scan_across_leaf_boundaries(self, runtime):
         server = MasstreeServer(runtime, order=4)
@@ -74,7 +74,7 @@ class TestFunctional:
         with runtime:
             server.handle(update_op(1, 1))
             results = mt_scan(server.tree, 100, 5)
-        assert results == []
+        assert results == ()
 
     def test_load_keys_preloads(self, runtime):
         server = MasstreeServer(runtime, order=8)
@@ -156,7 +156,8 @@ class TestFaultBehaviour:
         assert runtime.detections > 0
 
     def test_no_fp_instructions_in_masstree(self):
+        from repro.closures.analysis import infer_units
         from repro.closures.annotation import CLOSURE_REGISTRY
 
         for name in ("mt.get", "mt.update", "mt.scan"):
-            assert Unit.FPU not in CLOSURE_REGISTRY[name].static_units
+            assert Unit.FPU not in infer_units(CLOSURE_REGISTRY[name].fn)

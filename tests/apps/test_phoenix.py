@@ -105,7 +105,8 @@ class TestFaultBehaviour:
         assert runtime.report.count("checksum") > 0
 
     def test_no_cache_instructions_in_phoenix(self):
+        from repro.closures.analysis import infer_units
         from repro.closures.annotation import CLOSURE_REGISTRY
 
         for name in ("phx.map_task", "phx.reduce_task"):
-            assert Unit.CACHE not in CLOSURE_REGISTRY[name].static_units
+            assert Unit.CACHE not in infer_units(CLOSURE_REGISTRY[name].fn)

@@ -9,6 +9,7 @@ import pytest
 
 import repro
 
+from repro.closures.analysis import infer_units
 from repro.closures.annotation import (
     CLOSURE_REGISTRY,
     USER_DATA_REGISTRY,
@@ -129,9 +130,12 @@ class TestClosureDecorator:
         def int_op(x):
             return ops().alu.add(x, 1)
 
-        assert Unit.FPU in CLOSURE_REGISTRY["fp_op"].static_units
-        assert CLOSURE_REGISTRY["fp_op"].error_prone
-        assert not CLOSURE_REGISTRY["int_op"].error_prone
+        fp_units = infer_units(CLOSURE_REGISTRY["fp_op"].fn)
+        assert Unit.FPU in fp_units
+        assert any(unit.error_prone for unit in fp_units)
+        assert not any(
+            unit.error_prone for unit in infer_units(CLOSURE_REGISTRY["int_op"].fn)
+        )
 
     def test_wrapper_preserves_metadata(self):
         @closure(name="documented_op")

@@ -101,14 +101,12 @@ class TestFaultActivation:
 
 
 class TestFaultBox:
-    def test_lookup_and_disarm(self):
+    def test_lookup(self):
         fault = ValidatorFault(kind=ValidatorFaultKind.SLOWDOWN, core_id=3)
         box = ValidatorFaultBox((fault,))
         assert box.fault_for(3, now=0.0) is fault
         assert box.fault_for(2, now=0.0) is None
         assert box.faulted_cores == [3]
-        box.disarm(3)
-        assert box.fault_for(3, now=0.0) is None
 
     def test_inactive_fault_invisible(self):
         fault = ValidatorFault(kind=ValidatorFaultKind.CRASH, core_id=3, at=5.0)

@@ -5,7 +5,9 @@ Every log that enters the plane leaves it exactly once, through
 exit cannot disagree: the conservation ledger (``RunResult.ledger``), the
 span chains (each ends in exactly one terminal marker), the coverage
 counters (``RunMetrics.validated`` / ``.skipped``) and the exposure
-ledger.  The AST guard keeps the door the only one in ``repro.harness``.
+ledger.  A validated log's chain also tiles: its stage durations sum to
+closure start → verdict, so no stage overlaps or leaves a gap.  The AST
+guard keeps the door the only one in ``repro.harness``.
 """
 
 import ast
@@ -38,6 +40,8 @@ HARNESS = pathlib.Path(pipeline.__file__).parent
 #: terminal span marker -> the ledger state it records
 MARKERS = {"verdict": "validated", "skip": "skipped", "drop": "dropped",
            "fallback": "fallback"}
+#: float slack when a chain's stage durations are summed
+_TILE_EPSILON = 1e-9
 
 
 def _chains(spans) -> dict:
@@ -67,7 +71,8 @@ def _terminal_markers(spans) -> dict:
 
 def _assert_views_agree(result, obs) -> None:
     """Ledger, span chains, coverage counters and exposure windows tell
-    the same story about every log that entered the plane."""
+    the same story about every log that entered the plane, and every
+    validated log's chain tiles closure start → verdict."""
     ledger, spans = result.ledger, list(obs.spans)
     canary = {span.seq for span in spans if span.closure == CANARY_CLOSURE}
     ran = Counter(span.seq in canary for span in spans if span.stage == "closure.run")
@@ -75,8 +80,15 @@ def _assert_views_agree(result, obs) -> None:
     assert ledger["outstanding"] == 0, ledger
     assert ledger["enqueued"] == ran[False] + ran[True], ledger
 
-    ends = _terminal_markers(spans)
-    assert set(ends) == set(_chains(spans))
+    chains, ends = _chains(spans), _terminal_markers(spans)
+    assert set(ends) == set(chains)
+    for seq, marker in ends.items():
+        if marker.stage == "verdict":
+            chain = chains[seq]
+            start = min(span.start for span in chain)
+            gap = sum(span.duration for span in chain) - (marker.end - start)
+            assert abs(gap) <= _TILE_EPSILON, (
+                seq, gap, [(span.stage, span.start, span.end) for span in chain])
     states = Counter(MARKERS[marker.stage] for marker in ends.values())
     assert {state: states[state] for state in MARKERS.values()} == {
         state: ledger[state] for state in MARKERS.values()

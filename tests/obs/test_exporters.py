@@ -3,8 +3,12 @@
 import json
 import math
 
+import pytest
+
 from repro.obs.exporters import (
     console_summary,
+    format_rate,
+    format_wall,
     load_metrics_json,
     read_trace_jsonl,
     to_prometheus,
@@ -159,3 +163,24 @@ class TestConsoleSummary:
     def test_accepts_saved_snapshot_dict(self):
         registry = make_registry()
         assert console_summary(registry.snapshot()) == console_summary(registry)
+
+
+class TestFormatting:
+    @pytest.mark.parametrize(
+        ("value", "expect"),
+        [
+            (12.0, "12 op/s"),
+            (4_200.0, "4 kop/s"),
+            (1_390_000.0, "1.39 Mop/s"),
+            (2_500_000_000.0, "2.50 Gop/s"),
+        ],
+    )
+    def test_format_rate(self, value, expect):
+        assert format_rate(value) == expect
+
+    @pytest.mark.parametrize(
+        ("value", "expect"),
+        [(2.5, "2.50s"), (0.0035, "3.50ms"), (4.2e-6, "4.2us")],
+    )
+    def test_format_wall(self, value, expect):
+        assert format_wall(value) == expect

@@ -129,7 +129,7 @@ class TestChromeExport:
 
     def test_stage_order_covers_all_recorded_stages(self):
         # Every stage the drivers record must be in the canonical order
-        # list, or waterfalls would render it at the end unsorted.
+        # list, or the Chrome export would give it a row after the others.
         for stage in (
             "closure.run", "queue.wait", "dispatch", "validate", "verdict",
             "stalled", "redispatch", "fallback", "skip", "drop",

@@ -297,43 +297,6 @@ class TestSpanAndCanaryFlags:
         payload = json.loads(spans.read_text())
         assert "traceEvents" in payload
 
-    def test_latency_attrib_decomposes_and_reconciles(self, tmp_path, capsys):
-        spans = tmp_path / "spans.json"
-        main([
-            "latency", "--app", "memcached", "--ops", "200",
-            "--spans-out", str(spans),
-        ])
-        capsys.readouterr()
-        assert main(["latency-attrib", str(spans)]) == 0
-        out = capsys.readouterr().out
-        # at least four causal stages in the waterfall
-        for stage in ("closure.run", "queue.wait", "dispatch", "validate"):
-            assert stage in out
-        assert "(reconciled)" in out
-
-    def test_latency_attrib_accepts_metrics_snapshot(self, tmp_path, capsys):
-        snap = tmp_path / "m.json"
-        main([
-            "latency", "--app", "memcached", "--ops", "200",
-            "--metrics-out", str(snap),
-        ])
-        capsys.readouterr()
-        assert main(["latency-attrib", str(snap)]) == 0
-        out = capsys.readouterr().out
-        assert "queue.wait" in out
-
-    def test_latency_attrib_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(SystemExit, match="not valid JSON"):
-            main(["latency-attrib", str(bad)])
-        other = tmp_path / "other.json"
-        other.write_text(json.dumps({"hello": 1}))
-        with pytest.raises(SystemExit, match="traceEvents"):
-            main(["latency-attrib", str(other)])
-        with pytest.raises(SystemExit, match="cannot read"):
-            main(["latency-attrib", str(tmp_path / "missing.json")])
-
     def test_canary_flags_healthy_run(self, capsys):
         assert main([
             "latency", "--app", "memcached", "--ops", "200",
@@ -354,7 +317,6 @@ class TestSpanAndCanaryFlags:
         assert main(["obs-summary", str(snap)]) == 3
         out = capsys.readouterr().out
         assert "canary liveness: ALARM" in out
-        assert "per-stage latency waterfall" in out
 
     def test_timeline_exits_3_on_canary_miss(self, tmp_path, capsys):
         artifact = tmp_path / "t.json"
