@@ -22,7 +22,8 @@ from typing import Any, NamedTuple
 
 from repro.detection import DetectionEvent
 from repro.machine.core import Core
-from repro.memory.checksum import crc16, deserialize, sealed, serialize
+from repro.machine.units import Unit
+from repro.memory.checksum import crc16, deserialize, sealed_length, serialize
 from repro.memory.pointer import OrthrusPtr
 from repro.memory.version import INTACT
 from repro.runtime.orthrus import OrthrusRuntime
@@ -36,7 +37,8 @@ class Packet(NamedTuple):
     travels in the header; the payload bytes may be corrupted in transit
     by faulty control-path instructions, which is exactly what the
     receiver-side CRC probe detects (§3.4).  Immutable and hashable; a
-    tuple, so building one (twice per request) costs no ``__init__``.
+    tuple, so building one costs no ``__init__``.  Only a hop a fault can
+    reach builds one (:func:`hop`).
     """
 
     data: bytes
@@ -60,19 +62,33 @@ def transfer(core: Core, packet: Packet, label: str) -> Packet:
     return Packet(moved, packet.checksum)
 
 
-def hop(core: Core, value: Any, label: str) -> tuple[Packet, bool]:
-    """Send ``value`` through one control-path hop on ``core``: the packet
-    that arrived, and whether it is *intact*.
+def hop(core: Core, value: Any, label: str) -> Packet | None:
+    """Send ``value`` through one control-path hop on ``core``: ``None``
+    when it arrived *intact*, else the packet that arrived.
 
-    It is intact when the ``copy`` returned the sender's own bytes object
-    — a fired fault returns new bytes, so identity means nothing rewrote
-    them — and ``value`` is :func:`sealed`, so decoding those bytes would
-    give back ``value`` itself, type for type.  The receiver then takes
-    the sender's value instead of decoding.
+    It is intact when ``value`` is :func:`~repro.memory.checksum.sealed`,
+    so decoding its bytes would give back ``value`` itself, type for
+    type, and nothing rewrote those bytes.  The receiver then takes the
+    sender's value instead of decoding.  Where no armed fault can match
+    the hop's ``copy`` and the core records no sites, nothing can: the
+    ``copy`` is issued for the payload's serialized length and no bytes,
+    CRC or packet is built.  Elsewhere the bytes travel, and they are
+    unrewritten when the ``copy`` returned the sender's own bytes object
+    (a fired fault returns new bytes).
     """
+    length = sealed_length(value)
+    if length is not None and not (
+        core.record_sites or core.can_fault(Unit.ALU, label, "copy")
+    ):
+        core.begin(label)  # nothing between can raise
+        core.alu.copy_length(length)
+        core.end()
+        return None
     packet = Packet.wrap(value)
     arrived = transfer(core, packet, label)
-    return arrived, arrived.data is packet.data and sealed(value)
+    if arrived.data is packet.data and length is not None:
+        return None
+    return arrived
 
 
 def unwrap(packet: Packet) -> tuple[Any, int]:
@@ -84,11 +100,11 @@ def unwrap(packet: Packet) -> tuple[Any, int]:
     return deserialize(packet.data), packet.checksum
 
 
-def deliver(runtime: OrthrusRuntime, value: Any, label: str) -> OrthrusPtr:
-    """Run ``value`` through the server-side control path and materialize
-    it in versioned memory with the transported CRC (Figure 3)."""
-    arrived, intact = hop(runtime.current_core(), value, label)
-    if intact:
+def deliver(runtime: OrthrusRuntime, core: Core, value: Any, label: str) -> OrthrusPtr:
+    """Run ``value`` through the server-side control path on ``core`` and
+    materialize it in versioned memory with the transported CRC (Figure 3)."""
+    arrived = hop(core, value, label)
+    if arrived is None:
         return runtime.receive(value, INTACT)
     return runtime.receive(*unwrap(arrived))
 
@@ -104,15 +120,15 @@ class AppServer:
         self.runtime = runtime
 
     # -- control-path helpers -------------------------------------------
-    def _core(self) -> Core:
-        return self.runtime.current_core()
-
-    def receive(self, value: Any, hop_label: str) -> OrthrusPtr:
+    # A request's control path runs on one core, the one ``_handle`` looks
+    # up (``OrthrusRuntime.current_core``) and hands to each helper.
+    def receive(self, core: Core, value: Any, hop_label: str) -> OrthrusPtr:
         """A client request's payload, delivered (:func:`deliver`)."""
-        return deliver(self.runtime, value, hop_label)
+        return deliver(self.runtime, core, value, hop_label)
 
-    def respond(self, value: Any, label: str) -> Any:
-        """Return a data-path result to the client through the control path.
+    def respond(self, core: Core, value: Any, label: str) -> Any:
+        """Return a data-path result to the client through the control path
+        on ``core``.
 
         The CRC is attached at the data/control boundary (where the value
         leaves versioned memory) and verified client-side after transport,
@@ -120,8 +136,8 @@ class AppServer:
         checksum detection (§3.4's outbound direction).  An intact
         response is the value sent.
         """
-        arrived, intact = hop(self._core(), value, label)
-        if intact:
+        arrived = hop(core, value, label)
+        if arrived is None:
             return value
         if crc16(arrived.data) != arrived.checksum:
             # The client verifies the CRC before decoding; a corrupted
@@ -133,7 +149,7 @@ class AppServer:
                     seq=-1,
                     time=self.runtime.clock.now(),
                     detail=f"response CRC mismatch on {label}",
-                    app_core=self._core().core_id,
+                    app_core=core.core_id,
                 )
             )
             return None

@@ -15,6 +15,7 @@ from repro.apps.lsmtree.lsm import (
     lsm_put,
     lsm_remove,
 )
+from repro.machine.core import Core
 from repro.memory.checksum import serialize
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.workloads.base import Op
@@ -41,9 +42,10 @@ class LsmTreeServer(AppServer):
         self.compactions = 0
 
     def _handle(self, op: Op) -> Any:
-        command = self._dispatch(op.kind.value)
+        core = self.runtime.current_core()
+        command = self._dispatch(core, op.kind.value)
         if command == "put":
-            kv_ptr = self.receive((op.key, op.value), "lsm.control.rx")
+            kv_ptr = self.receive(core, (op.key, op.value), "lsm.control.rx")
             lsm_put(self.tree, kv_ptr)
             kv_ptr.delete()  # free the request buffer
             self._maybe_flush()
@@ -53,17 +55,16 @@ class LsmTreeServer(AppServer):
             return "STORED"
         if command == "get":
             value = lsm_get(self.tree, op.key)
-            return self.respond(value, "lsm.control.tx")
+            return self.respond(core, value, "lsm.control.tx")
         if command == "remove":
-            key_ptr = self.receive((op.key, TOMBSTONE), "lsm.control.rx")
+            key_ptr = self.receive(core, (op.key, TOMBSTONE), "lsm.control.rx")
             lsm_remove(self.tree, key_ptr)
             key_ptr.delete()  # free the request buffer
             self._maybe_flush()
             return "DELETED"
         raise ValueError(f"unknown command {command!r}")
 
-    def _dispatch(self, token: str) -> str:
-        core = self._core()
+    def _dispatch(self, core: Core, token: str) -> str:
         with core.scope("lsm.control.dispatch"):
             for command in ("put", "get", "remove"):
                 if core.alu.eq(token, command):

@@ -7,6 +7,7 @@ from typing import Any
 
 from repro.apps.common import AppServer
 from repro.apps.masstree.tree import Masstree, mt_get, mt_scan, mt_update
+from repro.machine.core import Core
 from repro.memory.checksum import serialize
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.workloads.base import Op
@@ -28,22 +29,22 @@ class MasstreeServer(AppServer):
                 mt_update(self.tree, self.runtime.new((key, key * 2 + 1)))
 
     def _handle(self, op: Op) -> Any:
-        command = self._dispatch(op.kind.value)
+        core = self.runtime.current_core()
+        command = self._dispatch(core, op.kind.value)
         if command == "update":
-            kv_ptr = self.receive((op.key, op.value), "mt.control.rx")
+            kv_ptr = self.receive(core, (op.key, op.value), "mt.control.rx")
             mt_update(self.tree, kv_ptr)
             kv_ptr.delete()  # free the request buffer
             return "STORED"
         if command == "scan":
             results = mt_scan(self.tree, op.key, op.count)
-            return self.respond(results, "mt.control.tx")
+            return self.respond(core, results, "mt.control.tx")
         if command == "get":
             value = mt_get(self.tree, op.key)
-            return self.respond(value, "mt.control.tx")
+            return self.respond(core, value, "mt.control.tx")
         raise ValueError(f"unknown command {command!r}")
 
-    def _dispatch(self, token: str) -> str:
-        core = self._core()
+    def _dispatch(self, core: Core, token: str) -> str:
         with core.scope("mt.control.dispatch"):
             for command in ("update", "scan", "get"):
                 if core.alu.eq(token, command):

@@ -19,6 +19,7 @@ from typing import Any
 
 from repro.apps.common import AppServer
 from repro.apps.memcached.storage import HashTable, mc_get, mc_incr, mc_remove, mc_set
+from repro.machine.core import Core
 from repro.memory.checksum import serialize
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.workloads.base import Op
@@ -36,25 +37,26 @@ class MemcachedServer(AppServer):
     # ------------------------------------------------------------------
     def _handle(self, op: Op) -> Any:
         """Process one client operation end to end (control + data path)."""
-        command = self._dispatch(self._parse_token(op.kind.value))
+        core = self.runtime.current_core()
+        command = self._dispatch(core, self._parse_token(core, op.kind.value))
         if command == "set":
-            kv_ptr = self.receive((op.key, op.value), "mc.control.rx")
+            kv_ptr = self.receive(core, (op.key, op.value), "mc.control.rx")
             mc_set(self.table, kv_ptr)
             kv_ptr.delete()  # free the request buffer (its version stays
             # readable until the closure's validation window closes)
             return "STORED"
         if command == "get":
             value = mc_get(self.table, op.key)
-            return self.respond(value, "mc.control.tx")
+            return self.respond(core, value, "mc.control.tx")
         if command == "remove":
             removed = mc_remove(self.table, op.key)
             return "DELETED" if removed else "NOT_FOUND"
         if command == "incr":
             value = mc_incr(self.table, op.key, int(op.value or 1))
-            return self.respond(value, "mc.control.tx")
+            return self.respond(core, value, "mc.control.tx")
         raise ValueError(f"unknown command {command!r}")
 
-    def _dispatch(self, token: str) -> str:
+    def _dispatch(self, core: Core, token: str) -> str:
         """``process_command_ascii``: one compare instruction per command.
 
         Each comparison is a distinct instruction site, so a fault pinned
@@ -62,17 +64,15 @@ class MemcachedServer(AppServer):
         wrong operator — e.g. GETs falling through to REMOVE (silent data
         loss, invisible to checksums; §2.3 limitation 3).
         """
-        core = self._core()
         with core.scope("mc.control.dispatch"):
             for command in ("set", "get", "remove", "incr"):
                 if core.alu.eq(token, command):
                     return command
         return "?"
 
-    def _parse_token(self, kind: str) -> str:
+    def _parse_token(self, core: Core, kind: str) -> str:
         """ASCII command parsing (``try_read_command_ascii``): the token
         bytes move through a control-path copy instruction."""
-        core = self._core()
         with core.scope("mc.control.parse"):
             raw = core.alu.copy(kind.encode("ascii"))
         return raw.decode("ascii", errors="replace")

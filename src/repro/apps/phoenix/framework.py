@@ -129,7 +129,8 @@ class PhoenixJob:
     def split(self, chunks: list[str]) -> list[OrthrusPtr]:
         """Splitter (control path): each chunk travels as a checksummed
         packet through a control-path hop into versioned memory."""
-        return [deliver(self.runtime, chunk, "phx.control.split") for chunk in chunks]
+        core = self.runtime.current_core()
+        return [deliver(self.runtime, core, chunk, "phx.control.split") for chunk in chunks]
 
     def run(self, chunks: list[str]) -> dict[str, int]:
         """Execute the full job; returns the merged result."""

@@ -33,7 +33,7 @@ OP_UNITS: dict[str, Unit] = {
     "add": Unit.ALU, "sub": Unit.ALU, "mul": Unit.ALU, "div": Unit.ALU,
     "mod": Unit.ALU, "xor": Unit.ALU, "and_": Unit.ALU, "or_": Unit.ALU,
     "shl": Unit.ALU, "shr": Unit.ALU, "lt": Unit.ALU, "le": Unit.ALU,
-    "eq": Unit.ALU, "hash64": Unit.ALU, "copy": Unit.ALU,
+    "eq": Unit.ALU, "hash64": Unit.ALU, "copy": Unit.ALU, "copy_length": Unit.ALU,
     # FPU
     "fadd": Unit.FPU, "fsub": Unit.FPU, "fmul": Unit.FPU, "fdiv": Unit.FPU,
     # SIMD

@@ -24,8 +24,7 @@ class ExitCode(enum.IntEnum):
     code      meaning
     ========  =====================================================
     OK        run completed; every gate passed
-    FAILURE   rejected config, missing/invalid artifact,
-              bench regression, or
+    FAILURE   rejected config, missing/invalid artifact, or
               ERROR-severity audit findings (``doctor``, ``--audit``)
     SAFE_HOLD the degradation ladder ended the run in SAFE_HOLD
               (``perf``/``latency`` fault-tolerance runs, ``fleet``)

@@ -5,7 +5,8 @@ core's *ops API* (``core.alu.add(...)``, ``core.fpu.fmul(...)``, ...) rather
 than through raw Python operators.  Each call issues one instruction:
 
 * it is attributed to an :class:`~repro.machine.instruction.Site`,
-* it is charged cycles and counted in the active :class:`Trace`, and
+* it is charged cycles and counted in the scope's :class:`Trace`, if
+  it has one (a closure's does), and
 * if the core is *mercurial* — armed with a :class:`Fault` matching the
   instruction's unit and site — the result is corrupted.
 
@@ -100,11 +101,27 @@ class Core:
     def is_mercurial(self) -> bool:
         return bool(self.faults)
 
+    def can_fault(self, unit: Unit, function: str, opcode: str) -> bool:
+        """Whether an armed fault can match an instruction of ``opcode`` on
+        ``unit`` in a scope of ``function`` (the fault index ``_issue``
+        reads; no occurrence index, no trigger draw)."""
+        if not self.faults:
+            return False
+        key = (unit, function, opcode)
+        candidates = self._fault_index.get(key)
+        if candidates is None:
+            candidates = self._index_faults(key)
+        return bool(candidates)
+
     # ------------------------------------------------------------------
     # execution scoping
     # ------------------------------------------------------------------
-    def begin(self, function: str, trace: Trace | None = None) -> Trace:
-        """Start attributing instructions to ``function``.
+    def begin(self, function: str, trace: Trace | None = None) -> Trace | None:
+        """Start attributing instructions to ``function``, counting them in
+        ``trace`` when one is given (a closure's ``ExecutionContext``
+        always gives one; a control-path scope, whose counts nothing reads,
+        gives none and its instructions are only counted and charged on
+        the core).
 
         Resets the per-execution occurrence counters so that instruction
         sites are stable across invocations of the same closure.  Scopes
@@ -119,10 +136,10 @@ class Core:
         self._frames.append((self._function, self._occurrences, outer))
         self._function = function
         self._occurrences = {}
-        self._trace = trace if trace is not None else Trace()
-        return self._trace
+        self._trace = trace
+        return trace
 
-    def end(self) -> Trace:
+    def end(self) -> Trace | None:
         if not self._frames:
             raise ConfigurationError("Core.end() without matching begin()")
         trace = self._trace
@@ -236,6 +253,7 @@ class _CoreScope:
         self._core = core
         self._function = function
         self._trace = trace
+        #: the scope's trace: the one passed in, else ``None``
         self.trace: Trace | None = None
 
     def __enter__(self) -> "_CoreScope":
@@ -315,6 +333,12 @@ class _Alu:
         """
         weight = len(data) // 64 or 1
         return self._core._issue("copy", Unit.ALU, data, b"", cycle_weight=weight)
+
+    def copy_length(self, length: int) -> None:
+        """The :meth:`copy` of ``length`` bytes, issued and charged the
+        same, where no fault can reach it and nothing reads its result
+        (``Core.can_fault``): the bytes need not exist."""
+        self._core._issue("copy", Unit.ALU, None, None, cycle_weight=length // 64 or 1)
 
 
 class _Fpu:

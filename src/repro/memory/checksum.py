@@ -174,6 +174,10 @@ def sealed(value, pointers: bool = False) -> bool:
     ``pointers`` (which travel by id and do not decode)
     ``deserialize(serialize(value))`` is ``value`` type for type, float
     bit for bit.
+
+    The running code decides it inside a size walk — :func:`sealed_length`
+    for a hop, ``repro.memory.version.footprint`` (with pointers) for the
+    heap; this is the definition both are held to.
     """
     return _sealed(value, pointers, 0)
 
@@ -220,6 +224,74 @@ def _encodes(text: str) -> bool:
         return len(text.encode("utf-8")) <= MAX_RAW_BYTES
     except UnicodeEncodeError:
         return False
+
+
+def sealed_length(value) -> int | None:
+    """``len(serialize(value))`` when ``value`` is :func:`sealed` (without
+    pointers), else ``None``: one walk that sizes the bytes a payload would
+    travel as without building them.  Every tag-and-length header is five
+    bytes, whatever the length."""
+    return _sealed_length(value, 0)
+
+
+def _sealed_length(value, depth: int) -> int | None:
+    """:func:`sealed_length`, one container level, shaped as :func:`_sealed`."""
+    kind = type(value)
+    if kind is tuple:
+        if depth >= MAX_NESTING or len(value) > MAX_ITEMS:
+            return None
+        total = 5
+        for item in value:
+            leaf = type(item)
+            if leaf is str:
+                size = _utf8_length(item)
+                if size is None:
+                    return None
+                total += 5 + size
+            elif leaf is int:
+                bits = item.bit_length()
+                if bits >= _MAX_INT_BITS:
+                    return None
+                total += 6 + (bits + 8) // 8
+            elif item is None:
+                total += 1
+            elif leaf is float:
+                total += 9
+            elif leaf is bool:
+                total += 2
+            else:
+                size = _sealed_length(item, depth + 1)
+                if size is None:
+                    return None
+                total += size
+        return total
+    if kind is str:
+        size = _utf8_length(value)
+        return None if size is None else 5 + size
+    if kind is int:
+        bits = value.bit_length()
+        return 6 + (bits + 8) // 8 if bits < _MAX_INT_BITS else None
+    if kind is bytes:
+        return 5 + len(value) if len(value) <= MAX_RAW_BYTES else None
+    if value is None:
+        return 1
+    if kind is float:
+        return 9
+    if kind is bool:
+        return 2
+    return None
+
+
+def _utf8_length(text: str) -> int | None:
+    """Bytes of a sealed ``str`` leaf's UTF-8 encoding, else ``None``."""
+    if text.isascii():
+        size = len(text)
+    else:
+        try:
+            size = len(text.encode("utf-8"))
+        except UnicodeEncodeError:
+            return None
+    return size if size <= MAX_RAW_BYTES else None
 
 
 def deserialize(data: bytes):

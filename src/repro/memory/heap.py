@@ -20,8 +20,8 @@ from typing import Any, Iterator
 
 from repro.clock import Clock, LogicalClock
 from repro.errors import HeapError, ReclaimedVersionError
-from repro.memory.checksum import checksum_of, sealed
-from repro.memory.version import INTACT, RECLAIMED, Version, approx_size
+from repro.memory.checksum import checksum_of
+from repro.memory.version import INTACT, RECLAIMED, Version, approx_size, footprint
 
 
 class _ObjectRecord:
@@ -119,14 +119,22 @@ class VersionedHeap:
     ) -> Version:
         record = self._objects[obj_id]
         now = self._advance()
+        if checksum_override is not None or not self._checksums:
+            size, crc = approx_size(value), checksum_override
+        else:
+            # The header CRC field of a payload the heap installs: a sealed
+            # payload cannot change, so it is intact; any other's CRC is
+            # taken now, before anyone can mutate it.
+            size, intact = footprint(value)
+            crc = INTACT if intact else checksum_of(value)
         version = Version(
             version_id=self._next_version,
             obj_id=obj_id,
             value=value,
-            crc=self._header(value) if checksum_override is None else checksum_override,
+            crc=crc,
             created_at=now,
             creator=creator,
-            size=approx_size(value),
+            size=size,
         )
         self._next_version += 1
         if record.version_ids:
@@ -141,14 +149,6 @@ class VersionedHeap:
         self.live_bytes += version.size
         self.versions_created += 1
         return version
-
-    def _header(self, value: Any) -> Any:
-        """Header CRC field of a payload the heap installs: a sealed
-        payload cannot change, so it is intact; any other's CRC is taken
-        now, before anyone can mutate it."""
-        if not self._checksums:
-            return None
-        return INTACT if sealed(value, pointers=True) else checksum_of(value)
 
     def _advance(self) -> float:
         clock = self._clock

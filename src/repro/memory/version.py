@@ -15,7 +15,14 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.memory.checksum import checksum_of
+from repro.memory.checksum import (
+    _MAX_INT_BITS,
+    MAX_ITEMS,
+    MAX_NESTING,
+    MAX_RAW_BYTES,
+    _encodes,
+    checksum_of,
+)
 
 #: Sentinel stored in place of a reclaimed payload so stale accesses fail
 #: loudly instead of returning garbage.
@@ -63,6 +70,62 @@ def approx_size(value: Any) -> int:
     if hasattr(value, "__orthrus_payload__"):
         return 16 + approx_size(value.__orthrus_payload__())
     return sys.getsizeof(value)
+
+
+def footprint(value: Any) -> tuple[int, bool]:
+    """``(approx_size(value), sealed(value, pointers=True))``: a sealed
+    payload — every payload the applications store — is sized and sealed
+    in one walk; any other is sized again by :func:`approx_size`."""
+    size = _sealed_size(value, 0)
+    if size is None:
+        return approx_size(value), False
+    return size, True
+
+
+def _sealed_size(value: Any, depth: int) -> int | None:
+    """:func:`approx_size` of a payload :func:`~repro.memory.checksum.sealed`
+    with pointers, else ``None``; one container level, shaped as
+    ``checksum._sealed``."""
+    kind = type(value)
+    if kind is tuple:
+        if depth >= MAX_NESTING or len(value) > MAX_ITEMS:
+            return None
+        total = 16
+        for item in value:
+            leaf = type(item)
+            if leaf is int:
+                bits = item.bit_length()
+                if bits >= _MAX_INT_BITS:
+                    return None
+                total += 8 + bits // 8
+            elif leaf is str:
+                if not (item.isascii() and len(item) <= MAX_RAW_BYTES or _encodes(item)):
+                    return None
+                total += 16 + len(item)
+            elif item is None or leaf is float or leaf is bool:
+                total += 8
+            elif leaf.__base__ is object and getattr(leaf, "__orthrus_ptr__", False):
+                total += 8  # one pointer word
+            else:
+                size = _sealed_size(item, depth + 1)
+                if size is None:
+                    return None
+                total += size
+        return total
+    if kind is int:
+        bits = value.bit_length()
+        return 8 + bits // 8 if bits < _MAX_INT_BITS else None
+    if kind is str:
+        if value.isascii() and len(value) <= MAX_RAW_BYTES or _encodes(value):
+            return 16 + len(value)
+        return None
+    if kind is bytes:
+        return 16 + len(value) if len(value) <= MAX_RAW_BYTES else None
+    if value is None or kind is float or kind is bool:
+        return 8
+    if kind.__base__ is object and getattr(kind, "__orthrus_ptr__", False):
+        return 8
+    return None
 
 
 #: :attr:`Version.crc` of an intact version: its header CRC is its own

@@ -94,7 +94,7 @@ class TestHealthyOps:
 
 class TestTracing:
     def test_trace_counts_units(self, core):
-        trace = core.begin("f")
+        trace = core.begin("f", Trace())
         core.alu.add(1, 2)
         core.alu.add(3, 4)
         core.fpu.fadd(1.0, 2.0)
@@ -106,7 +106,7 @@ class TestTracing:
         assert trace.count(Unit.CACHE) == 0
 
     def test_trace_cycles_accumulate(self, core):
-        trace = core.begin("f")
+        trace = core.begin("f", Trace())
         core.alu.add(1, 2)
         core.fpu.fadd(1.0, 2.0)
         core.end()
@@ -134,6 +134,17 @@ class TestTracing:
         core.alu.add(1, 2)
         core.end()
         assert trace1.sites == trace2.sites
+
+    def test_a_scope_without_a_trace_builds_none(self, core):
+        """A control-path scope counts on the core alone; nesting still
+        marks a suspended trace."""
+        outer = core.begin("closure", Trace())
+        with core.scope("control") as scope:
+            core.alu.add(1, 2)
+        assert scope.trace is None and core.begin("g") is None and core.end() is None
+        assert core.end() is outer
+        assert outer.nested and outer.total_instructions == 0
+        assert core.instructions == 1 and core.total_cycles == 1
 
     def test_total_cycles_accumulate_across_executions(self, core):
         core.begin("f")
@@ -239,7 +250,7 @@ def _operator_sequence(core: Core) -> tuple[list, Trace]:
     out.append(core.alu.add(out[-1], 4))
     out.append(core.alu.hash64("a-key-longer-than-eight-bytes"))
     out.append(core.fpu.fmul(1.5, 2.0))
-    with core.scope("inner") as inner:
+    with core.scope("inner", Trace()) as inner:
         out.append(core.alu.add(1, 1))
         out.append(core.simd.vsum(range(20)))
     out.append(core.fpu.fmul(out[3], 0.5))

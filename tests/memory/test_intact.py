@@ -12,6 +12,9 @@ is taken, and the detections it keeps, are ``test_probe_counts.py``'s:
 * the licence: a sealed value decodes to itself type for type and float
   bit for bit, and its CRC is the CRC of its bytes; any list, dict,
   ``bytes`` subclass or ``IntEnum`` inside makes a value unsealed;
+* the size walks: ``sealed_length`` is the length of a sealed value's
+  bytes and ``footprint`` its ``approx_size``, and both decline exactly
+  what is unsealed;
 * which versions are intact, and which hops;
 * the oracle (``-m slow``): every driver-golden config gives the same
   ``checksum.verify`` stream and published record with the known path
@@ -34,16 +37,18 @@ from repro.machine.instruction import Site
 from repro.machine.units import Unit
 from repro.memory import heap as heap_module
 from repro.memory.checksum import (
+    _MAX_INT_BITS,
     MAX_NESTING,
     checksum_of,
     crc16,
     deserialize,
     sealed,
+    sealed_length,
     serialize,
 )
 from repro.memory.heap import VersionedHeap
 from repro.memory.pointer import OrthrusPtr
-from repro.memory.version import INTACT, Version
+from repro.memory.version import INTACT, Version, approx_size, footprint
 from repro.runtime.orthrus import OrthrusRuntime
 
 
@@ -114,10 +119,44 @@ def test_a_list_dict_bytes_subclass_or_intenum_inside_unseals(value):
     assert not sealed(value, pointers=True)
 
 
+@given(sealed_values)
+def test_the_size_walks_of_a_sealed_value_are_its_bytes_and_its_footprint(value):
+    assert sealed_length(value) == len(serialize(value))
+    assert footprint(value) == (approx_size(value), True)
+
+
+edges = st.sampled_from([
+    "\ud800", ("k", "\ud800"), 1 << _MAX_INT_BITS, (1, -(1 << _MAX_INT_BITS)),
+    (1 << _MAX_INT_BITS) - 1, ("é", b"", True, False, None, -0.0), Colour.RED,
+    object(), (1, object()),
+])
+
+
+@given(sealed_values | poisoned | edges | edges.map(lambda edge: ((edge,), 1)))
+def test_the_size_walks_decline_exactly_the_unsealed_values(value):
+    length = sealed_length(value)
+    assert (length is not None) == sealed(value)
+    if length is not None:
+        assert length == len(serialize(value))
+    assert footprint(value) == (approx_size(value), sealed(value, pointers=True))
+
+
+def test_the_size_walks_decline_nesting_past_the_decoder_limit():
+    deep = ()
+    for _ in range(MAX_NESTING - 1):
+        deep = (deep,)  # MAX_NESTING tuples, the deepest `sealed` takes
+    assert sealed(deep) and sealed_length(deep) == len(serialize(deep))
+    assert footprint(deep) == (approx_size(deep), True)
+    deeper = (deep,)
+    assert not sealed(deeper) and sealed_length(deeper) is None
+    assert footprint(deeper) == (approx_size(deeper), False)
+
+
 def test_pointers_are_sealed_only_where_the_heap_installs_them():
     heap = VersionedHeap()
     value = ("k", OrthrusPtr(heap, heap.allocate(1)))
     assert sealed(value, pointers=True) and not sealed(value)
+    assert footprint(value) == (approx_size(value), True) and sealed_length(value) is None
     with pytest.raises(ValueError):  # a pointer travels by id; it does not decode
         deserialize(serialize(value))
 
@@ -176,20 +215,26 @@ def test_a_hop_is_intact_until_a_fault_rewrites_its_bytes():
     runtime = OrthrusRuntime()
     core = runtime.current_core()
     value = ("key-00000042", "v" * 40)
-    arrived, intact = common.hop(core, value, "hop")
-    assert intact and arrived.data == serialize(value)
-    assert common.hop(core, ["key", 1], "hop")[1] is False  # not sealed
+    assert common.hop(core, value, "hop") is None  # intact: no packet
+    arrived = common.hop(core, ["key", 1], "hop")  # not sealed: decoded
+    assert common.unwrap(arrived) == (["key", 1], checksum_of(["key", 1]))
+    # a fault on another occurrence of the hop's copy: the bytes travel,
+    # and arrive as the sender's own
+    core.arm(Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=100,
+                   site=Site("hop", "copy", 1)))
+    assert common.hop(core, value, "hop") is None
     core.arm(Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=100,
                    site=Site("hop", "copy", 0)))
-    arrived, intact = common.hop(core, value, "hop")
-    assert not intact and arrived.data != serialize(value)
+    arrived = common.hop(core, value, "hop")
+    assert arrived.data != serialize(value) and arrived.checksum == checksum_of(value)
 
 
 # ----------------------------------------------------------------------
 # the oracle
 # ----------------------------------------------------------------------
-def _never_sealed(value, pointers=False) -> bool:
-    return False
+def _never_sealed(value):
+    """``footprint`` with no payload sealed."""
+    return approx_size(value), False
 
 
 def _golden_grid():
@@ -209,8 +254,8 @@ def test_oracle_driver_golden(key):
         intact = []
         with pytest.MonkeyPatch.context() as patch:
             if forced:  # no version is intact: every probe serializes
-                patch.setattr(heap_module, "sealed", _never_sealed)
-                patch.setattr(common, "sealed", _never_sealed)
+                patch.setattr(heap_module, "footprint", _never_sealed)
+                patch.setattr(common, "sealed_length", lambda value: None)
             patch.setattr(
                 Version, "probe", lambda version: intact.append(version.intact)
                 or real_probe(version)
